@@ -19,17 +19,15 @@ from .exact import (
     v_mh,
 )
 from .graph import PathPower
-from .observer import ComponentView, ObservationEvent, Observer, new_observer
+from .observer import ComponentView, ObservationEvent, Observer
 from .oracle import (
     ContinuousArrival,
     ResourceGuardError,
-    arrival_order,
     brute_force_win_probability,
     canonical_info_state,
     continuous_win_indicator,
     dp_optimal_value,
     info_class_audit,
-    sample_prefix_membership,
 )
 from .simulate import SimulationReport, continuous_win_rate, simulate, splitmix64, trial_seed
 from .strategies import StopRecord, Strategy, default_threshold, run_strategy
@@ -48,7 +46,6 @@ __all__ = [
     "SimulationReport",
     "StopRecord",
     "Strategy",
-    "arrival_order",
     "best_epsilon",
     "bound_report",
     "brute_force_win_probability",
@@ -62,10 +59,8 @@ __all__ = [
     "exact_tables",
     "info_class_audit",
     "lower_bound_tau_p",
-    "new_observer",
     "recommended_p",
     "run_strategy",
-    "sample_prefix_membership",
     "simulate",
     "splitmix64",
     "success_probability_exact",

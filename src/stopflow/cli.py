@@ -2,14 +2,16 @@
 scaling sweeps, and observation traces.
 
 Subcommands: ``exact``, ``simulate``, ``verify``, ``scaling``, ``trace``,
-``bounds``.  Outputs (text, CSV, or JSON) embed the tool version, the
-effective configuration, the seed, and the exact command line, so every
-file is reproducible from its own header.  Exit codes: 0 success, 1 usage
-error, 2 verification failure, 3 resource guard.
+``bounds``.  Every subcommand writes text or JSON, and ``exact``,
+``simulate`` and ``scaling`` also CSV.  JSON and CSV outputs embed the tool
+version, the effective configuration, the seed, and the exact command line,
+so every file is reproducible from its own header.  Exit codes: 0 success,
+1 usage error, 2 verification failure, 3 resource guard.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import math
@@ -17,15 +19,11 @@ import os
 import shlex
 import sys
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from . import __version__
-from .exact import (
-    best_epsilon,
-    bound_report,
-    exact_tables,
-    lower_bound_tau_p,
-    success_probability_exact,
-)
+from .exact import bound_report, exact_tables, success_probability_exact
 from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
@@ -125,200 +123,99 @@ def _resolve_strategy(args, n: int, seed: int) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Output plumbing
+# Subcommands.  Each computes its result once and returns it as a
+# CommandResult; ``main`` renders the one format asked for.
 # ---------------------------------------------------------------------------
 
-def _command_line(args) -> str:
-    return "stopflow " + " ".join(shlex.quote(a) for a in args._argv)
+# (config, JSON payload, text lines, CSV lines or None where CSV is not offered)
+CommandResult = tuple[dict, dict, Iterable[str], Iterable[str] | None]
 
 
-def _provenance_comments(args, config: dict) -> list[str]:
-    lines = [f"# stopflow {__version__}"]
-    for key in sorted(config):
-        lines.append(f"# config {key}={config[key]}")
-    lines.append(f"# command {_command_line(args)}")
-    return lines
+def _n_k(args) -> tuple[int, int]:
+    return _to_int(_require(args, "n"), "--n"), _to_int(_require(args, "k"), "--k")
 
 
-def _json_envelope(args, config: dict, payload: dict) -> str:
-    doc = {
-        "tool": {"name": "stopflow", "version": __version__},
-        "command": _command_line(args),
-        "config": config,
-    }
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _epsilon(args) -> float | None:
+    return None if args.epsilon is None else _to_float(args.epsilon, "--epsilon")
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv_row(record: dict, header: str) -> str:
+    return ",".join(str(record[key]) for key in header.split(","))
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_exact(args) -> int:
-    n = _to_int(_require(args, "n"), "--n")
-    k = _to_int(_require(args, "k"), "--k")
+def cmd_exact(args) -> CommandResult:
+    n, k = _n_k(args)
     tabs = exact_tables(n, k)
     prob = tabs.probability
-    config = {"mode": "exact", "n": n, "k": k, "format": args.format}
-
-    if args.format == "json":
-        payload = {
-            "report": {
-                "n": n,
-                "k": k,
-                "probability_fraction": str(prob),
-                "probability_decimal": fraction_decimal(prob),
-                "per_m": [
-                    {
-                        "m": m,
-                        "arrangements": tabs.W[m],
-                        "term_fraction": str(Fraction(tabs.W[m], m * math.comb(n, m))),
-                    }
-                    for m in sorted(tabs.W)
-                ],
-            }
+    prob_decimal = fraction_decimal(prob)
+    terms = [(m, w, Fraction(w, m * math.comb(n, m))) for m, w in sorted(tabs.W.items())]
+    payload = {
+        "report": {
+            "n": n,
+            "k": k,
+            "probability_fraction": str(prob),
+            "probability_decimal": prob_decimal,
+            "per_m": [{"m": m, "arrangements": w, "term_fraction": str(term)}
+                      for m, w, term in terms],
         }
-        _emit(args, _json_envelope(args, config, payload))
-        return 0
-
-    if args.format == "csv":
-        lines = _provenance_comments(args, config)
-        lines.append(f"# probability {prob} = {fraction_decimal(prob)}")
-        lines.append("m,arrangements,term_fraction,term_decimal")
-        for m in sorted(tabs.W):
-            term = Fraction(tabs.W[m], m * math.comb(n, m))
-            lines.append(f"{m},{tabs.W[m]},{term},{fraction_decimal(term)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    lines = [f"P[win] for n={n}, k={k}: {prob} = {fraction_decimal(prob)}", "", "m  arrangements  term"]
-    for m in sorted(tabs.W):
-        term = Fraction(tabs.W[m], m * math.comb(n, m))
-        lines.append(f"{m:>3}  {tabs.W[m]:>12}  {term} = {fraction_decimal(term)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _report_row(rep) -> str:
-    return ",".join(
-        str(v)
-        for v in (
-            rep.n, rep.k, rep.strategy, rep.trials, rep.wins,
-            rep.estimate, rep.stderr, rep.ci_lo, rep.ci_hi, rep.seed,
-        )
+    }
+    # Lazy lines: a term's decimal is worked out only for the format asked for.
+    text = chain(
+        [f"P[win] for n={n}, k={k}: {prob} = {prob_decimal}", "", "m  arrangements  term"],
+        (f"{m:>3}  {w:>12}  {term} = {fraction_decimal(term)}" for m, w, term in terms),
     )
+    csv = chain(
+        [f"# probability {prob} = {prob_decimal}", "m,arrangements,term_fraction,term_decimal"],
+        (f"{m},{w},{term},{fraction_decimal(term)}" for m, w, term in terms),
+    )
+    return {"n": n, "k": k}, payload, text, csv
 
 
-def cmd_simulate(args) -> int:
-    n = _to_int(_require(args, "n"), "--n")
-    k = _to_int(_require(args, "k"), "--k")
+def cmd_simulate(args) -> CommandResult:
+    n, k = _n_k(args)
     trials = _to_int(args.trials, "--trials")
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
     threads = _to_int(args.threads, "--threads")
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
     seed = _resolve_seed(args)
     strategy = _resolve_strategy(args, n, seed)
     PathPower(n, k)  # validate early so bad (n, k) is a usage error
 
     rep = simulate(n, k, strategy, trials, seed, threads=threads)
-    config = {
-        "mode": "simulate",
-        "n": n,
-        "k": k,
-        "strategy": strategy.describe(),
-        "trials": trials,
-        "seed": seed,
-        "threads": threads,
-        "format": args.format,
-    }
-
-    if args.format == "json":
-        payload = {
-            "report": {
-                "n": rep.n,
-                "k": rep.k,
-                "strategy": rep.strategy,
-                "trials": rep.trials,
-                "wins": rep.wins,
-                "estimate": rep.estimate,
-                "stderr": rep.stderr,
-                "ci_lo": rep.ci_lo,
-                "ci_hi": rep.ci_hi,
-                "seed": rep.seed,
-                "wall_time": rep.wall_time,
-            }
-        }
-        _emit(args, _json_envelope(args, config, payload))
-        return 0
-
-    if args.format == "csv":
-        lines = _provenance_comments(args, config)
-        lines.append(SIMULATE_CSV_HEADER)
-        lines.append(_report_row(rep))
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-
-    _emit(
-        args,
-        (
-            f"strategy {rep.strategy} on n={rep.n}, k={rep.k}: "
-            f"{rep.wins}/{rep.trials} wins, estimate {rep.estimate:.6f} "
-            f"(stderr {rep.stderr:.6f}, 95% CI [{rep.ci_lo:.6f}, {rep.ci_hi:.6f}], seed {rep.seed})\n"
-        ),
-    )
-    return 0
+    report = dataclasses.asdict(rep)
+    config = {"n": n, "k": k, "strategy": strategy.describe(), "trials": trials,
+              "seed": seed, "threads": threads}
+    text = [
+        f"strategy {rep.strategy} on n={rep.n}, k={rep.k}: "
+        f"{rep.wins}/{rep.trials} wins, estimate {rep.estimate:.6f} "
+        f"(stderr {rep.stderr:.6f}, 95% CI [{rep.ci_lo:.6f}, {rep.ci_hi:.6f}], seed {rep.seed})"
+    ]
+    csv = [SIMULATE_CSV_HEADER, _csv_row(report, SIMULATE_CSV_HEADER)]
+    return config, {"report": report}, text, csv
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> CommandResult:
     n_max = _to_int(args.n_max, "--n-max")
     bounds_n = _to_int(args.bounds_n, "--bounds-n")
     report = verify_all(n_max=n_max, skip_dp=args.skip_dp, bounds_max_n=bounds_n)
-    config = {
-        "mode": "verify",
-        "n_max": n_max,
-        "skip_dp": args.skip_dp,
-        "bounds_n": bounds_n,
-        "format": args.format,
-    }
-
-    if args.format == "json":
-        _emit(args, _json_envelope(args, config, {"report": report.to_dict()}))
-    else:
-        lines = []
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(f"{status}  {check.name}: {check.detail}")
-        lines.append("verdict: " + ("all checks passed" if report.passed else "FAILURES present"))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.passed else 2
+    config = {"n_max": n_max, "skip_dp": args.skip_dp, "bounds_n": bounds_n}
+    text = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in report.checks]
+    text.append("verdict: " + ("all checks passed" if report.passed else "FAILURES present"))
+    return config, {"report": dataclasses.asdict(report)}, text, None
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> CommandResult:
     k_grid = parse_grid(_require(args, "k"), "--k")
     n_grid = parse_grid(_require(args, "n"), "--n")
-    epsilon = None if args.epsilon is None else _to_float(args.epsilon, "--epsilon")
-    config = {
-        "mode": "scaling",
-        "k": args.k,
-        "n": args.n,
-        "epsilon": "grid-best" if epsilon is None else epsilon,
-        "format": args.format,
-    }
-
+    epsilon = _epsilon(args)
     rows = []
     skipped = []
     for k in k_grid:
         for n in n_grid:
             if k >= n:
-                skipped.append((n, k, "k >= n"))
+                skipped.append({"n": n, "k": k, "reason": "k >= n"})
                 continue
             p = success_probability_exact(n, k)
             scaled = n ** (1.0 / (k + 1)) * float(p)
@@ -335,37 +232,16 @@ def cmd_scaling(args) -> int:
                     "best_epsilon": rep.epsilon if rep else "",
                 }
             )
-
-    if args.format == "json":
-        payload = {"rows": rows, "skipped": [{"n": n, "k": k, "reason": r} for n, k, r in skipped]}
-        _emit(args, _json_envelope(args, config, payload))
-        return 0
-
-    lines = _provenance_comments(args, config) if args.format == "csv" else []
-    if args.format == "csv":
-        lines.append(SCALING_CSV_HEADER)
-        for n, k, reason in skipped:
-            lines.append(f"# skipped n={n} k={k} ({reason})")
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(row[key])
-                    for key in (
-                        "n", "k", "p_exact", "p_decimal", "scaled",
-                        "upper_bound", "lower_bound", "best_epsilon",
-                    )
-                )
-            )
-    else:
-        for n, k, reason in skipped:
-            lines.append(f"skipped n={n} k={k} ({reason})")
-        for row in rows:
-            lines.append(
-                f"n={row['n']} k={row['k']} p={row['p_exact']} ({row['p_decimal']}) "
-                f"scaled={row['scaled']:.6f} upper={row['upper_bound']} lower={row['lower_bound']}"
-            )
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    config = {"k": args.k, "n": args.n, "epsilon": "grid-best" if epsilon is None else epsilon}
+    skips = [f"skipped n={s['n']} k={s['k']} ({s['reason']})" for s in skipped]
+    text = skips + [
+        f"n={row['n']} k={row['k']} p={row['p_exact']} ({row['p_decimal']}) "
+        f"scaled={row['scaled']:.6f} upper={row['upper_bound']} lower={row['lower_bound']}"
+        for row in rows
+    ]
+    csv = [SCALING_CSV_HEADER, *("# " + line for line in skips)]
+    csv += [_csv_row(row, SCALING_CSV_HEADER) for row in rows]
+    return config, {"rows": rows, "skipped": skipped}, text, csv
 
 
 def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
@@ -422,127 +298,108 @@ def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
             "chosen": chosen, "win": chosen == 1}
 
 
-def cmd_trace(args) -> int:
-    n = _to_int(_require(args, "n"), "--n")
-    k = _to_int(_require(args, "k"), "--k")
+def cmd_trace(args) -> CommandResult:
+    n, k = _n_k(args)
     g = PathPower(n, k)
     traces = [_trace_one(g, perm) for perm in _read_permutations(args, n)]
-    config = {"mode": "trace", "n": n, "k": k, "format": args.format}
-
-    if args.format == "json":
-        _emit(args, _json_envelope(args, config, {"traces": traces}))
-        return 0
-
-    lines = []
+    text = []
     for trace in traces:
-        lines.append("order: " + " ".join(str(v) for v in trace["permutation"]))
+        if text:
+            text.append("")
+        text.append("order: " + " ".join(str(v) for v in trace["permutation"]))
         for step in trace["steps"]:
             comps = " ".join(
                 "(" + ",".join(str(o) for o in comp["offsets"]) + ")"
                 for comp in step["components"]
             )
             mark = "  <-- stop" if step["stop"] else ""
-            lines.append(
+            text.append(
                 f"t={step['t']}: arrives v{step['vertex']}  "
                 f"c={step['component_count']} b={step['pending_inner']} slack={step['slack']} "
                 f"max={'yes' if step['is_max'] else 'no'} "
                 f"cond={'yes' if step['condition_met'] else 'no'}  comps={comps}{mark}"
             )
         outcome = "WIN" if trace["win"] else "LOSS"
-        lines.append(f"stopped at t={trace['stop_index']} on v{trace['chosen']}: {outcome}")
-        lines.append("")
-    _emit(args, "\n".join(lines))
-    return 0
+        text.append(f"stopped at t={trace['stop_index']} on v{trace['chosen']}: {outcome}")
+    return {"n": n, "k": k}, {"traces": traces}, text, None
 
 
-def cmd_bounds(args) -> int:
-    n = _to_int(_require(args, "n"), "--n")
-    k = _to_int(_require(args, "k"), "--k")
-    epsilon = None if args.epsilon is None else _to_float(args.epsilon, "--epsilon")
+def cmd_bounds(args) -> CommandResult:
+    n, k = _n_k(args)
+    epsilon = _epsilon(args)
     rep = bound_report(n, k, epsilon)
-    config = {"mode": "bounds", "n": n, "k": k,
-              "epsilon": "grid-best" if epsilon is None else epsilon, "format": args.format}
+    config = {"n": n, "k": k, "epsilon": "grid-best" if epsilon is None else epsilon}
+    text = [
+        f"bounds for n={rep.n}, k={rep.k}:",
+        f"  lower (rejection rule, epsilon={rep.epsilon}, p={rep.p:.6f}): {rep.lower:.6f}",
+        f"  upper (Beta integral): {rep.upper:.6f}",
+        f"  scaled-limit constant: {rep.asymptotic_constant:.6f}",
+    ]
+    return config, {"report": dataclasses.asdict(rep)}, text, None
 
+
+def _render(args, result: CommandResult) -> str:
+    """The JSON envelope, the CSV provenance block and rows, or the text."""
+    config, payload, text, csv = result
+    config = {"mode": args.mode, **config, "format": args.format}
+    command = "stopflow " + " ".join(shlex.quote(a) for a in args._argv)
     if args.format == "json":
-        payload = {
-            "report": {
-                "n": rep.n,
-                "k": rep.k,
-                "epsilon": rep.epsilon,
-                "p": rep.p,
-                "lower": rep.lower,
-                "upper": rep.upper,
-                "asymptotic_constant": rep.asymptotic_constant,
-            }
-        }
-        _emit(args, _json_envelope(args, config, payload))
-        return 0
-
-    _emit(
-        args,
-        (
-            f"bounds for n={rep.n}, k={rep.k}:\n"
-            f"  lower (rejection rule, epsilon={rep.epsilon}, p={rep.p:.6f}): {rep.lower:.6f}\n"
-            f"  upper (Beta integral): {rep.upper:.6f}\n"
-            f"  scaled-limit constant: {rep.asymptotic_constant:.6f}\n"
-        ),
-    )
-    return 0
+        doc = {"tool": {"name": "stopflow", "version": __version__},
+               "command": command, "config": config, **payload}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.format == "csv":
+        text = [f"# stopflow {__version__}",
+                *(f"# config {key}={config[key]}" for key in sorted(config)),
+                f"# command {command}", *csv]
+    return "\n".join(text) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_shared(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", help="vertex count, or a grid A..B or A..B:STEP where allowed")
-    sub.add_argument("--k", help="power, or a grid where allowed")
-    sub.add_argument("--seed", help=f"64-bit master seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    sub.add_argument("--trials", default="10000", help="Monte Carlo trial count")
-    sub.add_argument("--strategy", help="one of " + ", ".join(KINDS))
-    sub.add_argument("--p", help="coin bias for tau_p_star")
-    sub.add_argument("--epsilon", help="epsilon for the analytic lower bound")
-    sub.add_argument("--r", help="rejection count for classical_threshold, or 'auto'")
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    sub.add_argument("--threads", default="1", help="worker processes for simulation")
-    sub.add_argument("--config", help="flat key=value file with defaults for these flags")
+_SUBCOMMANDS = (
+    ("exact", cmd_exact, "exact success probability and its per-m breakdown"),
+    ("simulate", cmd_simulate, "Monte Carlo estimate for one strategy"),
+    ("verify", cmd_verify, "run the oracle verification suite"),
+    ("scaling", cmd_scaling, "exact values and bounds over an n-grid"),
+    ("trace", cmd_trace, "step-by-step observation trace of arrival orders"),
+    ("bounds", cmd_bounds, "analytic lower/upper bounds for one (n, k)"),
+)
+_CSV_MODES = ("exact", "simulate", "scaling")
+
+
+def _formats(mode: str) -> tuple[str, ...]:
+    return ("csv", "json", "text") if mode in _CSV_MODES else ("json", "text")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stopflow", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stopflow {__version__}")
     subs = parser.add_subparsers(dest="mode", required=True)
+    for mode, func, help_text in _SUBCOMMANDS:
+        sub = subs.add_parser(mode, help=help_text)
+        sub.add_argument("--n", help="vertex count, or a grid A..B or A..B:STEP where allowed")
+        sub.add_argument("--k", help="power, or a grid where allowed")
+        sub.add_argument("--seed", help=f"64-bit master seed (fallback: ${SEED_ENV_VAR}, then 0)")
+        sub.add_argument("--trials", default="10000", help="Monte Carlo trial count")
+        sub.add_argument("--strategy", help="one of " + ", ".join(KINDS))
+        sub.add_argument("--p", help="coin bias for tau_p_star")
+        sub.add_argument("--epsilon", help="epsilon for the analytic lower bound")
+        sub.add_argument("--r", help="rejection count for classical_threshold, or 'auto'")
+        sub.add_argument("--out", help="write output to this path instead of stdout")
+        sub.add_argument("--format", choices=_formats(mode), default="text")
+        sub.add_argument("--threads", default="1", help="worker processes for simulation")
+        sub.add_argument("--config", help="flat key=value file with defaults for these flags")
+        sub.set_defaults(func=func)
 
-    sub = subs.add_parser("exact", help="exact success probability and its per-m breakdown")
-    _add_shared(sub)
-    sub.set_defaults(func=cmd_exact)
-
-    sub = subs.add_parser("simulate", help="Monte Carlo estimate for one strategy")
-    _add_shared(sub)
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser("verify", help="run the oracle verification suite")
-    _add_shared(sub)
-    sub.add_argument("--n-max", default="8", help="enumerate arrival orders up to this n")
-    sub.add_argument("--skip-dp", action="store_true", help="skip backward-induction checks")
-    sub.add_argument("--bounds-n", default="200", help="largest n for the bounds sandwich")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("scaling", help="exact values and bounds over an n-grid")
-    _add_shared(sub)
-    sub.set_defaults(func=cmd_scaling)
-
-    sub = subs.add_parser("trace", help="step-by-step observation trace of arrival orders")
-    _add_shared(sub)
-    sub.add_argument("--perm", help="whitespace-separated 1-based vertex indices")
-    sub.add_argument("--perm-file", help="file with one permutation per line")
-    sub.set_defaults(func=cmd_trace)
-
-    sub = subs.add_parser("bounds", help="analytic lower/upper bounds for one (n, k)")
-    _add_shared(sub)
-    sub.set_defaults(func=cmd_bounds)
-
+    verify = subs.choices["verify"]
+    verify.add_argument("--n-max", default="8", help="enumerate arrival orders up to this n")
+    verify.add_argument("--skip-dp", action="store_true", help="skip backward-induction checks")
+    verify.add_argument("--bounds-n", default="200", help="largest n for the bounds sandwich")
+    trace = subs.choices["trace"]
+    trace.add_argument("--perm", help="whitespace-separated 1-based vertex indices")
+    trace.add_argument("--perm-file", help="file with one permutation per line")
     return parser
 
 
@@ -585,9 +442,10 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in file_values.items():
                 if key not in given and hasattr(args, key):
                     setattr(args, key, value)
-            if args.format not in ("csv", "json", "text"):
-                raise UsageError(f"bad format {args.format!r}")
-        return args.func(args)
+            if args.format not in _formats(args.mode):
+                raise UsageError(f"bad format {args.format!r} for {args.mode}; "
+                                 f"expected one of {', '.join(_formats(args.mode))}")
+        result = args.func(args)
     except UsageError as exc:
         print(f"stopflow: usage error: {exc}", file=sys.stderr)
         return 1
@@ -597,6 +455,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"stopflow: error: {exc}", file=sys.stderr)
         return 1
+    output = _render(args, result)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(output)
+    else:
+        sys.stdout.write(output)
+    return 2 if args.mode == "verify" and not result[1]["report"]["passed"] else 0
 
 
 def main_entry() -> None:

@@ -153,11 +153,6 @@ def conditional_success(n: int, k: int, m: int, c: int, b: int) -> Fraction:
     return Fraction(1, n - m - k * (c - 1) - b + c)
 
 
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a) / Gamma(b), stable for arguments well past the overflow range."""
-    return math.exp(math.lgamma(a) - math.lgamma(b))
-
-
 def asymptotic_upper_constant() -> float:
     """Gamma(4/3) * 3**(1/3): the k=2 maximum of the scaled upper bound."""
     return math.gamma(4 / 3) * 3 ** (1 / 3)

@@ -40,21 +40,5 @@ class PathPower:
             raise ValueError(f"no edge from {i} to {j} in PathPower(n={self.n}, k={self.k})")
         return i - j - 1
 
-    def is_sink(self, i: int) -> bool:
-        """True iff position i has no outgoing edges (i.e. i == 1)."""
-        self._check_position(i)
-        return i == 1
-
-    def out_degree(self, i: int) -> int:
-        self._check_position(i)
-        return min(self.k, i - 1)
-
-    def in_degree(self, i: int) -> int:
-        self._check_position(i)
-        return min(self.k, self.n - i)
-
-    def edge_count(self) -> int:
-        return self.n * self.k - self.k * (self.k + 1) // 2
-
     def positions(self) -> range:
         return range(1, self.n + 1)

@@ -82,7 +82,6 @@ class Observer:
         self.t = 0
         self._arrived: list[int] = []       # all arrived positions, sorted
         self._comps: list[_Component] = []  # disjoint, sorted by lo
-        self._last_event: ObservationEvent | None = None
 
     @property
     def component_count(self) -> int:
@@ -98,10 +97,6 @@ class Observer:
         if not self._comps:
             return self.g.n - self.t
         return (self.g.n - self.t) - self.g.k * (len(self._comps) - 1) - self.pending_inner
-
-    @property
-    def last_event(self) -> ObservationEvent | None:
-        return self._last_event
 
     def components(self) -> tuple[ComponentView, ...]:
         return tuple(
@@ -145,22 +140,10 @@ class Observer:
         else:
             self._comps.insert(ci, _Component(pos))
 
-        event = ObservationEvent(
+        return ObservationEvent(
             t=self.t,
             is_max=is_max,
             component_count=self.component_count,
             pending_inner=self.pending_inner,
             slack=self.slack,
         )
-        self._last_event = event
-        return event
-
-    def stopping_condition(self) -> bool:
-        """True iff no future arrival can be the sink (slack exhausted)."""
-        if self.t < 1:
-            raise ValueError("stopping condition undefined before the first arrival")
-        return self.slack == 0
-
-
-def new_observer(g: PathPower) -> Observer:
-    return Observer(g)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -298,16 +297,3 @@ def continuous_win_indicator(g: PathPower, arr: ContinuousArrival) -> bool:
         else:
             run = 0
     return True
-
-
-def arrival_order(arr: ContinuousArrival) -> tuple[int, ...]:
-    """Positions sorted by arrival time (ties broken by position index)."""
-    return tuple(sorted(range(1, len(arr.times) + 1), key=lambda i: (arr.times[i - 1], i)))
-
-
-def sample_prefix_membership(n: int, p: float, seed: int) -> frozenset[int]:
-    """Each position joins the rejected prefix independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    return frozenset(i for i in range(1, n + 1) if rng.random() < p)

@@ -135,8 +135,10 @@ def simulate(
     """Estimate the win probability of a strategy over uniform arrivals."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     started = time.perf_counter()
-    if threads <= 1:
+    if threads == 1:
         wins = _count_wins(n, k, s, master_seed, 0, trials)
     else:
         chunk = -(-trials // threads)

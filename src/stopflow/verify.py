@@ -59,17 +59,11 @@ class Check:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class VerifyReport:
     passed: bool
     checks: tuple[Check, ...]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def _perms(n: int):
@@ -348,6 +342,12 @@ def check_strategy_dominance(n_max: int = 7) -> Check:
 
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
+    # Below these limits some checks have no case and would pass vacuously:
+    # continuous_discrete starts at n=4, and the k=3 bounds grid at n=6.
+    if n_max < 4:
+        raise ValueError(f"verification needs n_max >= 4, got {n_max}")
+    if bounds_max_n < 6:
+        raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {bounds_max_n}")
     if n_max > ENUMERATION_GUARD:
         raise ResourceGuardError(
             f"verification enumerates all arrival orders and is guarded at "

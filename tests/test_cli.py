@@ -6,6 +6,7 @@ import pytest
 
 from stopflow import Observer, __version__
 from stopflow.cli import fraction_decimal, main, parse_grid
+from stopflow.verify import verify_all
 from fractions import Fraction
 
 
@@ -146,6 +147,14 @@ def test_simulate_usage_errors(capsys):
     assert code == 1
 
 
+def test_simulate_threads_below_one_is_usage_error(capsys):
+    for threads in ("0", "-3"):
+        code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",
+                                 "--strategy", "tau_n", "--threads", threads)
+        assert code == 1 and out == ""
+        assert f"--threads must be >= 1, got {threads}" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -177,9 +186,22 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         return dataclasses.replace(event, pending_inner=event.pending_inner + 1)
 
     monkeypatch.setattr(Observer, "observe", corrupted)
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--bounds-n", "20")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--bounds-n", "20")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_verify_rejects_ranges_that_check_nothing(capsys):
+    # below n_max=4 continuous_discrete has no case; below 6 the k=3 bounds grid is empty
+    for argv in (["--n-max", "0"], ["--n-max", "1"], ["--n-max", "3"], ["--bounds-n", "5"],
+                 ["--n-max", "1", "--bounds-n", "0"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1 and out == "", argv
+        assert "error" in err
+    with pytest.raises(ValueError):
+        verify_all(n_max=3)
+    with pytest.raises(ValueError):
+        verify_all(n_max=4, bounds_max_n=5)
 
 
 def test_verify_resource_guard(capsys):
@@ -323,6 +345,28 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("banana=1\n")
     code, _, err = run_cli(capsys, "exact", "--config", str(cfg), "--n", "5", "--k", "2")
     assert code == 1 and "unknown config keys" in err
+
+
+CSV_REJECTING_ARGV = {
+    "trace": ["trace", "--n", "4", "--k", "1", "--perm", "1 2 3 4"],
+    "bounds": ["bounds", "--n", "100", "--k", "2"],
+    "verify": ["verify", "--n-max", "4", "--bounds-n", "30"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CSV_REJECTING_ARGV))
+def test_csv_format_rejected_where_not_offered(mode, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("verify ran its suite despite the bad format")
+
+    monkeypatch.setattr("stopflow.cli.verify_all", never)
+    argv = CSV_REJECTING_ARGV[mode]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == "" and "usage error" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=csv\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == "" and "usage error" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

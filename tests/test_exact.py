@@ -21,7 +21,7 @@ from stopflow import (
     upper_bound,
     v_mh,
 )
-from stopflow.exact import asymptotic_upper_constant, gamma_ratio, min_condition_time
+from stopflow.exact import asymptotic_upper_constant, min_condition_time
 from stopflow.oracle import canonical_info_state
 
 
@@ -221,13 +221,6 @@ def test_conditional_success_rejects_infeasible():
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
-
-def test_gamma_recurrence_self_test():
-    x = 1.0
-    while x <= 300.0:
-        assert abs(gamma_ratio(x + 1.0, x) - x) <= 1e-12 * x
-        x += 0.37
-
 
 def test_upper_bound_examples():
     assert abs(upper_bound(5, 2) - 0.75) < 1e-12

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopflow import Observer, PathPower, new_observer
+from stopflow import Observer, PathPower
 
 GOLDEN_PERM = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 GOLDEN_PENDING = (0, 0, 1, 2, 1, 1, 2, 1, 0)
@@ -54,8 +54,8 @@ def test_golden_events_middle_game():
     assert e6.condition_met and e6.is_max
 
 
-def test_new_observer_state():
-    obs = new_observer(PathPower(9, 2))
+def test_observer_initial_state():
+    obs = Observer(PathPower(9, 2))
     assert obs.t == 0
     assert obs.component_count == 0
     assert obs.slack == 9
@@ -87,14 +87,8 @@ def test_out_of_range_arrival_rejected():
 
 def test_stopping_condition():
     obs = Observer(PathPower(9, 2))
-    with pytest.raises(ValueError):
-        obs.stopping_condition()
-    for pos in GOLDEN_PERM[:4]:
-        obs.observe(pos)
-    assert not obs.stopping_condition()  # slack is 1 at t=4
-    for pos in GOLDEN_PERM[4:6]:
-        obs.observe(pos)
-    assert obs.stopping_condition()
+    met = [obs.observe(pos).condition_met for pos in GOLDEN_PERM]
+    assert met == [False] * 5 + [True] * 4  # slack is 1 at t=4 and t=5, 0 from t=6
 
 
 def test_condition_always_met_at_full_arrival():
@@ -103,7 +97,7 @@ def test_condition_always_met_at_full_arrival():
             obs = Observer(PathPower(n, k))
             for pos in range(1, n + 1):
                 obs.observe(pos)
-            assert obs.stopping_condition()
+            assert obs.slack == 0
             assert obs.component_count == 1 and obs.pending_inner == 0
 
 

@@ -9,14 +9,12 @@ from stopflow import (
     PathPower,
     ResourceGuardError,
     Strategy,
-    arrival_order,
     brute_force_win_probability,
     canonical_info_state,
     continuous_win_indicator,
     dp_optimal_value,
     info_class_audit,
     run_strategy,
-    sample_prefix_membership,
     success_probability_exact,
 )
 from stopflow.exact import conditional_success
@@ -166,11 +164,6 @@ def test_continuous_arrival_validation():
         continuous_win_indicator(g, ContinuousArrival((0.1, 0.2, 0.3)))
 
 
-def test_arrival_order_sorts_by_time():
-    arr = ContinuousArrival((0.9, 0.1, 0.5, 0.3))
-    assert arrival_order(arr) == (2, 4, 3, 1)
-
-
 def test_continuous_discrete_equivalence_exhaustive():
     # rank-based times: only the relative order matters to either side
     for n in range(4, 9):
@@ -184,24 +177,3 @@ def test_continuous_discrete_equivalence_exhaustive():
                 disc = run_strategy(Strategy.tau_n(), g, perm).win
                 assert cont == disc, (n, k, perm)
 
-
-def test_sample_prefix_membership_degenerate():
-    assert sample_prefix_membership(8, 0.0, 1) == frozenset()
-    assert sample_prefix_membership(8, 1.0, 1) == frozenset(range(1, 9))
-    with pytest.raises(ValueError):
-        sample_prefix_membership(8, 1.5, 1)
-
-
-def test_sample_prefix_membership_frequencies():
-    n, p, draws = 8, 0.3, 100_000
-    hits = [0] * (n + 1)
-    for seed in range(draws):
-        for pos in sample_prefix_membership(n, p, seed):
-            hits[pos] += 1
-    sigma = math.sqrt(p * (1 - p) / draws)
-    for pos in range(1, n + 1):
-        assert abs(hits[pos] / draws - p) < 4 * sigma
-
-
-def test_sample_prefix_membership_reproducible():
-    assert sample_prefix_membership(20, 0.5, 123) == sample_prefix_membership(20, 0.5, 123)

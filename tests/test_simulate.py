@@ -90,6 +90,12 @@ def test_simulate_rejects_bad_trials():
         simulate(5, 2, Strategy.tau_n(), 0, master_seed=1)
 
 
+def test_simulate_rejects_bad_threads():
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            simulate(5, 2, Strategy.tau_n(), 10, master_seed=1, threads=threads)
+
+
 def test_continuous_win_rate_matches_exact_value():
     rep = continuous_win_rate(9, 2, 100_000, master_seed=17)
     exact = float(success_probability_exact(9, 2))
