@@ -249,8 +249,11 @@ def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
     if args.perm is not None:
         specs.append(args.perm)
     if args.perm_file is not None:
-        with open(args.perm_file, encoding="utf-8") as fh:
-            specs.extend(line for line in (ln.strip() for ln in fh) if line and not line.startswith("#"))
+        try:
+            with open(args.perm_file, encoding="utf-8") as fh:
+                specs.extend(line for line in (ln.strip() for ln in fh) if line and not line.startswith("#"))
+        except OSError as exc:
+            raise ValueError(f"cannot read --perm-file: {exc}")
     if not specs:
         raise UsageError("trace needs --perm or --perm-file")
     perms = []
@@ -457,8 +460,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     output = _render(args, result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"stopflow: error: cannot write --out: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(output)
     return 2 if args.mode == "verify" and not result[1]["report"]["passed"] else 0

@@ -5,9 +5,11 @@ stream seeded with ``master_seed XOR splitmix64(i)``, so results are
 bit-identical for a given (seed, trials) regardless of how trials are
 chunked across workers.
 
-Strategies that ignore distance labels (the threshold family) run on a
-lean driver that tracks arrivals and maximality only; its records are
-checked against the reference runner in the test suite.
+Every strategy replays on a byte array of arrived positions: the
+threshold family tracks arrivals and maximality only, and ``tau_n`` also
+keeps a running slack.  ``Observer`` and ``strategies.run_strategy`` are
+the slow reference; the test suite checks these drivers' records against
+them.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import PathPower
-from .observer import Observer
 from .oracle import ContinuousArrival, continuous_win_indicator
 from .strategies import StopRecord, Strategy, draw_rejection_count
 
@@ -80,16 +81,32 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     The stream is consumed in a fixed order (shuffle, then any strategy
     randomness) to keep records reproducible.
     """
-    n = g.n
+    n, k = g.n, g.k
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
+    # arrived[pos + k] marks position pos; the k leading zero bytes let the
+    # window of the k positions below pos start at index pos, unclamped.
+    arrived = bytearray(n + k + 1)
 
     if s.kind == "tau_n":
-        obs = Observer(g)
-        for pos in perm:
-            event = obs.observe(pos)
-            if event.condition_met and event.is_max:
-                return StopRecord(event.t, pos, pos == 1)
+        # Running slack (n - t) - k(c - 1) - pending_inner, as the Observer
+        # reports it.  With a, b the distances to the nearest arrivals below
+        # and above, capped at k + 1, an arrival lowers it by
+        # max(0, a + b - k - 1): a new component costs k + 1, extending one
+        # by a gap costs the gap, fusing two costs a + b - k - 1, and filling
+        # an inner slot (a + b <= k) costs nothing.
+        slack = n + k
+        for t, pos in enumerate(perm, start=1):
+            i = pos + k
+            left = arrived.rfind(1, pos, i)
+            right = arrived.find(1, i + 1, i + k + 1)
+            a = i - left if left >= 0 else k + 1
+            b = right - i if right >= 0 else k + 1
+            if a + b > k + 1:
+                slack -= a + b - k - 1
+            arrived[i] = 1
+            if left < 0 and slack == 0:
+                return StopRecord(t, pos, pos == 1)
         return StopRecord(n, perm[-1], perm[-1] == 1)
 
     # Threshold family: only arrivals and maximality matter.
@@ -99,15 +116,10 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
         skip = s.r
     else:
         skip = draw_rejection_count(n, s.p, rng)
-
-    k = g.k
-    arrived = bytearray(n + 1)
     for t, pos in enumerate(perm, start=1):
-        if t > skip:
-            lo = max(1, pos - k)
-            if not any(arrived[q] for q in range(lo, pos)):
-                return StopRecord(t, pos, pos == 1)
-        arrived[pos] = 1
+        if t > skip and arrived.rfind(1, pos, pos + k) < 0:
+            return StopRecord(t, pos, pos == 1)
+        arrived[pos + k] = 1
     return StopRecord(n, perm[-1], perm[-1] == 1)
 
 

@@ -382,6 +382,22 @@ def test_out_writes_file(tmp_path, capsys):
     assert "9/20" in out.read_text()
 
 
+def test_out_to_unwritable_path_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "exact", "--n", "5", "--k", "2",
+                             "--out", str(tmp_path / "missing" / "x.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("stopflow: error:") and "x.txt" in err
+
+
+def test_trace_unreadable_perm_file_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "trace", "--n", "4", "--k", "1",
+                             "--perm-file", str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("stopflow: error:") and "missing.txt" in err
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopflow import (
     PathPower,
@@ -55,6 +57,48 @@ def test_run_trial_matches_reference_runner():
                 perm = list(range(1, n + 1))
                 rng.shuffle(perm)
                 assert fast == run_strategy(s, g, perm, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_trial_matches_reference_runner_everywhere(data):
+    # Differential test of the bytearray drivers against the Observer-based
+    # reference: every k, every strategy kind, arbitrary 64-bit seeds.
+    n = data.draw(st.integers(2, 80), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    s = data.draw(
+        st.one_of(
+            st.just(Strategy.tau_n()),
+            st.just(Strategy.first_max()),
+            st.floats(0.0, 1.0).map(Strategy.tau_p_star),
+            st.integers(0, n).map(Strategy.classical_threshold),
+        ),
+        label="strategy",
+    )
+    g = PathPower(n, k)
+    fast = run_trial(g, s, random.Random(seed))
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    assert fast == run_strategy(s, g, perm, rng)
+
+
+# Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
+# shuffle first, then strategy randomness): every driver must reproduce them.
+FROZEN_WINS = [
+    (50, 2, Strategy.tau_n(), 101, 446),
+    (60, 30, Strategy.tau_n(), 102, 986),
+    (40, 39, Strategy.tau_n(), 103, 945),
+    (30, 4, Strategy.first_max(), 104, 57),
+    (40, 3, Strategy.classical_threshold(14), 105, 307),
+    (50, 2, Strategy.tau_p_star(0.4), 106, 127),
+]
+
+
+@pytest.mark.parametrize("n,k,s,seed,wins", FROZEN_WINS)
+def test_simulate_wins_are_frozen_per_seed(n, k, s, seed, wins):
+    assert simulate(n, k, s, 2000, master_seed=seed).wins == wins
 
 
 def test_simulate_reports_are_reproducible():
