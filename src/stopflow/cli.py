@@ -392,7 +392,7 @@ def _build_parser() -> _Parser:
         sub.add_argument("--r", help="rejection count for classical_threshold, or 'auto'")
         sub.add_argument("--out", help="write output to this path instead of stdout")
         sub.add_argument("--format", choices=_formats(mode), default="text")
-        sub.add_argument("--threads", default="1", help="worker processes for simulation")
+        sub.add_argument("--threads", default="1", help="worker processes for simulation, at most one per CPU")
         sub.add_argument("--config", help="flat key=value file with defaults for these flags")
         sub.set_defaults(func=func)
 

@@ -1,13 +1,18 @@
 """Selector-legal view of an arrival process on a path power.
 
-The observer ingests ground-truth positions one at a time and maintains the
-induced subgraph of arrived vertices: its connected components, the count of
-not-yet-arrived vertices destined to fall strictly inside existing components
-(``pending_inner``, the distance labels make this knowable), and the slack
+The observer ingests ground-truth positions one at a time.  A component of
+the induced subgraph of arrived vertices is a maximal run of arrived
+positions whose consecutive gaps are at most k, so the whole state is the
+sorted list of arrivals plus three running totals: the arrival count t, the
+component count, and ``pending_inner``, the not-yet-arrived vertices
+destined to fall strictly inside existing components (the distance labels
+make this knowable).  A gap of width d <= k joins its two ends and holds
+d - 1 such vertices.  An arrival splits one gap into two, so each total
+changes by three gap terms.  The slack
 
-    slack(t) = (n - t) - k * (components - 1) - pending_inner,
+    slack(t) = (n - t) - k * (components - 1) - pending_inner
 
-which counts future arrivals not already forced into gaps or inner slots.
+counts future arrivals not already forced into gaps or inner slots.
 Strategies must consume only :class:`ObservationEvent` and the relative
 component structure; absolute positions never cross that boundary.
 """
@@ -35,10 +40,6 @@ class ComponentView:
     def size(self) -> int:
         return len(self.offsets)
 
-    @property
-    def span(self) -> int:
-        return self.offsets[-1] + 1
-
 
 @dataclass(frozen=True)
 class ObservationEvent:
@@ -55,94 +56,71 @@ class ObservationEvent:
         return self.slack == 0
 
 
-class _Component:
-    __slots__ = ("known",)
-
-    def __init__(self, pos: int):
-        self.known = [pos]
-
-    @property
-    def lo(self) -> int:
-        return self.known[0]
-
-    @property
-    def hi(self) -> int:
-        return self.known[-1]
-
-    @property
-    def inner_missing(self) -> int:
-        return self.hi - self.lo + 1 - len(self.known)
-
-
 class Observer:
-    """Mutable observation state for one arrival sequence on one PathPower."""
+    """Mutable observation state for one arrival sequence on one PathPower.
+
+    The state is the sorted arrivals plus running totals of arrivals,
+    components and pending inner vertices; each arrival costs one bisect,
+    the list insert and constant work on the gaps around it.
+    """
 
     def __init__(self, g: PathPower):
         self.g = g
         self.t = 0
-        self._arrived: list[int] = []       # all arrived positions, sorted
-        self._comps: list[_Component] = []  # disjoint, sorted by lo
-
-    @property
-    def component_count(self) -> int:
-        return len(self._comps)
-
-    @property
-    def pending_inner(self) -> int:
-        return sum(c.inner_missing for c in self._comps)
+        self.component_count = 0
+        self.pending_inner = 0
+        self._arrived: list[int] = []  # all arrived positions, sorted
 
     @property
     def slack(self) -> int:
         # Degenerate pre-arrival state: no components yet, report n - t.
-        if not self._comps:
+        if not self.component_count:
             return self.g.n - self.t
-        return (self.g.n - self.t) - self.g.k * (len(self._comps) - 1) - self.pending_inner
+        return (self.g.n - self.t) - self.g.k * (self.component_count - 1) - self.pending_inner
 
     def components(self) -> tuple[ComponentView, ...]:
+        runs: list[list[int]] = []
+        for p in self._arrived:
+            if runs and p - runs[-1][-1] <= self.g.k:
+                runs[-1].append(p)
+            else:
+                runs.append([p])
         return tuple(
             ComponentView(
-                offsets=tuple(p - c.lo for p in c.known),
-                inner_missing=c.inner_missing,
+                offsets=tuple(p - run[0] for p in run),
+                inner_missing=run[-1] - run[0] + 1 - len(run),
             )
-            for c in self._comps
+            for run in runs
         )
 
     def observe(self, pos: int) -> ObservationEvent:
         """Ingest the arrival of ``pos`` and report the resulting event."""
         g = self.g
+        k = g.k
         g._check_position(pos)
-        idx = bisect.bisect_left(self._arrived, pos)
-        if idx < len(self._arrived) and self._arrived[idx] == pos:
+        arrived = self._arrived
+        idx = bisect.bisect_left(arrived, pos)
+        if idx < len(arrived) and arrived[idx] == pos:
             raise ValueError(f"position {pos} arrived twice")
 
-        # Maximal iff no outgoing edge, i.e. nothing arrived in [pos-k, pos-1].
-        is_max = idx == 0 or pos - self._arrived[idx - 1] > g.k
-
-        self._arrived.insert(idx, pos)
+        # Sorted neighbours; a missing one is a sentinel beyond reach, so
+        # every gap that touches it is wider than k.
+        below = arrived[idx - 1] if idx else -k
+        above = arrived[idx] if idx < len(arrived) else g.n + k + 1
+        arrived.insert(idx, pos)
         self.t += 1
 
-        # An arrival can extend or fuse at most the two components flanking it.
-        ci = bisect.bisect_right(self._comps, pos, key=lambda c: c.lo)
-        left = self._comps[ci - 1] if ci > 0 else None
-        right = self._comps[ci] if ci < len(self._comps) else None
-        joins_left = left is not None and pos - left.hi <= g.k
-        joins_right = right is not None and right.lo - pos <= g.k
-
-        if joins_left and joins_right:
-            # Separation >= k+1 between components forces lo < pos < hi here.
-            left.known.append(pos)
-            left.known.extend(right.known)
-            del self._comps[ci]
-        elif joins_left:
-            bisect.insort(left.known, pos)
-        elif joins_right:
-            right.known.insert(0, pos)
-        else:
-            self._comps.insert(ci, _Component(pos))
+        # pos replaces the gap (below, above) by (below, pos) and (pos, above).
+        self.component_count += 1
+        for width, sign in ((above - below, -1), (pos - below, 1), (above - pos, 1)):
+            if width <= k:
+                self.component_count -= sign
+                self.pending_inner += sign * (width - 1)
 
         return ObservationEvent(
             t=self.t,
-            is_max=is_max,
+            # Maximal iff no outgoing edge, i.e. nothing arrived in [pos-k, pos-1].
+            is_max=pos - below > k,
             component_count=self.component_count,
             pending_inner=self.pending_inner,
             slack=self.slack,

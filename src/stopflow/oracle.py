@@ -70,6 +70,17 @@ def _threshold_win_counts(n: int, k: int) -> list[int]:
     return wins
 
 
+def _rejection_mixture(wins: list[int], p: Fraction) -> Fraction:
+    """Exact win probability of "reject M ~ Binomial(n, p), take the first
+    maximal", mixing the per-M counts ``wins`` of ``_threshold_win_counts``."""
+    n = len(wins) - 1
+    total = math.factorial(n)
+    return sum(
+        math.comb(n, m_) * p**m_ * (1 - p) ** (n - m_) * Fraction(wins[m_], total)
+        for m_ in range(n + 1)
+    )
+
+
 def brute_force_win_probability(
     n: int, k: int, s: Strategy, *, force: bool = False
 ) -> Fraction:
@@ -89,11 +100,7 @@ def brute_force_win_probability(
             return Fraction(wins[0], total)
         if s.kind == "classical_threshold":
             return Fraction(wins[min(s.r, n)], total)
-        p = Fraction(s.p)
-        return sum(
-            math.comb(n, m_) * p**m_ * (1 - p) ** (n - m_) * Fraction(wins[m_], total)
-            for m_ in range(n + 1)
-        )
+        return _rejection_mixture(wins, Fraction(s.p))
 
     won = sum(
         run_strategy(s, g, perm).win

@@ -14,6 +14,7 @@ them.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -158,7 +159,10 @@ def simulate(
             (n, k, s, master_seed, lo, min(lo + chunk, trials))
             for lo in range(0, trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The pool forks all its workers at once; more than the spans or
+        # the CPUs only costs processes.
+        workers = min(threads, len(spans), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             wins = sum(pool.map(_count_wins_task, spans))
     wall = time.perf_counter() - started
     return _make_report(n, k, s.describe(), trials, wins, master_seed, wall)

@@ -88,14 +88,14 @@ def draw_rejection_count(n: int, p: float, rng: random.Random) -> int:
     return sum(1 for _ in range(n) if rng.random() < p)
 
 
-def _skip_count(s: Strategy, n: int, rng: random.Random) -> int:
+def _skip_count(s: Strategy, n: int, rng: random.Random | None) -> int:
     """How many leading arrivals the strategy rejects outright."""
-    if s.kind == "tau_n":
-        return 0
-    if s.kind == "first_max":
+    if s.kind in ("tau_n", "first_max"):
         return 0
     if s.kind == "classical_threshold":
         return s.r  # type: ignore[return-value]
+    if rng is None:
+        rng = random.Random(s.rng_seed)
     return draw_rejection_count(n, s.p, rng)  # type: ignore[arg-type]
 
 
@@ -123,8 +123,6 @@ def run_strategy(
     n = g.n
     if sorted(arrivals) != list(range(1, n + 1)):
         raise ValueError("arrivals must be a permutation of 1..n")
-    if rng is None:
-        rng = random.Random(s.rng_seed)
 
     skip = _skip_count(s, n, rng)
     obs = Observer(g)

@@ -27,6 +27,7 @@ from .oracle import (
     ENUMERATION_GUARD,
     ContinuousArrival,
     ResourceGuardError,
+    _rejection_mixture,
     _threshold_win_counts,
     brute_force_win_probability,
     continuous_win_indicator,
@@ -328,11 +329,7 @@ def check_strategy_dominance(n_max: int = 7) -> Check:
                     )
                 cases += 1
             for p in p_grid:
-                value = sum(
-                    math.comb(n, m_) * p**m_ * (1 - p) ** (n - m_) * Fraction(wins[m_], total)
-                    for m_ in range(n + 1)
-                )
-                if value > best:
+                if _rejection_mixture(wins, p) > best:
                     return Check(
                         "strategy_dominance", False,
                         f"rejection rule p={p} beats the slack rule at (n={n}, k={k})",

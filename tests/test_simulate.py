@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import random
 
@@ -17,6 +18,9 @@ from stopflow import (
     trial_seed,
 )
 from stopflow.simulate import run_trial
+
+# The package's ``simulate`` attribute is the function; this is the module.
+simulate_module = importlib.import_module("stopflow.simulate")
 
 
 def test_splitmix64_reference_vector():
@@ -113,6 +117,37 @@ def test_simulate_threads_do_not_change_the_outcome():
     serial = simulate(6, 2, Strategy.tau_p_star(0.5), 2000, master_seed=7, threads=1)
     parallel = simulate(6, 2, Strategy.tau_p_star(0.5), 2000, master_seed=7, threads=2)
     assert serial.wins == parallel.wins
+
+
+@pytest.mark.parametrize("threads, trials, cpus, workers", [
+    (5000, 40, 4, 4),   # capped by the CPU count
+    (5000, 3, 64, 3),   # capped by the span count: one trial per span
+    (3, 40, None, 1),   # os.cpu_count() may not know
+    (2, 40, 8, 2),
+])
+def test_simulate_pool_size_is_bounded(monkeypatch, threads, trials, cpus, workers):
+    made = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
+    pooled = simulate(8, 2, Strategy.tau_n(), trials, master_seed=5, threads=threads)
+    assert made == [workers]
+    assert pooled.wins == simulate(8, 2, Strategy.tau_n(), trials, master_seed=5).wins
 
 
 def test_simulate_estimate_matches_exact_value():

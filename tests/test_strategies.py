@@ -106,6 +106,22 @@ def test_randomized_strategy_purity(seed, data):
     assert run_strategy(s, g, perm) == run_strategy(s, g, perm)
 
 
+def test_only_tau_p_star_draws_from_rng():
+    g = PathPower(7, 2)
+    perms = list(itertools.permutations(range(1, 8)))[::97]
+    for s in (Strategy.tau_n(), Strategy.first_max(), Strategy.classical_threshold(3)):
+        for perm in perms:
+            expect = run_strategy(s, g, perm)
+            for rng in (random.Random(0), random.Random(123)):
+                state = rng.getstate()
+                assert run_strategy(s, g, perm, rng) == expect
+                assert rng.getstate() == state
+    for seed in (0, 1, 2**63 + 5):
+        s = Strategy.tau_p_star(0.5, rng_seed=seed)
+        for perm in perms:
+            assert run_strategy(s, g, perm) == run_strategy(s, g, perm, random.Random(seed))
+
+
 def test_tau_n_stops_only_on_maximal_arrivals():
     for n in range(2, 6):
         for k in range(1, n):
