@@ -27,7 +27,7 @@ from .exact import bound_report, exact_tables, success_probability_exact
 from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
-from .simulate import simulate
+from .simulate import _MASK64, simulate
 from .strategies import KINDS, Strategy, default_threshold
 from .verify import verify_all
 
@@ -96,12 +96,15 @@ def _to_float(value, what: str) -> float:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return _to_int(args.seed, "--seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _to_int(env, SEED_ENV_VAR)
-    return 0
+    source, value = "--seed", args.seed
+    if value is None:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+    if value is None:
+        return 0
+    seed = _to_int(value, source)
+    if not 0 <= seed <= _MASK64:
+        raise UsageError(f"{source} must lie in 0..2**64-1, got {seed}")
+    return seed
 
 
 def _resolve_strategy(args, n: int, seed: int) -> Strategy:

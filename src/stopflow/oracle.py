@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -159,59 +158,39 @@ class InfoClassStat:
         return Fraction(self.sink_last, self.members)
 
 
-def _class_stats(t: int, state: InfoState, members: list[tuple[int, ...]], k: int) -> InfoClassStat:
-    pending = sum(ms[-1][1] + 1 - len(ms) for ms in _by_offset(state))
-    rep = members[0]
-    last = rep[-1]
-    last_is_max = not any(last - k <= q <= last - 1 for q in rep[:-1])
-    return InfoClassStat(
-        t=t,
-        state=state,
-        members=len(members),
-        sink_last=sum(1 for m in members if m[-1] == 1),
-        component_count=len(state),
-        pending_inner=pending,
-        last_is_max=last_is_max,
-    )
+def _info_classes(g: PathPower) -> dict[InfoState, list]:
+    """Every information class, by one depth-first walk of the arrival prefixes.
 
-
-def _by_offset(state: InfoState) -> list[tuple[tuple[int, int], ...]]:
-    return [tuple(sorted(comp, key=lambda io: io[1])) for comp in state]
-
-
-def _build_levels(g: PathPower):
-    """Forward enumeration of all arrival prefixes grouped by canonical state.
-
-    Returns per-t class membership plus exact transition counts between
-    consecutive levels.
+    Maps each canonical state to ``[t, members, sink_last, parent_state]``:
+    the prefix length, the number of member prefixes, how many of them end
+    on the sink, and the class of the members with the last arrival dropped
+    (None at t = 1).  The filtration is nested, so that class is the same
+    for every member; backward induction rests on this, and a class reached
+    from two parent classes raises.  Each parent is inserted before any of
+    its children.
     """
-    n = g.n
-    levels: list[dict[InfoState, list[tuple[int, ...]]]] = []
-    transitions: list[dict[InfoState, Counter]] = []
-
-    level: dict[InfoState, list[tuple[int, ...]]] = {}
-    for pos in g.positions():
-        level.setdefault(canonical_info_state(g, (pos,)), []).append((pos,))
-    levels.append(level)
-
-    for t in range(1, n):
-        nxt: dict[InfoState, list[tuple[int, ...]]] = {}
-        trans: dict[InfoState, Counter] = {}
-        for state, members in levels[-1].items():
-            counter: Counter = Counter()
-            for member in members:
-                seen = set(member)
-                for pos in g.positions():
-                    if pos in seen:
-                        continue
-                    extended = member + (pos,)
-                    key = canonical_info_state(g, extended)
-                    nxt.setdefault(key, []).append(extended)
-                    counter[key] += 1
-            trans[state] = counter
-        levels.append(nxt)
-        transitions.append(trans)
-    return levels, transitions
+    classes: dict[InfoState, list] = {}
+    # An explicit stack, not a recursive closure: the closure's reference
+    # cycle would keep each call's classes alive until the cyclic GC runs.
+    stack: list[tuple[tuple[int, ...], InfoState | None]] = [
+        ((pos,), None) for pos in g.positions()
+    ]
+    while stack:
+        prefix, parent = stack.pop()
+        state = canonical_info_state(g, prefix)
+        sink = int(prefix[-1] == 1)
+        rec = classes.get(state)
+        if rec is None:
+            classes[state] = [len(prefix), 1, sink, parent]
+        elif rec[3] != parent:
+            raise RuntimeError(
+                f"information class {state} reached from two parent classes"
+            )
+        else:
+            rec[1] += 1
+            rec[2] += sink
+        stack.extend((prefix + (pos,), state) for pos in g.positions() if pos not in prefix)
+    return classes
 
 
 def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
@@ -220,44 +199,39 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     States are canonical information classes; stop values and transition
     probabilities come from counting compatible ground-truth completions, so
     the result is the exact optimum over all stopping rules adapted to the
-    labeled observation filtration.
+    labeled observation filtration.  The induction runs on integers: a
+    class's best is the number of completions of its members that optimal
+    play wins, the larger of stopping (sink_last * (n-t)!) and the sum of
+    its children's bests.
     """
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
-    g = PathPower(n, k)
-    levels, transitions = _build_levels(g)
-
-    values: dict[InfoState, Fraction] = {}
-    for state, members in levels[n - 1].items():
-        values[state] = Fraction(sum(1 for m in members if m[-1] == 1), len(members))
-
-    for t in range(n - 1, 0, -1):
-        new_values: dict[InfoState, Fraction] = {}
-        for state, members in levels[t - 1].items():
-            stop = Fraction(sum(1 for m in members if m[-1] == 1), len(members))
-            weight = len(members) * (n - t)
-            cont = (
-                sum(count * values[nxt] for nxt, count in transitions[t - 1][state].items())
-                / weight
-            )
-            new_values[state] = max(stop, cont)
-        values = new_values
-
-    return sum(
-        Fraction(len(members), n) * values[state]
-        for state, members in levels[0].items()
-    )
+    classes = _info_classes(PathPower(n, k))
+    won: dict[InfoState | None, int] = {}  # summed bests of each class's children
+    for state, (t, _, sink_last, parent) in reversed(classes.items()):
+        best = max(sink_last * math.factorial(n - t), won.pop(state, 0))
+        won[parent] = won.get(parent, 0) + best
+    return Fraction(won[None], math.factorial(n))
 
 
 def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassStat]:
-    """Per-class statistics for every information class at every time step."""
+    """Per-class statistics for every information class, ordered by time step."""
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
-    g = PathPower(n, k)
-    levels, _ = _build_levels(g)
-    return [
-        _class_stats(t, state, members, k)
-        for t, level in enumerate(levels, start=1)
-        for state, members in level.items()
-    ]
+    stats = []
+    for state, (t, members, sink_last, _) in _info_classes(PathPower(n, k)).items():
+        # The t-th arrival is maximal when no member of its component sits
+        # 1..k below it.
+        comp, last = next((c, off) for c in state for i, off in c if i == t)
+        stats.append(InfoClassStat(
+            t=t,
+            state=state,
+            members=members,
+            sink_last=sink_last,
+            component_count=len(state),
+            pending_inner=sum(max(off for _, off in c) + 1 - len(c) for c in state),
+            last_is_max=not any(0 < last - off <= k for _, off in comp),
+        ))
+    stats.sort(key=lambda st: st.t)
+    return stats
 
 
 # ---------------------------------------------------------------------------

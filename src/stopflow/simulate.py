@@ -39,6 +39,12 @@ def trial_seed(master_seed: int, index: int) -> int:
     return (master_seed ^ splitmix64(index)) & _MASK64
 
 
+def _check_seed(master_seed: int) -> None:
+    # trial_seed masks to 64 bits, so a wider seed would alias one in range.
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in 0..2**64-1, got {master_seed}")
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Monte Carlo estimate with a normal-approximation 95% interval."""
@@ -150,6 +156,7 @@ def simulate(
         raise ValueError(f"need trials >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    _check_seed(master_seed)
     started = time.perf_counter()
     if threads == 1:
         wins = _count_wins(n, k, s, master_seed, 0, trials)
@@ -174,6 +181,7 @@ def continuous_win_rate(
     """Monte Carlo mean of the continuous-arrival win indicator."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    _check_seed(master_seed)
     g = PathPower(n, k)
     started = time.perf_counter()
     wins = 0

@@ -2,8 +2,8 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
-Desk-scale guards apply: enumeration checks run to ``n_max`` (capped by the
-oracle guard) and the backward induction to min(n_max, 7).
+Desk-scale guards apply: ``verify_all`` passes ``n_max`` (at most the
+oracle guard) to every check, and each check caps it at its own limit.
 """
 from __future__ import annotations
 
@@ -271,7 +271,7 @@ def check_max_given_components(n_max: int = 7) -> Check:
 
 
 def check_conditional_success_vs_states(n_max: int = 6) -> Check:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, 6)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
@@ -292,7 +292,7 @@ def check_conditional_success_vs_states(n_max: int = 6) -> Check:
 
 
 def check_continuous_discrete(n_max: int = 7) -> Check:
-    n_max = min(n_max, 8)
+    n_max = min(n_max, 7)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
@@ -352,19 +352,19 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
         )
     checks = [check_formula_vs_oracle(n_max)]
     if not skip_dp:
-        checks.append(check_dp_vs_formula(min(n_max, 7)))
+        checks.append(check_dp_vs_formula(n_max))
     checks.extend(
         [
             check_degenerate_half_cases(),
             check_golden_trace(),
             check_frozen_exact_values(),
             check_bounds_sandwich(bounds_max_n),
-            check_observer_invariants(min(n_max, 7)),
+            check_observer_invariants(n_max),
             check_subset_counting(),
-            check_max_given_components(min(n_max, 7)),
-            check_conditional_success_vs_states(min(n_max, 6)),
-            check_continuous_discrete(min(n_max, 7)),
-            check_strategy_dominance(min(n_max, 7)),
+            check_max_given_components(n_max),
+            check_conditional_success_vs_states(n_max),
+            check_continuous_discrete(n_max),
+            check_strategy_dominance(n_max),
         ]
     )
     return VerifyReport(passed=all(c.passed for c in checks), checks=tuple(checks))

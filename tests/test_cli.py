@@ -6,7 +6,11 @@ import pytest
 
 from stopflow import Observer, __version__
 from stopflow.cli import fraction_decimal, main, parse_grid
-from stopflow.verify import verify_all
+from stopflow.verify import (
+    check_conditional_success_vs_states,
+    check_continuous_discrete,
+    verify_all,
+)
 from fractions import Fraction
 
 
@@ -121,6 +125,19 @@ def test_simulate_env_seed_fallback(capsys, monkeypatch):
     assert json.loads(out_env)["report"]["seed"] == 321
 
 
+@pytest.mark.parametrize("source", ["--seed", "STOPFLOW_SEED"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7)])
+def test_simulate_seed_outside_64_bits_is_usage_error(source, seed, capsys, monkeypatch):
+    argv = ["simulate", "--n", "5", "--k", "1", "--strategy", "first_max", "--trials", "10"]
+    if source == "--seed":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv(source, seed)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"usage error: {source} must lie in 0..2**64-1, got {seed}" in err
+
+
 def test_simulate_threshold_auto_matches_classical_value(capsys):
     # side oracle: the classical full-information threshold value
     n = 200
@@ -189,6 +206,13 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--bounds-n", "20")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_verify_checks_cap_n_max_themselves():
+    # verify_all passes n_max straight through; these caps keep the output of
+    # verify --n-max 8 as it was when verify_all applied them.
+    assert check_continuous_discrete(9).detail.endswith("up to n=7")
+    assert check_conditional_success_vs_states(9) == check_conditional_success_vs_states(6)
 
 
 def test_verify_rejects_ranges_that_check_nothing(capsys):

@@ -139,6 +139,30 @@ def test_stop_values_match_conditional_success():
                     assert stat.sink_last == 0
 
 
+def test_info_classes_partition_every_prefix_level():
+    for n in range(2, 7):
+        for k in range(1, n):
+            stats = info_class_audit(n, k)
+            assert [st.t for st in stats] == sorted(st.t for st in stats)
+            for t in range(1, n + 1):
+                level = [st for st in stats if st.t == t]
+                falling = math.factorial(n) // math.factorial(n - t)
+                assert sum(st.members for st in level) == falling
+                # prefixes of length t ending on the sink: (n-1)!/(n-t)!
+                assert sum(st.sink_last for st in level) == falling // n
+
+
+def test_backward_induction_rejects_a_coarser_state(monkeypatch):
+    # (t, component count) merges classes whose parents differ, so the
+    # information classes no longer form a tree.
+    monkeypatch.setattr(
+        "stopflow.oracle.canonical_info_state",
+        lambda g, prefix: (len(prefix), len(canonical_info_state(g, prefix))),
+    )
+    with pytest.raises(RuntimeError, match="two parent classes"):
+        dp_optimal_value(5, 1)
+
+
 def test_continuous_indicator_examples():
     g = PathPower(5, 2)
     # top vertex after the sink: always a loss

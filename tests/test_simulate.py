@@ -105,6 +105,16 @@ def test_simulate_wins_are_frozen_per_seed(n, k, s, seed, wins):
     assert simulate(n, k, s, 2000, master_seed=seed).wins == wins
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # trial_seed masks to 64 bits: 2**64 + 7 would replay seed 7's trials.
+    with pytest.raises(ValueError, match="master seed"):
+        simulate(6, 2, Strategy.tau_n(), 10, master_seed=seed)
+    with pytest.raises(ValueError, match="master seed"):
+        continuous_win_rate(6, 2, 10, master_seed=seed)
+    assert simulate(6, 2, Strategy.tau_n(), 10, master_seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_simulate_reports_are_reproducible():
     a = simulate(6, 2, Strategy.tau_n(), 3000, master_seed=42)
     b = simulate(6, 2, Strategy.tau_n(), 3000, master_seed=42)
