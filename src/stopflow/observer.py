@@ -70,6 +70,7 @@ class Observer:
         self.component_count = 0
         self.pending_inner = 0
         self._arrived: list[int] = []  # all arrived positions, sorted
+        self._history: list[tuple[int, int, int, int]] = []  # (pos, totals before it)
 
     @property
     def slack(self) -> int:
@@ -93,6 +94,11 @@ class Observer:
             for run in runs
         )
 
+    def undo(self) -> None:
+        """Take back the latest arrival (IndexError if none): one observer walks many prefixes."""
+        pos, self.t, self.component_count, self.pending_inner = self._history.pop()
+        del self._arrived[bisect.bisect_left(self._arrived, pos)]
+
     def observe(self, pos: int) -> ObservationEvent:
         """Ingest the arrival of ``pos`` and report the resulting event."""
         g = self.g
@@ -108,6 +114,7 @@ class Observer:
         below = arrived[idx - 1] if idx else -k
         above = arrived[idx] if idx < len(arrived) else g.n + k + 1
         arrived.insert(idx, pos)
+        self._history.append((pos, self.t, self.component_count, self.pending_inner))
         self.t += 1
 
         # pos replaces the gap (below, above) by (below, pos) and (pos, above).

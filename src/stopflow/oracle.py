@@ -1,21 +1,21 @@
 """Independent ground truth at desk scale.
 
-Everything here certifies the rest of the package by brute force: exhaustive
-enumeration over all n! arrival orders, exact mixing over the rejection count
-of the randomized rule, backward induction over canonical information states
-(the optimal value over all stopping rules that see only the labeled induced
-graph), and the continuous-arrival win test.
+Everything here certifies the rest of the package by brute force: one walk
+over all arrival prefixes on one observer, exact mixing over the rejection
+count of the randomized rule, backward induction over canonical information
+states (the optimal value over all stopping rules that see only the labeled
+induced graph), and the continuous-arrival win test.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import PathPower
-from .strategies import Strategy, run_strategy
+from .observer import ObservationEvent, Observer
+from .strategies import Strategy
 
 ENUMERATION_GUARD = 9
 DP_GUARD = 7
@@ -33,39 +33,48 @@ def _check_guard(n: int, limit: int, what: str, force: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration over arrival orders
+# Exhaustive enumeration over arrival prefixes
 # ---------------------------------------------------------------------------
 
-def _maximal_arrival_times(perm: Sequence[int], k: int) -> list[int]:
-    """Times t at which the t-th arrival is maximal in the induced graph."""
-    arrived = [False] * (len(perm) + 1)
-    out = []
-    for t, pos in enumerate(perm, start=1):
-        lo = max(1, pos - k)
-        if not any(arrived[q] for q in range(lo, pos)):
-            out.append(t)
-        arrived[pos] = True
-    return out
+def walk_prefixes(g: PathPower, visit: Callable[..., bool | None]) -> None:
+    """Call ``visit(path, events)`` on every arrival prefix, depth first and
+    in lexicographic order, with the arrived positions and their observer
+    events (both lists are reused).  A true return skips the extensions of
+    the prefix: the visitor has credited its (n - t)! completions at once.
+    """
+    _walk(Observer(g), [], [], visit)
+
+
+def _walk(obs: Observer, path: list[int], events: list[ObservationEvent], visit: Callable) -> None:
+    # Module level, not a recursive closure: its reference cycle outlives the call.
+    for pos in [p for p in obs.g.positions() if p not in path]:
+        path.append(pos)
+        events.append(obs.observe(pos))
+        if not visit(path, events):
+            _walk(obs, path, events, visit)
+        obs.undo()
+        path.pop()
+        events.pop()
 
 
 def _threshold_win_counts(n: int, k: int) -> list[int]:
-    """wins[M] = number of permutations won by "reject M, take first maximal"."""
+    """wins[M] = number of arrival orders won by "reject M, take first maximal"."""
     wins = [0] * (n + 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        candidates = _maximal_arrival_times(perm, k)
-        t_sink = perm.index(1) + 1  # the sink is always a candidate
-        prev = 0
-        for t in candidates:
-            if t == t_sink:
-                break
-            prev = t
-        # The rule wins iff the first candidate after the rejection phase is
-        # the sink: M in [prev, t_sink).  M = n never fires and takes the
-        # final arrival, which wins exactly when the sink comes last.
-        for m in range(prev, t_sink):
-            wins[m] += 1
-        if t_sink == n:
-            wins[n] += 1
+
+    def visit(path: list[int], events: list[ObservationEvent]) -> bool | None:
+        # The sink is always maximal, so the rule wins iff the first maximal
+        # arrival after the rejection phase is the sink: M in [prev, t_sink)
+        # for the last maximal time prev before it.  M = n never fires and
+        # takes the final arrival, which wins exactly when the sink comes last.
+        if path[-1] == 1:
+            t_sink = len(path)
+            prev = next((e.t for e in reversed(events[:-1]) if e.is_max), 0)
+            for m in range(prev, t_sink):
+                wins[m] += math.factorial(n - t_sink)
+            wins[n] += t_sink == n
+            return True
+
+    walk_prefixes(PathPower(n, k), visit)
     return wins
 
 
@@ -85,27 +94,33 @@ def brute_force_win_probability(
 ) -> Fraction:
     """Exact win probability of a strategy under uniform arrival orders.
 
-    Deterministic strategies are replayed over all n! permutations.  For the
-    randomized rejection rule the count M is integrated out exactly with
-    Binomial(n, p) weights instead of sampling.
+    Every outcome is fixed by a prefix: the slack rule's once it stops, a
+    threshold rule's once the sink arrives.  The prefix walk credits all
+    completions of such a prefix at once instead of replaying each of the
+    n! orders.  For the randomized rejection rule the count M is integrated
+    out exactly with Binomial(n, p) weights instead of sampling.
     """
     _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
-    g = PathPower(n, k)
     total = math.factorial(n)
+    if s.kind == "tau_n":
+        won = 0
 
-    if s.kind in ("tau_p_star", "classical_threshold", "first_max"):
-        wins = _threshold_win_counts(n, k)
-        if s.kind == "first_max":
-            return Fraction(wins[0], total)
-        if s.kind == "classical_threshold":
-            return Fraction(wins[min(s.r, n)], total)
-        return _rejection_mixture(wins, Fraction(s.p))
+        def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
+            # run_strategy's rule: first maximal arrival at zero slack, else the last
+            nonlocal won
+            e = events[-1]
+            if e.condition_met and e.is_max or e.t == n:
+                won += math.factorial(n - e.t) * (path[-1] == 1)
+                return True
 
-    won = sum(
-        run_strategy(s, g, perm).win
-        for perm in itertools.permutations(range(1, n + 1))
-    )
-    return Fraction(won, total)
+        walk_prefixes(PathPower(n, k), stop)
+        return Fraction(won, total)
+    wins = _threshold_win_counts(n, k)
+    if s.kind == "first_max":
+        return Fraction(wins[0], total)
+    if s.kind == "classical_threshold":
+        return Fraction(wins[min(s.r, n)], total)
+    return _rejection_mixture(wins, Fraction(s.p))
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +174,26 @@ class InfoClassStat:
 
 
 def _info_classes(g: PathPower) -> dict[InfoState, list]:
-    """Every information class, by one depth-first walk of the arrival prefixes.
+    """Every information class, by the prefix walk.
 
     Maps each canonical state to ``[t, members, sink_last, parent_state]``:
     the prefix length, the number of member prefixes, how many of them end
     on the sink, and the class of the members with the last arrival dropped
     (None at t = 1).  The filtration is nested, so that class is the same
     for every member; backward induction rests on this, and a class reached
-    from two parent classes raises.  Each parent is inserted before any of
-    its children.
+    from two parent classes raises.  Each parent precedes its children.
     """
     classes: dict[InfoState, list] = {}
-    # An explicit stack, not a recursive closure: the closure's reference
-    # cycle would keep each call's classes alive until the cyclic GC runs.
-    stack: list[tuple[tuple[int, ...], InfoState | None]] = [
-        ((pos,), None) for pos in g.positions()
-    ]
-    while stack:
-        prefix, parent = stack.pop()
-        state = canonical_info_state(g, prefix)
-        sink = int(prefix[-1] == 1)
+    path_states: list[InfoState | None] = [None] * (g.n + 1)  # [t]: class of the t-prefix
+
+    def visit(path: list[int], events: list[ObservationEvent]) -> None:
+        t = len(path)
+        state = path_states[t] = canonical_info_state(g, path)
+        parent = path_states[t - 1]
+        sink = int(path[-1] == 1)
         rec = classes.get(state)
         if rec is None:
-            classes[state] = [len(prefix), 1, sink, parent]
+            classes[state] = [t, 1, sink, parent]
         elif rec[3] != parent:
             raise RuntimeError(
                 f"information class {state} reached from two parent classes"
@@ -189,7 +201,8 @@ def _info_classes(g: PathPower) -> dict[InfoState, list]:
         else:
             rec[1] += 1
             rec[2] += sink
-        stack.extend((prefix + (pos,), state) for pos in g.positions() if pos not in prefix)
+
+    walk_prefixes(g, visit)
     return classes
 
 
@@ -221,15 +234,9 @@ def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassSt
         # The t-th arrival is maximal when no member of its component sits
         # 1..k below it.
         comp, last = next((c, off) for c in state for i, off in c if i == t)
-        stats.append(InfoClassStat(
-            t=t,
-            state=state,
-            members=members,
-            sink_last=sink_last,
-            component_count=len(state),
-            pending_inner=sum(max(off for _, off in c) + 1 - len(c) for c in state),
-            last_is_max=not any(0 < last - off <= k for _, off in comp),
-        ))
+        pending = sum(max(off for _, off in c) + 1 - len(c) for c in state)
+        last_is_max = not any(0 < last - off <= k for _, off in comp)
+        stats.append(InfoClassStat(t, state, members, sink_last, len(state), pending, last_is_max))
     stats.sort(key=lambda st: st.t)
     return stats
 

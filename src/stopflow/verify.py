@@ -2,6 +2,8 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
+The exhaustive checks walk the oracle's arrival prefixes; only the
+continuous-model check, whose indicator reads the whole order, replays n!.
 Desk-scale guards apply: ``verify_all`` passes ``n_max`` (at most the
 oracle guard) to every check, and each check caps it at its own limit.
 """
@@ -33,6 +35,7 @@ from .oracle import (
     continuous_win_indicator,
     dp_optimal_value,
     info_class_audit,
+    walk_prefixes,
 )
 from .strategies import Strategy, run_strategy
 
@@ -65,10 +68,6 @@ class Check:
 class VerifyReport:
     passed: bool
     checks: tuple[Check, ...]
-
-
-def _perms(n: int):
-    return itertools.permutations(range(1, n + 1))
 
 
 def check_formula_vs_oracle(n_max: int = 8) -> Check:
@@ -170,31 +169,26 @@ def check_bounds_sandwich(max_n: int = 200) -> Check:
 def check_observer_invariants(n_max: int = 7) -> Check:
     n_max = min(n_max, 7)
     runs = 0
+    failure = ""
+
+    def visit(path, events):
+        # The predecessor suffices: once met, the condition must persist.
+        nonlocal runs, failure
+        e = events[-1]
+        met = len(events) > 1 and events[-2].condition_met
+        for what, bad in (("negative slack", e.slack < 0),
+                          ("condition not persistent", met and not e.condition_met),
+                          ("maximal arrival after exhaustion", met and e.is_max)):
+            if bad and not failure:
+                failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
+        runs += e.t == n
+        return bool(failure)
+
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            g = PathPower(n, k)
-            for perm in _perms(n):
-                obs = Observer(g)
-                met = False
-                for pos in perm:
-                    e = obs.observe(pos)
-                    if e.slack < 0:
-                        return Check(
-                            "observer_invariants", False,
-                            f"negative slack at (n={n}, k={k}), order {perm}, t={e.t}",
-                        )
-                    if met and not e.condition_met:
-                        return Check(
-                            "observer_invariants", False,
-                            f"condition not persistent at (n={n}, k={k}), order {perm}, t={e.t}",
-                        )
-                    if met and e.is_max:
-                        return Check(
-                            "observer_invariants", False,
-                            f"maximal arrival after exhaustion at (n={n}, k={k}), order {perm}, t={e.t}",
-                        )
-                    met = met or e.condition_met
-                runs += 1
+            walk_prefixes(PathPower(n, k), visit)
+            if failure:
+                return Check("observer_invariants", False, failure)
     return Check("observer_invariants", True, f"{runs} exhaustive runs up to n={n_max}")
 
 
@@ -249,17 +243,19 @@ def check_subset_counting(n_max: int = 10) -> Check:
 def check_max_given_components(n_max: int = 7) -> Check:
     n_max = min(n_max, 7)
     cases = 0
+
+    def visit(path, events):
+        # A prefix stands for its (n - t)! completions, as in a replay tally.
+        e = events[-1]
+        weight = math.factorial(n - e.t)
+        cell = tally.setdefault((e.t, e.component_count), [0, 0])
+        cell[0] += weight
+        cell[1] += weight * e.is_max
+
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            g = PathPower(n, k)
             tally: dict[tuple[int, int], list[int]] = {}
-            for perm in _perms(n):
-                obs = Observer(g)
-                for pos in perm:
-                    e = obs.observe(pos)
-                    cell = tally.setdefault((e.t, e.component_count), [0, 0])
-                    cell[0] += 1
-                    cell[1] += e.is_max
+            walk_prefixes(PathPower(n, k), visit)
             for (m, c), (tot, mx) in tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     return Check(
@@ -297,7 +293,7 @@ def check_continuous_discrete(n_max: int = 7) -> Check:
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
             g = PathPower(n, k)
-            for perm in _perms(n):
+            for perm in itertools.permutations(range(1, n + 1)):
                 times = [0.0] * n
                 for t, pos in enumerate(perm, start=1):
                     times[pos - 1] = (t - 0.5) / n

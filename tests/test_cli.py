@@ -9,6 +9,10 @@ from stopflow.cli import fraction_decimal, main, parse_grid
 from stopflow.verify import (
     check_conditional_success_vs_states,
     check_continuous_discrete,
+    check_dp_vs_formula,
+    check_max_given_components,
+    check_observer_invariants,
+    check_strategy_dominance,
     verify_all,
 )
 from fractions import Fraction
@@ -213,6 +217,36 @@ def test_verify_checks_cap_n_max_themselves():
     # verify --n-max 8 as it was when verify_all applied them.
     assert check_continuous_discrete(9).detail.endswith("up to n=7")
     assert check_conditional_success_vs_states(9) == check_conditional_success_vs_states(6)
+    # The details of these checks at n_max=7, as verify --n-max 7 reports them.
+    at_7 = {
+        check_dp_vs_formula: "20 (n,k) pairs equal up to n=7",
+        check_observer_invariants: "34406 exhaustive runs up to n=7",
+        check_max_given_components: "155 (m, c) cells match (h+1)/m",
+        check_strategy_dominance: "350 competing strategies dominated",
+    }
+    for check, detail in at_7.items():
+        assert check(9).detail == detail, check.__name__
+
+
+@pytest.mark.parametrize("field, change, check", [
+    ("is_max", lambda e: not e.is_max, check_max_given_components),
+    ("slack", lambda e: e.slack - 1, check_observer_invariants),
+    # Both need the predecessor's met condition: persistence, and no
+    # maximal arrival after exhaustion.
+    ("slack", lambda e: e.slack + 1, check_observer_invariants),
+    ("is_max", lambda e: not e.is_max, check_observer_invariants),
+], ids=["is_max-components", "slack-negative", "slack-persistence", "is_max-exhaustion"])
+def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, check):
+    # A walk that pruned too much would pass these checks vacuously.
+    assert check(5).passed
+    original = Observer.observe
+
+    def corrupted(self, pos):
+        event = original(self, pos)
+        return dataclasses.replace(event, **{field: change(event)}) if event.t == 3 else event
+
+    monkeypatch.setattr(Observer, "observe", corrupted)
+    assert not check(5).passed
 
 
 def test_verify_rejects_ranges_that_check_nothing(capsys):

@@ -146,3 +146,36 @@ def test_invariants_random(data):
     k = data.draw(st.integers(min_value=1, max_value=n - 1))
     perm = data.draw(st.permutations(list(range(1, n + 1))))
     _check_run(n, k, perm)
+
+
+def observer_state(obs):
+    return obs.t, obs.component_count, obs.pending_inner, obs.slack, obs.components()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_undo_restores_the_state_of_the_surviving_prefix(data):
+    # Random interleavings of observe and undo, each state checked against a
+    # fresh observer fed only the arrivals that survive.
+    n = data.draw(st.integers(min_value=2, max_value=16))
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    g = PathPower(n, k)
+    obs = Observer(g)
+    prefix: list[int] = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3 * n))):
+        missing = [p for p in g.positions() if p not in prefix]
+        if prefix and (not missing or data.draw(st.booleans())):
+            obs.undo()
+            prefix.pop()
+        else:
+            prefix.append(data.draw(st.sampled_from(missing)))
+            obs.observe(prefix[-1])
+        fresh = Observer(g)
+        for pos in prefix:
+            fresh.observe(pos)
+        assert observer_state(obs) == observer_state(fresh)
+    for _ in prefix:
+        obs.undo()
+    assert observer_state(obs) == observer_state(Observer(g))
+    with pytest.raises(IndexError):
+        obs.undo()

@@ -40,16 +40,26 @@ def test_brute_force_resource_guard():
         brute_force_win_probability(10, 2, Strategy.tau_n())
 
 
+def replayed_win_probability(n, k, s):
+    """The slow reference: run_strategy over every arrival order."""
+    g = PathPower(n, k)
+    won = sum(run_strategy(s, g, perm).win for perm in itertools.permutations(range(1, n + 1)))
+    return Fraction(won, math.factorial(n))
+
+
 def test_threshold_counts_match_reference_runner():
-    for n, k in [(4, 1), (4, 3), (5, 2)]:
-        g = PathPower(n, k)
-        for r in range(n + 1):
-            direct = sum(
-                run_strategy(Strategy.classical_threshold(r), g, perm).win
-                for perm in itertools.permutations(range(1, n + 1))
-            )
-            value = brute_force_win_probability(n, k, Strategy.classical_threshold(r))
-            assert value == Fraction(direct, math.factorial(n))
+    for n in range(2, 7):
+        for k in range(1, n):
+            for r in range(n + 1):
+                s = Strategy.classical_threshold(r)
+                assert brute_force_win_probability(n, k, s) == replayed_win_probability(n, k, s)
+
+
+def test_slack_rule_walk_matches_reference_runner():
+    for n in range(2, 8):
+        for k in range(1, n):
+            s = Strategy.tau_n()
+            assert brute_force_win_probability(n, k, s) == replayed_win_probability(n, k, s)
 
 
 def test_tau_p_star_mixture_degenerate_biases():
