@@ -5,11 +5,20 @@ stream seeded with ``master_seed XOR splitmix64(i)``, so results are
 bit-identical for a given (seed, trials) regardless of how trials are
 chunked across workers.
 
+A trial costs little beyond its stream.  Each call (or pool worker)
+reseeds one ``random.Random`` per trial with ``.seed()``, the same state
+as a fresh ``Random(seed)``, and ``_shuffled`` is CPython's Fisher-Yates
+shuffle with ``_randbelow_with_getrandbits`` inlined, so it consumes the
+stream exactly as ``random.shuffle`` does.  Neither is an API contract:
+tests pin the shuffle against ``random.shuffle`` for every n <= 300, and
+the reseeded generator against one fresh generator per trial.
+
 Every strategy replays on a byte array of arrived positions: the
 threshold family tracks arrivals and maximality only, and ``tau_n`` also
 keeps a running slack.  ``Observer`` and ``strategies.run_strategy`` are
 the slow reference; the test suite checks these drivers' records against
-them.
+them.  ``continuous_win_rate`` inlines ``oracle.continuous_win_indicator``,
+which stays the reference for it.
 """
 from __future__ import annotations
 
@@ -21,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import PathPower
-from .oracle import ContinuousArrival, continuous_win_indicator
 from .strategies import StopRecord, Strategy, draw_rejection_count
 
 _MASK64 = (1 << 64) - 1
@@ -82,15 +90,35 @@ def _make_report(
     )
 
 
+def _shuffled(n: int, rng: random.Random) -> list[int]:
+    """``rng.shuffle(list(range(1, n + 1)))`` with no method call per item.
+
+    Same draws as CPython's shuffle: for i from n-1 down to 1 it swaps item
+    i with item ``_randbelow(i + 1)``, which redraws ``getrandbits`` of the
+    bound's bit length until the value falls below the bound.
+    """
+    perm = list(range(1, n + 1))
+    getrandbits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        m = i + 1
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     """One simulated run: draw the arrival order, then play the strategy.
 
     The stream is consumed in a fixed order (shuffle, then any strategy
-    randomness) to keep records reproducible.
+    randomness) to keep records reproducible.  The shuffle is
+    ``_shuffled``, CPython's ``random.shuffle`` inlined and pinned to it by
+    a test; ``simulate`` passes one generator reseeded for each trial.
     """
     n, k = g.n, g.k
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
+    perm = _shuffled(n, rng)
     # arrived[pos + k] marks position pos; the k leading zero bytes let the
     # window of the k positions below pos start at index pos, unclamped.
     arrived = bytearray(n + k + 1)
@@ -123,18 +151,22 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
         skip = s.r
     else:
         skip = draw_rejection_count(n, s.p, rng)
-    for t, pos in enumerate(perm, start=1):
-        if t > skip and arrived.rfind(1, pos, pos + k) < 0:
-            return StopRecord(t, pos, pos == 1)
+    for pos in perm[:skip]:  # rejected outright: only mark them arrived
+        arrived[pos + k] = 1
+    for t in range(skip, n):
+        pos = perm[t]
+        if arrived.rfind(1, pos, pos + k) < 0:
+            return StopRecord(t + 1, pos, pos == 1)
         arrived[pos + k] = 1
     return StopRecord(n, perm[-1], perm[-1] == 1)
 
 
 def _count_wins(n: int, k: int, s: Strategy, master_seed: int, start: int, stop: int) -> int:
     g = PathPower(n, k)
+    rng = random.Random()
     wins = 0
     for i in range(start, stop):
-        rng = random.Random(trial_seed(master_seed, i))
+        rng.seed(trial_seed(master_seed, i))
         wins += run_trial(g, s, rng).win
     return wins
 
@@ -178,16 +210,27 @@ def simulate(
 def continuous_win_rate(
     n: int, k: int, trials: int, master_seed: int
 ) -> SimulationReport:
-    """Monte Carlo mean of the continuous-arrival win indicator."""
+    """Monte Carlo mean of the continuous-arrival win indicator.
+
+    A draw wins iff the top vertex arrives before the sink and no k+1
+    consecutive interior vertices are all missing at the sink's time.
+    """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     _check_seed(master_seed)
-    g = PathPower(n, k)
+    PathPower(n, k)  # the same n, k errors as the discrete models
+    if k >= n - 2:
+        raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
     started = time.perf_counter()
+    rng = random.Random()
+    rand = rng.random
+    gap = b"\x01" * (k + 1)
     wins = 0
     for i in range(trials):
-        rng = random.Random(trial_seed(master_seed, i))
-        arr = ContinuousArrival(tuple(rng.random() for _ in range(n)))
-        wins += continuous_win_indicator(g, arr)
+        rng.seed(trial_seed(master_seed, i))
+        times = [rand() for _ in range(n)]
+        p = times[0]
+        if times[n - 1] < p and bytes([t > p for t in times[1 : n - 1]]).find(gap) < 0:
+            wins += 1
     wall = time.perf_counter() - started
     return _make_report(n, k, "continuous_indicator", trials, wins, master_seed, wall)

@@ -85,7 +85,8 @@ def default_threshold(n: int) -> int:
 
 def draw_rejection_count(n: int, p: float, rng: random.Random) -> int:
     """Number of tails in n flips of a p-tails coin (one draw per run)."""
-    return sum(1 for _ in range(n) if rng.random() < p)
+    rand = rng.random
+    return sum([rand() < p for _ in range(n)])
 
 
 def _skip_count(s: Strategy, n: int, rng: random.Random | None) -> int:

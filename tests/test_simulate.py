@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopflow import (
+    ContinuousArrival,
     PathPower,
     Strategy,
+    continuous_win_indicator,
     continuous_win_rate,
     run_strategy,
     simulate,
@@ -17,7 +19,7 @@ from stopflow import (
     success_probability_exact,
     trial_seed,
 )
-from stopflow.simulate import run_trial
+from stopflow.simulate import _shuffled, run_trial
 
 # The package's ``simulate`` attribute is the function; this is the module.
 simulate_module = importlib.import_module("stopflow.simulate")
@@ -88,8 +90,37 @@ def test_run_trial_matches_reference_runner_everywhere(data):
     assert fast == run_strategy(s, g, perm, rng)
 
 
+def test_inline_shuffle_is_random_shuffle():
+    # _shuffled copies CPython's shuffle, which is no API: if a Python
+    # release changes it, this fails before any pinned wins drift.
+    for n in range(1, 301):
+        for i in range(20):
+            seed = trial_seed(n, i)
+            fast, ref = random.Random(seed), random.Random(seed)
+            perm = list(range(1, n + 1))
+            ref.shuffle(perm)
+            assert _shuffled(n, fast) == perm, (n, seed)
+            assert fast.getstate() == ref.getstate(), (n, seed)
+
+
+@pytest.mark.parametrize("s", [
+    Strategy.tau_n(),
+    Strategy.first_max(),
+    Strategy.classical_threshold(5),
+    Strategy.tau_p_star(0.45),
+])
+def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
+    # simulate reseeds one generator per call; each trial must see the
+    # stream of its own Random(trial_seed(seed, i)).
+    for n, k, seed in [(12, 3, 31), (40, 1, 2**64 - 5), (25, 24, 0)]:
+        g = PathPower(n, k)
+        fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
+        assert simulate(n, k, s, 300, master_seed=seed).wins == fresh
+
+
 # Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
 # shuffle first, then strategy randomness): every driver must reproduce them.
+# A strategy of None is the continuous-arrival model, continuous_win_rate.
 FROZEN_WINS = [
     (50, 2, Strategy.tau_n(), 101, 446),
     (60, 30, Strategy.tau_n(), 102, 986),
@@ -97,12 +128,18 @@ FROZEN_WINS = [
     (30, 4, Strategy.first_max(), 104, 57),
     (40, 3, Strategy.classical_threshold(14), 105, 307),
     (50, 2, Strategy.tau_p_star(0.4), 106, 127),
+    (9, 2, None, 201, 804),
+    (60, 1, None, 203, 210),
+    (12, 9, None, 204, 1021),
 ]
 
 
 @pytest.mark.parametrize("n,k,s,seed,wins", FROZEN_WINS)
 def test_simulate_wins_are_frozen_per_seed(n, k, s, seed, wins):
-    assert simulate(n, k, s, 2000, master_seed=seed).wins == wins
+    if s is None:
+        assert continuous_win_rate(n, k, 2000, master_seed=seed).wins == wins
+    else:
+        assert simulate(n, k, s, 2000, master_seed=seed).wins == wins
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
@@ -195,3 +232,26 @@ def test_continuous_win_rate_reproducible():
     a = continuous_win_rate(10, 1, 5000, master_seed=5)
     b = continuous_win_rate(10, 1, 5000, master_seed=5)
     assert a.wins == b.wins
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_continuous_win_rate_matches_reference_indicator(data):
+    # The inlined win test against oracle.continuous_win_indicator, each
+    # trial on a fresh Random(trial_seed(seed, i)).
+    n = data.draw(st.integers(4, 60), label="n")
+    k = data.draw(st.integers(1, n - 3), label="k")
+    trials = data.draw(st.integers(1, 20), label="trials")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    g = PathPower(n, k)
+    wins = 0
+    for i in range(trials):
+        rng = random.Random(trial_seed(seed, i))
+        wins += continuous_win_indicator(g, ContinuousArrival(tuple(rng.random() for _ in range(n))))
+    assert continuous_win_rate(n, k, trials, master_seed=seed).wins == wins
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (5, 4), (12, 10), (4, 2)])
+def test_continuous_win_rate_needs_k_below_n_minus_2(n, k):
+    with pytest.raises(ValueError, match="continuous model needs"):
+        continuous_win_rate(n, k, 10, master_seed=1)

@@ -172,3 +172,11 @@ def test_win_implies_chose_the_sink():
             rng.shuffle(perm)
             rec = run_strategy(s, g, perm, random.Random(rng.random()))
             assert rec.win == (rec.chosen_position == 1)
+
+
+def test_rejection_count_draws_n_uniforms():
+    # One random() per flip, tails below p: the seed contract's strategy draws.
+    for n, p, seed in [(1, 0.5, 1), (20, 0.25, 2), (300, 0.9, 3), (7, 0.0, 4), (7, 1.0, 5)]:
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert draw_rejection_count(n, p, rng) == sum(ref.random() < p for _ in range(n))
+        assert rng.getstate() == ref.getstate()
