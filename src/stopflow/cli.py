@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import decimal
+import functools
 import json
 import math
 import os
@@ -111,6 +112,9 @@ def _resolve_strategy(args, n: int, seed: int) -> Strategy:
     kind = _require(args, "strategy")
     if kind not in KINDS:
         raise UsageError(f"unknown strategy {kind!r}; expected one of {', '.join(KINDS)}")
+    for flag, owner in (("p", "tau_p_star"), ("r", "classical_threshold")):
+        if kind != owner and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} applies only to --strategy {owner}, not {kind}")
     if kind == "tau_p_star":
         p = _to_float(_require(args, "p"), "--p")
         if not 0.0 <= p <= 1.0:
@@ -379,7 +383,9 @@ def _formats(mode: str) -> tuple[str, ...]:
     return ("csv", "json", "text") if mode in _CSV_MODES else ("json", "text")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Shared after the first main call: parse_args only fills a new namespace.
     parser = _Parser(prog="stopflow", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stopflow {__version__}")
     subs = parser.add_subparsers(dest="mode", required=True)
@@ -434,9 +440,8 @@ _CONFIG_FLAG_KEYS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         args._argv = argv
         if args.config:
             file_values = _load_config_file(args.config)

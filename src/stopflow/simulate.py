@@ -13,12 +13,11 @@ stream exactly as ``random.shuffle`` does.  Neither is an API contract:
 tests pin the shuffle against ``random.shuffle`` for every n <= 300, and
 the reseeded generator against one fresh generator per trial.
 
-Every strategy replays on a byte array of arrived positions: the
-threshold family tracks arrivals and maximality only, and ``tau_n`` also
-keeps a running slack.  ``Observer`` and ``strategies.run_strategy`` are
-the slow reference; the test suite checks these drivers' records against
-them.  ``continuous_win_rate`` inlines ``oracle.continuous_win_indicator``,
-which stays the reference for it.
+Every strategy replays on a byte array of arrived positions.  ``tau_n``
+stops at the first prefix with no k + 1 consecutive positions missing,
+where the slack reaches zero.  ``Observer``, ``strategies.run_strategy``
+and ``oracle.continuous_win_indicator`` (which ``continuous_win_rate``
+inlines) are the slow references the tests check these drivers against.
 """
 from __future__ import annotations
 
@@ -119,29 +118,27 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     """
     n, k = g.n, g.k
     perm = _shuffled(n, rng)
-    # arrived[pos + k] marks position pos; the k leading zero bytes let the
-    # window of the k positions below pos start at index pos, unclamped.
-    arrived = bytearray(n + k + 1)
+    # arrived[pos + k] marks pos.  k + 1 leading and k trailing zero bytes keep
+    # the window below pos unclamped and make a missing end k + 1 zeros.
+    arrived = bytearray(n + 2 * k + 1)
 
     if s.kind == "tau_n":
-        # Running slack (n - t) - k(c - 1) - pending_inner, as the Observer
-        # reports it.  With a, b the distances to the nearest arrivals below
-        # and above, capped at k + 1, an arrival lowers it by
-        # max(0, a + b - k - 1): a new component costs k + 1, extending one
-        # by a gap costs the gap, fusing two costs a + b - k - 1, and filling
-        # an inner slot (a + b <= k) costs nothing.
-        slack = n + k
-        for t, pos in enumerate(perm, start=1):
-            i = pos + k
-            left = arrived.rfind(1, pos, i)
-            right = arrived.find(1, i + 1, i + k + 1)
-            a = i - left if left >= 0 else k + 1
-            b = right - i if right >= 0 else k + 1
-            if a + b > k + 1:
-                slack -= a + b - k - 1
-            arrived[i] = 1
-            if left < 0 and slack == 0:
-                return StopRecord(t, pos, pos == 1)
+        # Slack zero means no run of k + 1 zeros from index 1, so it needs the
+        # sink; holes only close, so each search starts at the last.  Then each
+        # missing position has an arrival at most k below: stop here or never.
+        sink = perm.index(1)
+        for pos in perm[:sink]:
+            arrived[pos + k] = 1
+        hole = bytes(k + 1)
+        lo = 1
+        for t in range(sink, n):
+            pos = perm[t]
+            arrived[pos + k] = 1
+            lo = arrived.find(hole, lo)
+            if lo < 0:
+                if arrived.rfind(1, pos, pos + k) < 0:
+                    return StopRecord(t + 1, pos, pos == 1)
+                break
         return StopRecord(n, perm[-1], perm[-1] == 1)
 
     # Threshold family: only arrivals and maximality matter.

@@ -168,6 +168,40 @@ def test_simulate_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("strategy, flag, value", [
+    ("tau_n", "--p", "0.3"),
+    ("first_max", "--p", "0.3"),
+    ("classical_threshold", "--p", "0.3"),
+    ("tau_n", "--r", "2"),
+    ("first_max", "--r", "auto"),
+    ("tau_p_star", "--r", "2"),
+])
+def test_simulate_flag_the_strategy_ignores_is_usage_error(strategy, flag, value, capsys):
+    argv = ["simulate", "--n", "10", "--k", "2", "--strategy", strategy, flag, value,
+            "--trials", "10"]
+    if strategy == "tau_p_star":
+        argv += ["--p", "0.5"]
+    if strategy == "classical_threshold":
+        argv += ["--r", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"usage error: {flag} applies only to --strategy" in err and strategy in err
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; a config value, or a failed
+    # parse, must not become the next call's default.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=7\n")
+    base = ["simulate", "--n", "6", "--k", "2", "--strategy", "tau_n", "--format", "json"]
+    code, out, _ = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["config"]["trials"] == 7
+    code, out, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "2", "--bogus")
+    assert code == 1 and out == ""
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and json.loads(out)["config"]["trials"] == 10000
+
+
 def test_simulate_threads_below_one_is_usage_error(capsys):
     for threads in ("0", "-3"):
         code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",

@@ -19,6 +19,7 @@ from stopflow import (
     success_probability_exact,
     trial_seed,
 )
+from stopflow.oracle import walk_prefixes
 from stopflow.simulate import _shuffled, run_trial
 
 # The package's ``simulate`` attribute is the function; this is the module.
@@ -90,6 +91,22 @@ def test_run_trial_matches_reference_runner_everywhere(data):
     assert fast == run_strategy(s, g, perm, rng)
 
 
+def test_zero_slack_is_a_hole_free_prefix():
+    # run_trial's tau_n driver rests on this identity: the Observer's slack
+    # is zero iff 1 and n have arrived and no k + 1 consecutive positions
+    # are missing, i.e. the padded byte array has no run of k + 1 zeros.
+    for n in range(2, 8):
+        for k in range(1, n):
+            def visit(path, events, n=n, k=k):
+                arrived = bytearray(n + 2 * k + 1)
+                for pos in path:
+                    arrived[pos + k] = 1
+                hole_free = arrived.find(bytes(k + 1), 1) < 0
+                assert events[-1].condition_met == hole_free, (n, k, path)
+
+            walk_prefixes(PathPower(n, k), visit)
+
+
 def test_inline_shuffle_is_random_shuffle():
     # _shuffled copies CPython's shuffle, which is no API: if a Python
     # release changes it, this fails before any pinned wins drift.
@@ -121,6 +138,7 @@ def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
 # Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
 # shuffle first, then strategy randomness): every driver must reproduce them.
 # A strategy of None is the continuous-arrival model, continuous_win_rate.
+# The n = 400 rows reach sizes the differential tests above do not.
 FROZEN_WINS = [
     (50, 2, Strategy.tau_n(), 101, 446),
     (60, 30, Strategy.tau_n(), 102, 986),
@@ -128,6 +146,9 @@ FROZEN_WINS = [
     (30, 4, Strategy.first_max(), 104, 57),
     (40, 3, Strategy.classical_threshold(14), 105, 307),
     (50, 2, Strategy.tau_p_star(0.4), 106, 127),
+    (400, 2, Strategy.tau_n(), 301, 234),
+    (400, 40, Strategy.tau_n(), 302, 990),
+    (400, 399, Strategy.tau_n(), 303, 1042),
     (9, 2, None, 201, 804),
     (60, 1, None, 203, 210),
     (12, 9, None, 204, 1021),
