@@ -368,13 +368,34 @@ def _render(args, result: CommandResult) -> str:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+# Every flag but --out, --format and --config, with its argparse settings.
+_FLAGS = {
+    "n": {"help": "vertex count, or a grid A..B or A..B:STEP where allowed"},
+    "k": {"help": "power, or a grid where allowed"},
+    "seed": {"help": f"64-bit master seed (fallback: ${SEED_ENV_VAR}, then 0)"},
+    "trials": {"default": "10000", "help": "Monte Carlo trial count"},
+    "strategy": {"help": "one of " + ", ".join(KINDS)},
+    "p": {"help": "coin bias for tau_p_star"},
+    "r": {"help": "rejection count for classical_threshold, or 'auto'"},
+    "threads": {"default": "1", "help": "worker processes for simulation, at most one per CPU"},
+    "epsilon": {"help": "epsilon for the analytic lower bound"},
+    "n-max": {"default": "8", "help": "enumerate arrival orders up to this n"},
+    "skip-dp": {"action": "store_true", "help": "skip backward-induction checks"},
+    "bounds-n": {"default": "200", "help": "largest n for the bounds sandwich"},
+    "perm": {"help": "whitespace-separated 1-based vertex indices"},
+    "perm-file": {"help": "file with one permutation per line"},
+}
+
+# (mode, handler, help, the flags its handler reads)
 _SUBCOMMANDS = (
-    ("exact", cmd_exact, "exact success probability and its per-m breakdown"),
-    ("simulate", cmd_simulate, "Monte Carlo estimate for one strategy"),
-    ("verify", cmd_verify, "run the oracle verification suite"),
-    ("scaling", cmd_scaling, "exact values and bounds over an n-grid"),
-    ("trace", cmd_trace, "step-by-step observation trace of arrival orders"),
-    ("bounds", cmd_bounds, "analytic lower/upper bounds for one (n, k)"),
+    ("exact", cmd_exact, "exact success probability and its per-m breakdown", ("n", "k")),
+    ("simulate", cmd_simulate, "Monte Carlo estimate for one strategy",
+     ("n", "k", "seed", "trials", "strategy", "p", "r", "threads")),
+    ("verify", cmd_verify, "run the oracle verification suite", ("n-max", "skip-dp", "bounds-n")),
+    ("scaling", cmd_scaling, "exact values and bounds over an n-grid", ("n", "k", "epsilon")),
+    ("trace", cmd_trace, "step-by-step observation trace of arrival orders",
+     ("n", "k", "perm", "perm-file")),
+    ("bounds", cmd_bounds, "analytic lower/upper bounds for one (n, k)", ("n", "k", "epsilon")),
 )
 _CSV_MODES = ("exact", "simulate", "scaling")
 
@@ -389,29 +410,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="stopflow", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stopflow {__version__}")
     subs = parser.add_subparsers(dest="mode", required=True)
-    for mode, func, help_text in _SUBCOMMANDS:
-        sub = subs.add_parser(mode, help=help_text)
-        sub.add_argument("--n", help="vertex count, or a grid A..B or A..B:STEP where allowed")
-        sub.add_argument("--k", help="power, or a grid where allowed")
-        sub.add_argument("--seed", help=f"64-bit master seed (fallback: ${SEED_ENV_VAR}, then 0)")
-        sub.add_argument("--trials", default="10000", help="Monte Carlo trial count")
-        sub.add_argument("--strategy", help="one of " + ", ".join(KINDS))
-        sub.add_argument("--p", help="coin bias for tau_p_star")
-        sub.add_argument("--epsilon", help="epsilon for the analytic lower bound")
-        sub.add_argument("--r", help="rejection count for classical_threshold, or 'auto'")
+    for mode, func, help_text, flags in _SUBCOMMANDS:
+        # No abbreviations: verify --n must not pass for --n-max.
+        sub = subs.add_parser(mode, help=help_text, allow_abbrev=False)
+        for flag in flags:  # argparse rejects any other subcommand's flag
+            sub.add_argument("--" + flag, **_FLAGS[flag])
         sub.add_argument("--out", help="write output to this path instead of stdout")
         sub.add_argument("--format", choices=_formats(mode), default="text")
-        sub.add_argument("--threads", default="1", help="worker processes for simulation, at most one per CPU")
         sub.add_argument("--config", help="flat key=value file with defaults for these flags")
         sub.set_defaults(func=func)
-
-    verify = subs.choices["verify"]
-    verify.add_argument("--n-max", default="8", help="enumerate arrival orders up to this n")
-    verify.add_argument("--skip-dp", action="store_true", help="skip backward-induction checks")
-    verify.add_argument("--bounds-n", default="200", help="largest n for the bounds sandwich")
-    trace = subs.choices["trace"]
-    trace.add_argument("--perm", help="whitespace-separated 1-based vertex indices")
-    trace.add_argument("--perm-file", help="file with one permutation per line")
     return parser
 
 
@@ -432,9 +439,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_FLAG_KEYS = {
-    "n", "k", "seed", "trials", "strategy", "p", "epsilon", "r",
-    "out", "format", "threads", "n_max", "bounds_n", "perm", "perm_file",
+# A switch takes no value, so a config file cannot set one.
+_CONFIG_FLAG_KEYS = {"out", "format"} | {
+    flag.replace("-", "_") for flag, spec in _FLAGS.items() if "action" not in spec
 }
 
 

@@ -7,17 +7,18 @@ chunked across workers.
 
 A trial costs little beyond its stream.  Each call (or pool worker)
 reseeds one ``random.Random`` per trial with ``.seed()``, the same state
-as a fresh ``Random(seed)``, and ``_shuffled`` is CPython's Fisher-Yates
-shuffle with ``_randbelow_with_getrandbits`` inlined, so it consumes the
-stream exactly as ``random.shuffle`` does.  Neither is an API contract:
-tests pin the shuffle against ``random.shuffle`` for every n <= 300, and
-the reseeded generator against one fresh generator per trial.
-
-Every strategy replays on a byte array of arrived positions.  ``tau_n``
-stops at the first prefix with no k + 1 consecutive positions missing,
-where the slack reaches zero.  ``Observer``, ``strategies.run_strategy``
-and ``oracle.continuous_win_indicator`` (which ``continuous_win_rate``
-inlines) are the slow references the tests check these drivers against.
+as a fresh ``Random(seed)``.  ``_shuffled`` is CPython's Fisher-Yates
+shuffle with ``_randbelow_with_getrandbits`` inlined, looping over blocks
+of bounds with one bit length.  The uniforms of a trial (coin flips,
+arrival times) come from one ``strategies.uniform_words`` call, the words
+n ``random()`` calls would read; they are ranked against a threshold by
+top byte, with one ``bytes.translate``, and only ties on that byte are
+decoded to exact 53-bit numerators.  So the stream is consumed exactly as
+``random.shuffle`` and ``random()`` would.  None of this is an API
+contract: tests pin the shuffle against ``random.shuffle`` (every
+n <= 300, and across block edges up to 4097), the decoded words against
+``random()`` (every n <= 300), and the reseeded generator against one
+fresh generator per trial.
 """
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import PathPower
-from .strategies import StopRecord, Strategy, draw_rejection_count
+from .strategies import (
+    StopRecord, Strategy, draw_rejection_count, numerator, rank_uniforms, uniform_words,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,17 +97,20 @@ def _shuffled(n: int, rng: random.Random) -> list[int]:
 
     Same draws as CPython's shuffle: for i from n-1 down to 1 it swaps item
     i with item ``_randbelow(i + 1)``, which redraws ``getrandbits`` of the
-    bound's bit length until the value falls below the bound.
+    bound's bit length until the value falls below the bound.  The loop runs
+    in blocks of i whose bounds share one bit length.
     """
     perm = list(range(1, n + 1))
     getrandbits = rng.getrandbits
-    for i in range(n - 1, 0, -1):
-        m = i + 1
-        bits = m.bit_length()
-        j = getrandbits(bits)
-        while j >= m:
+    hi = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1  # every bound i + 1 in this block has `bits` bits
+        for i in range(hi, lo - 1, -1):
             j = getrandbits(bits)
-        perm[i], perm[j] = perm[j], perm[i]
+            while j > i:
+                j = getrandbits(bits)
+            perm[i], perm[j] = perm[j], perm[i]
+        hi = lo - 1
     return perm
 
 
@@ -211,6 +217,9 @@ def continuous_win_rate(
 
     A draw wins iff the top vertex arrives before the sink and no k+1
     consecutive interior vertices are all missing at the sink's time.
+    Arrival times are the uniforms of ``uniform_words``, compared as exact
+    numerators.  About half the trials lose on the first test, most of them
+    on the top bytes alone.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -220,14 +229,16 @@ def continuous_win_rate(
         raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
     started = time.perf_counter()
     rng = random.Random()
-    rand = rng.random
     gap = b"\x01" * (k + 1)
     wins = 0
     for i in range(trials):
         rng.seed(trial_seed(master_seed, i))
-        times = [rand() for _ in range(n)]
-        p = times[0]
-        if times[n - 1] < p and bytes([t > p for t in times[1 : n - 1]]).find(gap) < 0:
+        raw = uniform_words(n, rng)  # arrival times, as numerators
+        if raw[8 * n - 5] > raw[3]:  # vertex n after the sink 1, by top byte alone
+            continue
+        p = numerator(raw, 0)  # the sink's time
+        # An interior vertex is missing iff its numerator is at least p + 1.
+        if numerator(raw, n - 1) < p and rank_uniforms(raw, 1, n - 1, p + 1).find(gap) < 0:
             wins += 1
     wall = time.perf_counter() - started
     return _make_report(n, k, "continuous_indicator", trials, wins, master_seed, wall)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,10 +84,57 @@ def default_threshold(n: int) -> int:
     return int(n / math.e)
 
 
+def uniform_words(n: int, rng: random.Random) -> bytes:
+    """The 32-bit words behind n ``rng.random()`` calls, from one call.
+
+    ``getrandbits(64 * n)`` draws the same 2n words in the same order, the
+    first word least significant, so ``raw[8j:8j + 8]`` holds the words a, b
+    of uniform j, which is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  Byte
+    ``raw[8j + 3]`` is the top byte of a, so its 53-bit numerator >> 45.
+    """
+    return rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+
+
+_WORD_PAIR = struct.Struct("<II").unpack_from
+
+
+def numerator(raw: bytes, j: int) -> int:
+    """2**53 times uniform j of ``uniform_words``, an exact integer."""
+    a, b = _WORD_PAIR(raw, 8 * j)
+    return (a >> 5 << 26) + (b >> 6)
+
+
+# _RAMP[256 - b : 512 - b] maps a byte below b to 0, b itself to 2, above b
+# to 1; for b = 256 every byte is below.
+_RAMP = bytes(256) + b"\x02" + b"\x01" * 255
+
+
+def rank_uniforms(raw: bytes, start: int, stop: int, bound: int) -> bytes | bytearray:
+    """Per uniform ``start..stop-1`` of ``raw``: 1 if its numerator is at
+    least ``bound`` (at most 2**53), else 0.
+
+    All are ranked by top byte against ``bound >> 45`` in one translate;
+    only those that tie on it are decoded.
+    """
+    top = bound >> 45
+    ranks = raw[8 * start + 3 : 8 * stop : 8].translate(_RAMP[256 - top : 512 - top])
+    j = ranks.find(2)
+    if j >= 0:
+        ranks = bytearray(ranks)
+        while j >= 0:
+            ranks[j] = numerator(raw, start + j) >= bound
+            j = ranks.find(2, j + 1)
+    return ranks
+
+
 def draw_rejection_count(n: int, p: float, rng: random.Random) -> int:
-    """Number of tails in n flips of a p-tails coin (one draw per run)."""
-    rand = rng.random
-    return sum([rand() < p for _ in range(n)])
+    """Number of tails in n flips of a p-tails coin (one draw per run).
+
+    Flip j is tails iff the j-th of n ``rng.random()`` calls is below p,
+    that is iff its numerator is below ``ceil(p * 2**53)``.
+    """
+    raw = uniform_words(n, rng)
+    return rank_uniforms(raw, 0, n, math.ceil(p * 2**53)).count(0)
 
 
 def _skip_count(s: Strategy, n: int, rng: random.Random | None) -> int:

@@ -188,6 +188,25 @@ def test_simulate_flag_the_strategy_ignores_is_usage_error(strategy, flag, value
     assert f"usage error: {flag} applies only to --strategy" in err and strategy in err
 
 
+@pytest.mark.parametrize("argv, foreign", [
+    (["exact", "--n", "5", "--k", "2"], ["--p", "0.3", "--trials", "5"]),
+    (["simulate", "--n", "6", "--k", "2", "--strategy", "tau_n", "--trials", "10"],
+     ["--epsilon", "0.5"]),
+    (["verify", "--n-max", "4", "--bounds-n", "30"], ["--n", "5"]),
+    (["scaling", "--k", "2", "--n", "5..9"], ["--seed", "3"]),
+    (["trace", "--n", "4", "--k", "1", "--perm", "4 3 2 1"], ["--strategy", "tau_n"]),
+    (["bounds", "--n", "50", "--k", "2"], ["--r", "3", "--threads", "4"]),
+])
+def test_flag_another_subcommand_reads_is_usage_error(argv, foreign, capsys):
+    # Each subcommand takes only the flags its handler reads, plus --out,
+    # --format and --config; the rest must fail, not be ignored or taken as
+    # an abbreviation (verify --n for --n-max).
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, *foreign)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: " + " ".join(foreign) in err
+
+
 def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
     # main builds its parser once per process; a config value, or a failed
     # parse, must not become the next call's default.

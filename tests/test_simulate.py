@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -109,8 +110,10 @@ def test_zero_slack_is_a_hole_free_prefix():
 
 def test_inline_shuffle_is_random_shuffle():
     # _shuffled copies CPython's shuffle, which is no API: if a Python
-    # release changes it, this fails before any pinned wins drift.
-    for n in range(1, 301):
+    # release changes it, this fails before any pinned wins drift.  The
+    # large n straddle the bit-length blocks _shuffled loops over.
+    boundaries = [511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097]
+    for n in [*range(1, 301), *boundaries]:
         for i in range(20):
             seed = trial_seed(n, i)
             fast, ref = random.Random(seed), random.Random(seed)
@@ -138,7 +141,9 @@ def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
 # Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
 # shuffle first, then strategy randomness): every driver must reproduce them.
 # A strategy of None is the continuous-arrival model, continuous_win_rate.
-# The n = 400 rows reach sizes the differential tests above do not.
+# The n >= 400 rows reach sizes the differential tests above do not; at
+# n = 1000 (rejection count) and n = 500 (continuous) most trials hold a
+# uniform whose top byte ties the threshold's, so the exact tie decode runs.
 FROZEN_WINS = [
     (50, 2, Strategy.tau_n(), 101, 446),
     (60, 30, Strategy.tau_n(), 102, 986),
@@ -152,6 +157,8 @@ FROZEN_WINS = [
     (9, 2, None, 201, 804),
     (60, 1, None, 203, 210),
     (12, 9, None, 204, 1021),
+    (1000, 3, Strategy.tau_p_star(0.89), 401, 213),
+    (500, 8, None, 402, 738),
 ]
 
 
@@ -270,6 +277,30 @@ def test_continuous_win_rate_matches_reference_indicator(data):
         rng = random.Random(trial_seed(seed, i))
         wins += continuous_win_indicator(g, ContinuousArrival(tuple(rng.random() for _ in range(n))))
     assert continuous_win_rate(n, k, trials, master_seed=seed).wins == wins
+
+
+def test_continuous_win_rate_is_exact_on_ties(monkeypatch):
+    # Arrival times equal to the sink's, one off it, or tied with it on the
+    # top byte only; the carry cases put p + 1 on the next top byte or at
+    # 2**53.  No seeded stream hits these on purpose, so feed them directly.
+    n, k = 8, 2
+    pick = random.Random(8)
+    draws = []
+    for sink in (100 << 45 | 12345, (101 << 45) - 1, 2**53 - 1, 0, 1 << 45):
+        byte_lo = sink >> 45 << 45
+        near = [sink + d for d in (-2, -1, 0, 1, 2)] + [byte_lo, byte_lo + 2**45 - 1]
+        near = [num for num in near if 0 <= num < 2**53]
+        for _ in range(60):
+            draws.append([sink, *(pick.choice(near) for _ in range(n - 1))])
+    # random() reads words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
+    raws = iter(b"".join(struct.pack("<II", num >> 26 << 5, (num & (2**26 - 1)) << 6)
+                         for num in nums) for nums in draws)
+    monkeypatch.setattr(simulate_module, "uniform_words", lambda n, rng: next(raws))
+    g = PathPower(n, k)
+    wins = sum(continuous_win_indicator(g, ContinuousArrival(tuple(num / 2**53 for num in nums)))
+               for nums in draws)
+    assert 0 < wins < len(draws)
+    assert continuous_win_rate(n, k, len(draws), master_seed=1).wins == wins
 
 
 @pytest.mark.parametrize("n,k", [(5, 3), (5, 4), (12, 10), (4, 2)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from stopflow import (
     brute_force_win_probability,
     run_strategy,
 )
-from stopflow.strategies import default_threshold, draw_rejection_count
+from stopflow.strategies import default_threshold, draw_rejection_count, numerator, uniform_words
 
 GOLDEN_PERM = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 
@@ -180,3 +181,59 @@ def test_rejection_count_draws_n_uniforms():
         rng, ref = random.Random(seed), random.Random(seed)
         assert draw_rejection_count(n, p, rng) == sum(ref.random() < p for _ in range(n))
         assert rng.getstate() == ref.getstate()
+
+
+def test_uniform_words_decode_to_random_calls():
+    # The word layout is CPython's, no API: if getrandbits or random()
+    # changes how it reads the Mersenne Twister, this fails first.
+    for n in range(1, 301):
+        for seed in (n, 2**64 - n, 7 * n + 3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            raw = uniform_words(n, rng)
+            for j in range(n):
+                num = int(ref.random() * 2**53)
+                assert numerator(raw, j) == num, (n, seed, j)
+                assert raw[8 * j + 3] == num >> 45, (n, seed, j)
+            assert rng.getstate() == ref.getstate(), (n, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    p=st.one_of(
+        st.sampled_from([0.0, 1.0, 2**-53, 1 - 2**-53]),
+        st.integers(0, 256).map(lambda m: m / 256),  # top-byte boundaries
+        st.integers(0, 2**45).map(lambda m: m * 2**-45),
+        st.integers(0, 2**53).map(lambda m: m / 2**53),
+        st.floats(0.0, 1.0),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rejection_count_matches_random_calls_everywhere(n, p, seed):
+    # Top-byte count plus exact decode of ties against n random() calls.
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert draw_rejection_count(n, p, rng) == sum(ref.random() < p for _ in range(n))
+    assert rng.getstate() == ref.getstate()
+
+
+class _Numerators:
+    """Stands in for a generator whose uniforms have the given numerators."""
+
+    def __init__(self, nums):
+        self.nums = nums
+
+    def getrandbits(self, bits):
+        assert bits == 64 * len(self.nums)
+        # random() reads words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
+        return sum((num >> 26 << 5 | (num & (2**26 - 1)) << 38) << 64 * j
+                   for j, num in enumerate(self.nums))
+
+
+@pytest.mark.parametrize("p", [0.3, 1 / 3, 0.89, 2**-53, 1 - 2**-53, 0.5, 2**-60, 37 / 256])
+def test_rejection_count_is_exact_at_the_threshold(p):
+    # Numerators next to p * 2**53: only an exact decode of top-byte ties
+    # counts these right, and no seeded stream hits them on purpose.
+    edge = math.floor(p * 2**53)
+    nums = [num for num in range(edge - 2, edge + 3) if 0 <= num < 2**53]
+    expect = sum(num / 2**53 < p for num in nums)
+    assert draw_rejection_count(len(nums), p, _Numerators(nums)) == expect
