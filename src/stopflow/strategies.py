@@ -90,7 +90,7 @@ def uniform_words(n: int, rng: random.Random) -> bytes:
     ``getrandbits(64 * n)`` draws the same 2n words in the same order, the
     first word least significant, so ``raw[8j:8j + 8]`` holds the words a, b
     of uniform j, which is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  Byte
-    ``raw[8j + 3]`` is the top byte of a, so its 53-bit numerator >> 45.
+    ``raw[8j + 3]``, the top byte of a, is that 53-bit numerator >> 45.
     """
     return rng.getrandbits(64 * n).to_bytes(8 * n, "little")
 
