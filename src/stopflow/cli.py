@@ -47,10 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def fraction_decimal(value: Fraction, digits: int = 20) -> str:
-    """Decimal rendering with the stated number of significant digits."""
+def fraction_decimal(value: Fraction) -> str:
+    """Decimal rendering with 20 significant digits."""
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         ctx.rounding = decimal.ROUND_HALF_EVEN
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
@@ -108,7 +108,7 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _resolve_strategy(args, n: int, seed: int) -> Strategy:
+def _resolve_strategy(args, n: int) -> Strategy:
     kind = _require(args, "strategy")
     if kind not in KINDS:
         raise UsageError(f"unknown strategy {kind!r}; expected one of {', '.join(KINDS)}")
@@ -119,7 +119,7 @@ def _resolve_strategy(args, n: int, seed: int) -> Strategy:
         p = _to_float(_require(args, "p"), "--p")
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"--p must lie in [0, 1], got {p}")
-        return Strategy.tau_p_star(p, rng_seed=seed)
+        return Strategy.tau_p_star(p)
     if kind == "classical_threshold":
         r = _require(args, "r")
         r_val = default_threshold(n) if r == "auto" else _to_int(r, "--r")
@@ -187,8 +187,8 @@ def cmd_simulate(args) -> CommandResult:
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     seed = _resolve_seed(args)
-    strategy = _resolve_strategy(args, n, seed)
-    PathPower(n, k)  # validate early so bad (n, k) is a usage error
+    strategy = _resolve_strategy(args, n)
+    PathPower(n, k)  # a bad (n, k) fails here, before any pool worker starts
 
     rep = simulate(n, k, strategy, trials, seed, threads=threads)
     report = dataclasses.asdict(rep)

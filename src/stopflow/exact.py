@@ -186,9 +186,9 @@ def lower_bound_tau_p(n: int, k: int, epsilon: float) -> float:
     return (1.0 - (1.0 - epsilon) ** (k + 1)) * (1.0 - q) * q
 
 
-def best_epsilon(n: int, k: int, grid=EPSILON_GRID) -> float:
+def best_epsilon(n: int, k: int) -> float:
     """Grid-search epsilon maximizing the analytic lower bound."""
-    return max(grid, key=lambda e: lower_bound_tau_p(n, k, float(e)))
+    return max(EPSILON_GRID, key=lambda e: lower_bound_tau_p(n, k, float(e)))
 
 
 def _check_eps(n: int, k: int, epsilon: float) -> None:

@@ -24,6 +24,18 @@ from dataclasses import dataclass
 from .graph import PathPower
 
 
+def component_runs(sorted_positions: list[int], k: int) -> list[list[int]]:
+    """Split sorted arrived positions into components: maximal runs whose
+    consecutive gaps are at most k."""
+    runs: list[list[int]] = []
+    for p in sorted_positions:
+        if runs and p - runs[-1][-1] <= k:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return runs
+
+
 @dataclass(frozen=True)
 class ComponentView:
     """Relative structure of one component, as the selector can see it.
@@ -80,18 +92,12 @@ class Observer:
         return (self.g.n - self.t) - self.g.k * (self.component_count - 1) - self.pending_inner
 
     def components(self) -> tuple[ComponentView, ...]:
-        runs: list[list[int]] = []
-        for p in self._arrived:
-            if runs and p - runs[-1][-1] <= self.g.k:
-                runs[-1].append(p)
-            else:
-                runs.append([p])
         return tuple(
             ComponentView(
                 offsets=tuple(p - run[0] for p in run),
                 inner_missing=run[-1] - run[0] + 1 - len(run),
             )
-            for run in runs
+            for run in component_runs(self._arrived, self.g.k)
         )
 
     def undo(self) -> None:

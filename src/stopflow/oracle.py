@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graph import PathPower
-from .observer import ObservationEvent, Observer
+from .observer import ObservationEvent, Observer, component_runs
 from .strategies import Strategy
 
 ENUMERATION_GUARD = 9
@@ -140,19 +140,11 @@ def canonical_info_state(g: PathPower, prefix: Sequence[int]) -> InfoState:
     out because the selector cannot resolve them.
     """
     order = {pos: i for i, pos in enumerate(prefix, start=1)}
-    positions = sorted(prefix)
-    comps: list[list[int]] = [[positions[0]]]
-    for p in positions[1:]:
-        if p - comps[-1][-1] <= g.k:
-            comps[-1].append(p)
-        else:
-            comps.append([p])
-    recs = []
-    for comp in comps:
-        lo = comp[0]
-        members = tuple(sorted((order[p], p - lo) for p in comp))
-        recs.append(members)
-    recs.sort(key=lambda members: members[0][0])
+    recs = [tuple(sorted((order[p], p - run[0]) for p in run))
+            for run in component_runs(sorted(prefix), g.k)]
+    # Arrival indices differ across components, so plain tuple order sorts
+    # the records by their first arrival.
+    recs.sort()
     return tuple(recs)
 
 
@@ -176,11 +168,12 @@ class InfoClassStat:
 def _info_classes(g: PathPower) -> dict[InfoState, list]:
     """Every information class, by the prefix walk.
 
-    Maps each canonical state to ``[t, members, sink_last, parent_state]``:
-    the prefix length, the number of member prefixes, how many of them end
-    on the sink, and the class of the members with the last arrival dropped
-    (None at t = 1).  The filtration is nested, so that class is the same
-    for every member; backward induction rests on this, and a class reached
+    Maps each canonical state to ``[t, members, sink_last, parent_state,
+    event]``: the prefix length, the number of member prefixes, how many of
+    them end on the sink, the class of the members with the last arrival
+    dropped (None at t = 1), and the observer event of the first member's
+    last arrival.  The filtration is nested, so that class is the same for
+    every member; backward induction rests on this, and a class reached
     from two parent classes raises.  Each parent precedes its children.
     """
     classes: dict[InfoState, list] = {}
@@ -193,7 +186,7 @@ def _info_classes(g: PathPower) -> dict[InfoState, list]:
         sink = int(path[-1] == 1)
         rec = classes.get(state)
         if rec is None:
-            classes[state] = [t, 1, sink, parent]
+            classes[state] = [t, 1, sink, parent, events[-1]]
         elif rec[3] != parent:
             raise RuntimeError(
                 f"information class {state} reached from two parent classes"
@@ -220,7 +213,7 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
     classes = _info_classes(PathPower(n, k))
     won: dict[InfoState | None, int] = {}  # summed bests of each class's children
-    for state, (t, _, sink_last, parent) in reversed(classes.items()):
+    for state, (t, _, sink_last, parent, _) in reversed(classes.items()):
         best = max(sink_last * math.factorial(n - t), won.pop(state, 0))
         won[parent] = won.get(parent, 0) + best
     return Fraction(won[None], math.factorial(n))
@@ -229,14 +222,11 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
 def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassStat]:
     """Per-class statistics for every information class, ordered by time step."""
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
-    stats = []
-    for state, (t, members, sink_last, _) in _info_classes(PathPower(n, k)).items():
-        # The t-th arrival is maximal when no member of its component sits
-        # 1..k below it.
-        comp, last = next((c, off) for c in state for i, off in c if i == t)
-        pending = sum(max(off for _, off in c) + 1 - len(c) for c in state)
-        last_is_max = not any(0 < last - off <= k for _, off in comp)
-        stats.append(InfoClassStat(t, state, members, sink_last, len(state), pending, last_is_max))
+    # The state fixes the counts and maximality, so any member's event has them.
+    stats = [
+        InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
+        for state, (t, members, sink_last, _, e) in _info_classes(PathPower(n, k)).items()
+    ]
     stats.sort(key=lambda st: st.t)
     return stats
 

@@ -3,7 +3,8 @@
 Reproducibility contract: a 64-bit master seed; trial i runs on its own
 stream seeded with ``master_seed XOR splitmix64(i)``, so results are
 bit-identical for a given (seed, trials) regardless of how trials are
-chunked across workers.
+chunked across workers.  The continuous-arrival model runs on the same
+seeded loop, as ``simulate(n, k, None, ...)``.
 
 A trial costs little beyond its stream.  Each call (or pool worker)
 reseeds one ``random.Random`` per trial with ``.seed()``, the same state
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .graph import PathPower
 from .strategies import (
-    StopRecord, Strategy, draw_rejection_count, numerator, rank_uniforms, uniform_words,
+    StopRecord, Strategy, _skip_count, numerator, rank_uniforms, uniform_words,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -70,26 +71,6 @@ class SimulationReport:
     ci_hi: float
     seed: int
     wall_time: float
-
-
-def _make_report(
-    n: int, k: int, label: str, trials: int, wins: int, seed: int, wall: float
-) -> SimulationReport:
-    est = wins / trials
-    se = math.sqrt(est * (1.0 - est) / trials)
-    return SimulationReport(
-        n=n,
-        k=k,
-        strategy=label,
-        trials=trials,
-        wins=wins,
-        estimate=est,
-        stderr=se,
-        ci_lo=max(0.0, est - 1.96 * se),
-        ci_hi=min(1.0, est + 1.96 * se),
-        seed=seed,
-        wall_time=wall,
-    )
 
 
 def _shuffled(n: int, rng: random.Random) -> list[int]:
@@ -148,12 +129,7 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
         return StopRecord(n, perm[-1], perm[-1] == 1)
 
     # Threshold family: only arrivals and maximality matter.
-    if s.kind == "first_max":
-        skip = 0
-    elif s.kind == "classical_threshold":
-        skip = s.r
-    else:
-        skip = draw_rejection_count(n, s.p, rng)
+    skip = _skip_count(s, n, rng)
     for pos in perm[:skip]:  # rejected outright: only mark them arrived
         arrived[pos + k] = 1
     for t in range(skip, n):
@@ -164,13 +140,31 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     return StopRecord(n, perm[-1], perm[-1] == 1)
 
 
-def _count_wins(n: int, k: int, s: Strategy, master_seed: int, start: int, stop: int) -> int:
+def _continuous_win(n: int, gap: bytes, rng: random.Random) -> bool:
+    """One continuous-arrival trial: it wins iff the top vertex arrives before
+    the sink and no k+1 consecutive interior vertices (``gap``) are all missing
+    at the sink's time.  Arrival times are the uniforms of ``uniform_words``,
+    compared as exact numerators.  About half the trials lose on the first
+    test, most of them on the top bytes alone.
+    """
+    raw = uniform_words(n, rng)  # arrival times, as numerators
+    if raw[8 * n - 5] > raw[3]:  # vertex n after the sink 1, by top byte alone
+        return False
+    p = numerator(raw, 0)  # the sink's time
+    # An interior vertex is missing iff its numerator is at least p + 1.
+    return numerator(raw, n - 1) < p and rank_uniforms(raw, 1, n - 1, p + 1).find(gap) < 0
+
+
+def _count_wins(
+    n: int, k: int, s: Strategy | None, master_seed: int, start: int, stop: int
+) -> int:
     g = PathPower(n, k)
+    gap = b"\x01" * (k + 1)
     rng = random.Random()
     wins = 0
     for i in range(start, stop):
         rng.seed(trial_seed(master_seed, i))
-        wins += run_trial(g, s, rng).win
+        wins += _continuous_win(n, gap, rng) if s is None else run_trial(g, s, rng).win
     return wins
 
 
@@ -181,17 +175,25 @@ def _count_wins_task(args) -> int:
 def simulate(
     n: int,
     k: int,
-    s: Strategy,
+    s: Strategy | None,
     trials: int,
     master_seed: int,
     threads: int = 1,
 ) -> SimulationReport:
-    """Estimate the win probability of a strategy over uniform arrivals."""
+    """Estimate the win probability of a strategy over uniform arrivals.
+
+    A strategy of None is the continuous-arrival model (each vertex arrives
+    at an independent uniform time), which needs 1 <= k < n-2.
+    """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     _check_seed(master_seed)
+    if s is None:
+        PathPower(n, k)  # the same n, k errors as the discrete models
+        if k >= n - 2:
+            raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
     started = time.perf_counter()
     if threads == 1:
         wins = _count_wins(n, k, s, master_seed, 0, trials)
@@ -207,38 +209,24 @@ def simulate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             wins = sum(pool.map(_count_wins_task, spans))
     wall = time.perf_counter() - started
-    return _make_report(n, k, s.describe(), trials, wins, master_seed, wall)
+    est = wins / trials
+    se = math.sqrt(est * (1.0 - est) / trials)
+    return SimulationReport(
+        n=n,
+        k=k,
+        strategy="continuous_indicator" if s is None else s.describe(),
+        trials=trials,
+        wins=wins,
+        estimate=est,
+        stderr=se,
+        ci_lo=max(0.0, est - 1.96 * se),
+        ci_hi=min(1.0, est + 1.96 * se),
+        seed=master_seed,
+        wall_time=wall,
+    )
 
 
-def continuous_win_rate(
-    n: int, k: int, trials: int, master_seed: int
-) -> SimulationReport:
-    """Monte Carlo mean of the continuous-arrival win indicator.
-
-    A draw wins iff the top vertex arrives before the sink and no k+1
-    consecutive interior vertices are all missing at the sink's time.
-    Arrival times are the uniforms of ``uniform_words``, compared as exact
-    numerators.  About half the trials lose on the first test, most of them
-    on the top bytes alone.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    _check_seed(master_seed)
-    PathPower(n, k)  # the same n, k errors as the discrete models
-    if k >= n - 2:
-        raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
-    started = time.perf_counter()
-    rng = random.Random()
-    gap = b"\x01" * (k + 1)
-    wins = 0
-    for i in range(trials):
-        rng.seed(trial_seed(master_seed, i))
-        raw = uniform_words(n, rng)  # arrival times, as numerators
-        if raw[8 * n - 5] > raw[3]:  # vertex n after the sink 1, by top byte alone
-            continue
-        p = numerator(raw, 0)  # the sink's time
-        # An interior vertex is missing iff its numerator is at least p + 1.
-        if numerator(raw, n - 1) < p and rank_uniforms(raw, 1, n - 1, p + 1).find(gap) < 0:
-            wins += 1
-    wall = time.perf_counter() - started
-    return _make_report(n, k, "continuous_indicator", trials, wins, master_seed, wall)
+def continuous_win_rate(n: int, k: int, trials: int, master_seed: int) -> SimulationReport:
+    """Monte Carlo mean of the continuous-arrival win indicator:
+    ``simulate(n, k, None, trials, master_seed)``."""
+    return simulate(n, k, None, trials, master_seed)

@@ -139,7 +139,7 @@ def check_frozen_exact_values() -> Check:
     return Check("frozen_exact_values", True, f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed")
 
 
-def bounds_grid(k: int, max_n: int = 200) -> list[int]:
+def bounds_grid(k: int, max_n: int) -> list[int]:
     dense = list(range(k + 3, min(31, max_n + 1)))
     sparse = list(range(40, max_n + 1, 10))
     return dense + sparse

@@ -124,6 +124,28 @@ def test_info_state_canonicalization_soundness():
                     assert rel_to_state.setdefault(rel, state) == state
 
 
+def test_info_state_encoding_is_pinned():
+    # Components 1-4 and 7-9; members as (arrival index, offset), the
+    # components ordered by their first arrival.
+    state = canonical_info_state(PathPower(9, 2), (2, 9, 4, 7, 3, 1))
+    assert state == (((1, 1), (3, 3), (5, 2), (6, 0)), ((2, 2), (4, 0)))
+
+
+def test_info_class_audit_counts_match_the_state():
+    # The audit reads these from the walk's events; recompute them from the
+    # canonical state as the reference.
+    for n in range(2, 7):
+        for k in range(1, n):
+            for st in info_class_audit(n, k):
+                assert st.component_count == len(st.state)
+                assert st.pending_inner == sum(max(off for _, off in c) + 1 - len(c)
+                                               for c in st.state)
+                # The t-th arrival is maximal when no member of its
+                # component sits 1..k below it.
+                comp, last = next((c, off) for c in st.state for i, off in c if i == st.t)
+                assert st.last_is_max == (not any(0 < last - off <= k for _, off in comp))
+
+
 def test_info_state_respects_prefix_restriction():
     g = PathPower(6, 2)
     prefixes = list(itertools.permutations(range(1, 7), 4))

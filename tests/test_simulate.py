@@ -194,18 +194,13 @@ def test_simulate_threads_do_not_change_the_outcome():
     assert serial.wins == parallel.wins
 
 
-@pytest.mark.parametrize("threads, trials, cpus, workers", [
-    (5000, 40, 4, 4),   # capped by the CPU count
-    (5000, 3, 64, 3),   # capped by the span count: one trial per span
-    (3, 40, None, 1),   # os.cpu_count() may not know
-    (2, 40, 8, 2),
-])
-def test_simulate_pool_size_is_bounded(monkeypatch, threads, trials, cpus, workers):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap the process pool for one that maps in this process; returns the
+    list of pool sizes requested."""
     made = []
 
     class SerialPool:
-        """Records the requested pool size and maps in this process."""
-
         def __init__(self, max_workers):
             made.append(max_workers)
 
@@ -219,10 +214,29 @@ def test_simulate_pool_size_is_bounded(monkeypatch, threads, trials, cpus, worke
             return map(fn, iterable)
 
     monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", SerialPool)
+    return made
+
+
+@pytest.mark.parametrize("threads, trials, cpus, workers", [
+    (5000, 40, 4, 4),   # capped by the CPU count
+    (5000, 3, 64, 3),   # capped by the span count: one trial per span
+    (3, 40, None, 1),   # os.cpu_count() may not know
+    (2, 40, 8, 2),
+])
+def test_simulate_pool_size_is_bounded(serial_pool, monkeypatch, threads, trials, cpus, workers):
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
     pooled = simulate(8, 2, Strategy.tau_n(), trials, master_seed=5, threads=threads)
-    assert made == [workers]
+    assert serial_pool == [workers]
     assert pooled.wins == simulate(8, 2, Strategy.tau_n(), trials, master_seed=5).wins
+
+
+def test_simulate_none_is_continuous_win_rate(serial_pool, monkeypatch):
+    # Spread over three spans, the continuous model still matches the serial call.
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 4)
+    pooled = simulate(12, 2, None, 500, master_seed=9, threads=3)
+    assert serial_pool == [3]
+    serial = continuous_win_rate(12, 2, 500, master_seed=9)
+    assert dataclasses.replace(pooled, wall_time=0.0) == dataclasses.replace(serial, wall_time=0.0)
 
 
 def test_simulate_estimate_matches_exact_value():
