@@ -15,9 +15,20 @@ arrival times) come from one ``strategies.uniform_words`` call, the words
 n ``random()`` calls would read; they are ranked against a threshold by
 top byte, with one ``bytes.translate``, and only ties on that byte are
 decoded to exact 53-bit numerators.  So the stream is consumed exactly as
-``random.shuffle`` and ``random()`` would.  None of this is an API
-contract: tests pin the shuffle against ``random.shuffle`` (every
-n <= 300, and across block edges up to 4097), the decoded words against
+``random.shuffle`` and ``random()`` would.
+
+A ``tau_n`` trial reads only the part of its shuffle that decides it.
+The shuffle fixes the last arrivals first, and ``tau_n`` wins iff the
+prefix that ends with the sink leaves position n and no k+1 consecutive
+interior positions missing.  So ``_tau_n_win`` runs ``_shuffled``'s draw
+loop and stops at the first fixed value that settles the win; there is no
+forward search.  The threshold family plays the full shuffle forward in
+``run_trial``.
+
+None of this is an API contract: tests pin the shuffle against
+``random.shuffle`` (every n <= 300, and across block edges up to 4097),
+the tail walker's win and generator state against a full shuffle and a
+forward hole search (block edges up to 4097), the decoded words against
 ``random()`` (every n <= 300), and the reseeded generator against one
 fresh generator per trial.
 """
@@ -95,41 +106,64 @@ def _shuffled(n: int, rng: random.Random) -> list[int]:
     return perm
 
 
+def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
+    """One ``tau_n`` trial, read from the shuffle's tail.
+
+    ``tau_n`` wins iff, when the sink arrives, position n has arrived and no
+    k+1 consecutive interior positions are missing.  ``_shuffled``'s draws fix
+    the last arrivals first, so run its draw loop and stop at the first fixed
+    value that decides: 1 wins, since the values fixed before it are the
+    positions missing at its arrival and none of them lost; n, or a value
+    whose run of missing positions grows past k, loses.  ``run[v]`` is the
+    length of the missing run that ends at v, kept at both ends of each run;
+    ``run[n + 1] = k`` makes a missing n lose.  The stream is the shuffle's,
+    read down to the deciding draw; the loop is ``_shuffled``'s, copied
+    because a shared generator of draws slows both.
+    """
+    perm = list(range(1, n + 1))
+    run = [0] * (n + 2)
+    run[n + 1] = k
+    getrandbits = rng.getrandbits
+    hi = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            v = perm[j]
+            if v == 1:
+                return True
+            perm[j] = perm[i]
+            a = run[v - 1]
+            b = run[v + 1]
+            t = a + b + 1
+            if t > k:
+                return False
+            run[v - a] = run[v + b] = t
+        hi = lo - 1
+    raise AssertionError("indices 1..n-1 hold 1 or n, so the walk decides")
+
+
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
-    """One simulated run: draw the arrival order, then play the strategy.
+    """One simulated run of a threshold-family strategy (``first_max``,
+    ``classical_threshold``, ``tau_p_star``): draw the arrival order, then
+    play the strategy.
 
     The stream is consumed in a fixed order (shuffle, then any strategy
     randomness) to keep records reproducible.  The shuffle is
     ``_shuffled``, CPython's ``random.shuffle`` inlined and pinned to it by
     a test; ``simulate`` passes one generator reseeded for each trial.
+    ``tau_n`` trials go to ``_tau_n_win``, which reads the shuffle's tail.
     """
+    if s.kind == "tau_n":
+        raise ValueError("run_trial plays the threshold family; tau_n reads the shuffle's tail")
     n, k = g.n, g.k
     perm = _shuffled(n, rng)
-    # arrived[pos + k] marks pos.  k + 1 leading and k trailing zero bytes keep
-    # the window below pos unclamped and make a missing end k + 1 zeros.
-    arrived = bytearray(n + 2 * k + 1)
-
-    if s.kind == "tau_n":
-        # Slack zero means no run of k + 1 zeros from index 1, so it needs the
-        # sink; holes only close, so each search starts at the last.  Then each
-        # missing position has an arrival at most k below: stop here or never.
-        sink = perm.index(1)
-        for pos in perm[:sink]:
-            arrived[pos + k] = 1
-        hole = bytes(k + 1)
-        lo = 1
-        for t in range(sink, n):
-            pos = perm[t]
-            arrived[pos + k] = 1
-            lo = arrived.find(hole, lo)
-            if lo < 0:
-                if arrived.rfind(1, pos, pos + k) < 0:
-                    return StopRecord(t + 1, pos, pos == 1)
-                break
-        return StopRecord(n, perm[-1], perm[-1] == 1)
-
-    # Threshold family: only arrivals and maximality matter.
     skip = _skip_count(s, n, rng)
+    # arrived[pos + k] marks pos; k leading zero bytes keep the window below
+    # pos unclamped.
+    arrived = bytearray(n + k + 1)
     for pos in perm[:skip]:  # rejected outright: only mark them arrived
         arrived[pos + k] = 1
     for t in range(skip, n):
@@ -164,7 +198,12 @@ def _count_wins(
     wins = 0
     for i in range(start, stop):
         rng.seed(trial_seed(master_seed, i))
-        wins += _continuous_win(n, gap, rng) if s is None else run_trial(g, s, rng).win
+        if s is None:
+            wins += _continuous_win(n, gap, rng)
+        elif s.kind == "tau_n":
+            wins += _tau_n_win(n, k, rng)
+        else:
+            wins += run_trial(g, s, rng).win
     return wins
 
 

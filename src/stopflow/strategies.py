@@ -29,12 +29,11 @@ KINDS = ("tau_n", "tau_p_star", "classical_threshold", "first_max")
 
 @dataclass(frozen=True)
 class Strategy:
-    """A stopping rule plus the parameters and seed it needs."""
+    """A stopping rule plus the parameters it needs."""
 
     kind: str
     p: float | None = None
     r: int | None = None
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -51,8 +50,8 @@ class Strategy:
         return Strategy(kind="tau_n")
 
     @staticmethod
-    def tau_p_star(p: float, rng_seed: int = 0) -> "Strategy":
-        return Strategy(kind="tau_p_star", p=p, rng_seed=rng_seed)
+    def tau_p_star(p: float) -> "Strategy":
+        return Strategy(kind="tau_p_star", p=p)
 
     @staticmethod
     def classical_threshold(r: int) -> "Strategy":
@@ -144,7 +143,7 @@ def _skip_count(s: Strategy, n: int, rng: random.Random | None) -> int:
     if s.kind == "classical_threshold":
         return s.r  # type: ignore[return-value]
     if rng is None:
-        rng = random.Random(s.rng_seed)
+        raise ValueError("tau_p_star draws its rejection count: pass a random generator")
     return draw_rejection_count(n, s.p, rng)  # type: ignore[arg-type]
 
 
@@ -166,8 +165,7 @@ def run_strategy(
     """Replay ``arrivals`` through the observer and stop per the strategy.
 
     ``arrivals`` must be a permutation of 1..n.  ``rng`` feeds randomized
-    strategies only; omitted, it is seeded from the strategy itself so the
-    same inputs always reproduce the same record.
+    strategies only, and ``tau_p_star`` needs it.
     """
     n = g.n
     if sorted(arrivals) != list(range(1, n + 1)):

@@ -21,7 +21,7 @@ from stopflow import (
     trial_seed,
 )
 from stopflow.oracle import walk_prefixes
-from stopflow.simulate import _shuffled, run_trial
+from stopflow.simulate import _shuffled, _tau_n_win, run_trial
 
 # The package's ``simulate`` attribute is the function; this is the module.
 simulate_module = importlib.import_module("stopflow.simulate")
@@ -46,9 +46,24 @@ def test_trial_seed_derivation():
     assert len(seeds) == 1000
 
 
+def assert_matches_reference_runner(g, s, seed):
+    # Replay the same stream through the Observer-based reference: shuffle
+    # first, then strategy randomness.  tau_n trials are read from the
+    # shuffle's tail and give only their win; the threshold family gives the
+    # whole record.
+    rng = random.Random(seed)
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    ref = run_strategy(s, g, perm, rng)
+    if s.kind == "tau_n":
+        assert _tau_n_win(g.n, g.k, random.Random(seed)) == ref.win
+    else:
+        assert run_trial(g, s, random.Random(seed)) == ref
+
+
 def test_run_trial_matches_reference_runner():
-    # The lean driver must replay exactly like the reference runner when both
-    # consume the same stream: shuffle first, then strategy randomness.
+    # The fast paths must replay exactly like the reference runner when both
+    # consume the same stream.
     strategies = [
         Strategy.tau_n(),
         Strategy.first_max(),
@@ -59,19 +74,15 @@ def test_run_trial_matches_reference_runner():
         g = PathPower(n, k)
         for s in strategies:
             for i in range(50):
-                seed = trial_seed(2024, i)
-                fast = run_trial(g, s, random.Random(seed))
-                rng = random.Random(seed)
-                perm = list(range(1, n + 1))
-                rng.shuffle(perm)
-                assert fast == run_strategy(s, g, perm, rng)
+                assert_matches_reference_runner(g, s, trial_seed(2024, i))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_run_trial_matches_reference_runner_everywhere(data):
-    # Differential test of the bytearray drivers against the Observer-based
-    # reference: every k, every strategy kind, arbitrary 64-bit seeds.
+    # Differential test of the tail walker and the bytearray replay against
+    # the Observer-based reference: every k, every strategy kind, arbitrary
+    # 64-bit seeds.
     n = data.draw(st.integers(2, 80), label="n")
     k = data.draw(st.integers(1, n - 1), label="k")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
@@ -84,18 +95,21 @@ def test_run_trial_matches_reference_runner_everywhere(data):
         ),
         label="strategy",
     )
-    g = PathPower(n, k)
-    fast = run_trial(g, s, random.Random(seed))
-    rng = random.Random(seed)
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    assert fast == run_strategy(s, g, perm, rng)
+    assert_matches_reference_runner(PathPower(n, k), s, seed)
+
+
+def test_run_trial_refuses_tau_n():
+    # Played forward, tau_n would silently run as first_max.
+    with pytest.raises(ValueError, match="tail"):
+        run_trial(PathPower(8, 2), Strategy.tau_n(), random.Random(1))
 
 
 def test_zero_slack_is_a_hole_free_prefix():
-    # run_trial's tau_n driver rests on this identity: the Observer's slack
-    # is zero iff 1 and n have arrived and no k + 1 consecutive positions
-    # are missing, i.e. the padded byte array has no run of k + 1 zeros.
+    # _tau_n_win rests on this identity: the Observer's slack is zero iff 1
+    # and n have arrived and no k + 1 consecutive positions are missing, i.e.
+    # the padded byte array has no run of k + 1 zeros.  No arrival after the
+    # first such prefix is maximal, so tau_n wins iff the prefix that ends
+    # with the sink is one.
     for n in range(2, 8):
         for k in range(1, n):
             def visit(path, events, n=n, k=k):
@@ -123,6 +137,40 @@ def test_inline_shuffle_is_random_shuffle():
             assert fast.getstate() == ref.getstate(), (n, seed)
 
 
+@pytest.mark.parametrize("n", [127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097])
+def test_tau_n_tail_reads_the_shuffle_stream_down_to_the_deciding_draw(n):
+    # The tail walker's win equals the forward hole search after a full
+    # random.shuffle, and it leaves its generator where CPython's shuffle is
+    # after fixing index n-1 down to the deciding index.  The n straddle the
+    # bit-length blocks of the draw loop.
+    for k in sorted({1, 2, n // 10, n // 2, n - 1}):
+        for i in range(3):
+            seed = trial_seed(n * k, i)
+            tail = random.Random(seed)
+            won = _tau_n_win(n, k, tail)
+            perm = list(range(1, n + 1))
+            random.Random(seed).shuffle(perm)
+            sink = perm.index(1)
+            arrived = bytearray(n + 2 * k + 1)  # arrived[pos + k] marks pos
+            for pos in perm[: sink + 1]:
+                arrived[pos + k] = 1
+            assert won == (arrived.find(bytes(k + 1), 1) < 0), (n, k, seed)
+            # Walking back from the last arrival, the first of 1, n or an
+            # interior value that completes k + 1 missing positions decides.
+            missing = bytearray(n + 2)
+            d = n - 1
+            while perm[d] not in (1, n):
+                v = perm[d]
+                missing[v] = 1
+                if missing.find(b"\x01" * (k + 1), max(v - k, 0), v + k + 1) >= 0:
+                    break
+                d -= 1
+            ref = random.Random(seed)
+            for j in range(n - 1, d - 1, -1):
+                ref._randbelow(j + 1)  # CPython's shuffle draw for index j
+            assert tail.getstate() == ref.getstate(), (n, k, seed, d)
+
+
 @pytest.mark.parametrize("s", [
     Strategy.tau_n(),
     Strategy.first_max(),
@@ -133,15 +181,19 @@ def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
     # simulate reseeds one generator per call; each trial must see the
     # stream of its own Random(trial_seed(seed, i)).
     for n, k, seed in [(12, 3, 31), (40, 1, 2**64 - 5), (25, 24, 0)]:
-        g = PathPower(n, k)
-        fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
+        if s.kind == "tau_n":
+            fresh = sum(_tau_n_win(n, k, random.Random(trial_seed(seed, i))) for i in range(300))
+        else:
+            g = PathPower(n, k)
+            fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
         assert simulate(n, k, s, 300, master_seed=seed).wins == fresh
 
 
 # Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
 # shuffle first, then strategy randomness): every driver must reproduce them.
 # A strategy of None is the continuous-arrival model, continuous_win_rate.
-# The n >= 400 rows reach sizes the differential tests above do not; at
+# The n >= 400 rows reach sizes the differential tests above do not (n = 1025
+# opens the shuffle with a block of two 11-bit draws); at
 # n = 1000 (rejection count) and n = 500 (continuous) most trials hold a
 # uniform whose top byte ties the threshold's, so the exact tie decode runs.
 FROZEN_WINS = [
@@ -154,6 +206,8 @@ FROZEN_WINS = [
     (400, 2, Strategy.tau_n(), 301, 234),
     (400, 40, Strategy.tau_n(), 302, 990),
     (400, 399, Strategy.tau_n(), 303, 1042),
+    (1025, 2, Strategy.tau_n(), 304, 186),
+    (1025, 512, Strategy.tau_n(), 305, 1018),
     (9, 2, None, 201, 804),
     (60, 1, None, 203, 210),
     (12, 9, None, 204, 1021),

@@ -50,13 +50,13 @@ def test_tau_n_three_vertex_path_never_fires():
 def test_tau_p_star_with_zero_bias_stops_immediately():
     g = PathPower(6, 2)
     for seed in range(5):
-        rec = run_strategy(Strategy.tau_p_star(0.0, rng_seed=seed), g, (4, 2, 6, 1, 3, 5))
+        rec = run_strategy(Strategy.tau_p_star(0.0), g, (4, 2, 6, 1, 3, 5), random.Random(seed))
         assert rec.stop_index == 1 and rec.chosen_position == 4
 
 
 def test_tau_p_star_with_full_bias_rejects_everything():
     g = PathPower(6, 2)
-    rec = run_strategy(Strategy.tau_p_star(1.0), g, (4, 2, 6, 1, 3, 5))
+    rec = run_strategy(Strategy.tau_p_star(1.0), g, (4, 2, 6, 1, 3, 5), random.Random(0))
     assert rec.stop_index == 6 and rec.chosen_position == 5
 
 
@@ -103,8 +103,8 @@ def test_randomized_strategy_purity(seed, data):
     k = data.draw(st.integers(min_value=1, max_value=n - 1))
     perm = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
     g = PathPower(n, k)
-    s = Strategy.tau_p_star(0.5, rng_seed=seed)
-    assert run_strategy(s, g, perm) == run_strategy(s, g, perm)
+    s = Strategy.tau_p_star(0.5)
+    assert run_strategy(s, g, perm, random.Random(seed)) == run_strategy(s, g, perm, random.Random(seed))
 
 
 def test_only_tau_p_star_draws_from_rng():
@@ -118,9 +118,19 @@ def test_only_tau_p_star_draws_from_rng():
                 assert run_strategy(s, g, perm, rng) == expect
                 assert rng.getstate() == state
     for seed in (0, 1, 2**63 + 5):
-        s = Strategy.tau_p_star(0.5, rng_seed=seed)
+        s = Strategy.tau_p_star(0.5)
         for perm in perms:
-            assert run_strategy(s, g, perm) == run_strategy(s, g, perm, random.Random(seed))
+            rng = random.Random(seed)
+            assert run_strategy(s, g, perm, rng) == run_strategy(s, g, perm, random.Random(seed))
+            assert rng.getstate() != random.Random(seed).getstate()
+
+
+def test_tau_p_star_needs_a_generator():
+    # The strategy carries no seed: its rejection count comes from the caller's stream.
+    with pytest.raises(ValueError, match="random generator"):
+        run_strategy(Strategy.tau_p_star(0.5), PathPower(6, 2), (4, 2, 6, 1, 3, 5))
+    with pytest.raises(TypeError):
+        Strategy.tau_p_star(0.5, rng_seed=7)
 
 
 def test_tau_n_stops_only_on_maximal_arrivals():
