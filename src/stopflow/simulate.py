@@ -22,13 +22,15 @@ The shuffle fixes the last arrivals first, and ``tau_n`` wins iff the
 prefix that ends with the sink leaves position n and no k+1 consecutive
 interior positions missing.  So ``_tau_n_win`` runs ``_shuffled``'s draw
 loop and stops at the first fixed value that settles the win; there is no
-forward search.  The threshold family plays the full shuffle forward in
-``run_trial``.
+forward search.  ``first_max`` and ``classical_threshold`` read the tail
+the same way (``_first_max_win``, ``_classical_threshold_win``).  Only
+``tau_p_star`` plays the full shuffle forward, in ``run_trial``, because
+its coin flips follow the shuffle in the stream.
 
 None of this is an API contract: tests pin the shuffle against
 ``random.shuffle`` (every n <= 300, and across block edges up to 4097),
-the tail walker's win and generator state against a full shuffle and a
-forward hole search (block edges up to 4097), the decoded words against
+each tail reader's win and generator state against a full shuffle and the
+forward rule (block edges up to 4097), the decoded words against
 ``random()`` (every n <= 300), and the reseeded generator against one
 fresh generator per trial.
 """
@@ -145,16 +147,84 @@ def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
     raise AssertionError("indices 1..n-1 hold 1 or n, so the walk decides")
 
 
+def _first_max_win(n: int, rng: random.Random) -> bool:
+    """One ``first_max`` trial, read from the shuffle's tail.
+
+    ``first_max`` wins iff the sink 1 arrives first.  1 starts at index 0
+    and stays there until a draw returns 0, which moves it to index i >= 1
+    for good; so the trial loses at the first draw of 0.  Only the draws of
+    ``_shuffled``'s loop are made: nothing else decides.
+    """
+    getrandbits = rng.getrandbits
+    hi = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            if not j:
+                return False
+        hi = lo - 1
+    return True
+
+
+def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool:
+    """One ``classical_threshold(r)`` trial, read from the shuffle's tail.
+
+    The rule rejects arrivals 0..r-1, takes the first maximal one after
+    them, and else the last; from r = n-1 on it takes the last.  With r = 0
+    it is ``first_max``.  Otherwise walk ``_shuffled``'s draws from index
+    n-1 down to r.  The values fixed so far are the later arrivals, so a
+    value fixed at index i arrived maximal iff the k values below it (those
+    down to 1) were fixed before it.  The sink always arrives maximal; the
+    trial wins iff it is fixed in the walk and no maximal value is fixed
+    after it.  Values are stored plus k, and ``run[v]`` is the length of the
+    run of fixed values that ends at v, kept at both ends of each run as in
+    ``_tau_n_win``; ``run[k] = k`` stands for k values below 1 fixed from
+    the start, so v arrived maximal iff ``run[v - 1] >= k``.
+    """
+    if r == 0:
+        return _first_max_win(n, rng)
+    r = min(r, n - 1)
+    sink = k + 1
+    perm = list(range(sink, n + sink))
+    run = [0] * (n + k + 2)
+    run[k] = k
+    seen = False  # the sink is fixed
+    getrandbits = rng.getrandbits
+    hi = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1
+        for i in range(hi, max(lo, r) - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            v = perm[j]
+            perm[j] = perm[i]
+            a = run[v - 1]
+            if a >= k:
+                if seen:
+                    return False
+                seen = v == sink
+            b = run[v + 1]
+            run[v - a] = run[v + b] = a + b + 1
+        hi = lo - 1
+    return seen
+
+
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     """One simulated run of a threshold-family strategy (``first_max``,
     ``classical_threshold``, ``tau_p_star``): draw the arrival order, then
-    play the strategy.
+    play the strategy forward.
 
     The stream is consumed in a fixed order (shuffle, then any strategy
     randomness) to keep records reproducible.  The shuffle is
     ``_shuffled``, CPython's ``random.shuffle`` inlined and pinned to it by
-    a test; ``simulate`` passes one generator reseeded for each trial.
-    ``tau_n`` trials go to ``_tau_n_win``, which reads the shuffle's tail.
+    a test.  ``simulate`` plays only ``tau_p_star`` here, since its coin
+    flips follow the whole shuffle.  ``first_max`` and
+    ``classical_threshold`` trials read the shuffle's tail for their win,
+    and tests hold those readers to this forward play.
     """
     if s.kind == "tau_n":
         raise ValueError("run_trial plays the threshold family; tau_n reads the shuffle's tail")
@@ -202,6 +272,10 @@ def _count_wins(
             wins += _continuous_win(n, gap, rng)
         elif s.kind == "tau_n":
             wins += _tau_n_win(n, k, rng)
+        elif s.kind == "first_max":
+            wins += _first_max_win(n, rng)
+        elif s.kind == "classical_threshold":
+            wins += _classical_threshold_win(n, k, s.r, rng)
         else:
             wins += run_trial(g, s, rng).win
     return wins

@@ -21,7 +21,9 @@ from stopflow import (
     trial_seed,
 )
 from stopflow.oracle import walk_prefixes
-from stopflow.simulate import _shuffled, _tau_n_win, run_trial
+from stopflow.simulate import (
+    _classical_threshold_win, _first_max_win, _shuffled, _tau_n_win, run_trial,
+)
 
 # The package's ``simulate`` attribute is the function; this is the module.
 simulate_module = importlib.import_module("stopflow.simulate")
@@ -48,17 +50,21 @@ def test_trial_seed_derivation():
 
 def assert_matches_reference_runner(g, s, seed):
     # Replay the same stream through the Observer-based reference: shuffle
-    # first, then strategy randomness.  tau_n trials are read from the
-    # shuffle's tail and give only their win; the threshold family gives the
-    # whole record.
+    # first, then strategy randomness.  The tail readers (tau_n, first_max,
+    # classical_threshold) give only their win; run_trial plays the threshold
+    # family forward and gives the whole record.
     rng = random.Random(seed)
     perm = list(range(1, g.n + 1))
     rng.shuffle(perm)
     ref = run_strategy(s, g, perm, rng)
     if s.kind == "tau_n":
         assert _tau_n_win(g.n, g.k, random.Random(seed)) == ref.win
-    else:
-        assert run_trial(g, s, random.Random(seed)) == ref
+        return
+    assert run_trial(g, s, random.Random(seed)) == ref
+    if s.kind == "first_max":
+        assert _first_max_win(g.n, random.Random(seed)) == ref.win
+    elif s.kind == "classical_threshold":
+        assert _classical_threshold_win(g.n, g.k, s.r, random.Random(seed)) == ref.win
 
 
 def test_run_trial_matches_reference_runner():
@@ -80,9 +86,9 @@ def test_run_trial_matches_reference_runner():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_run_trial_matches_reference_runner_everywhere(data):
-    # Differential test of the tail walker and the bytearray replay against
+    # Differential test of the tail readers and the bytearray replay against
     # the Observer-based reference: every k, every strategy kind, arbitrary
-    # 64-bit seeds.
+    # 64-bit seeds.  r runs past n - 1, where the rule takes the last arrival.
     n = data.draw(st.integers(2, 80), label="n")
     k = data.draw(st.integers(1, n - 1), label="k")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
@@ -91,7 +97,7 @@ def test_run_trial_matches_reference_runner_everywhere(data):
             st.just(Strategy.tau_n()),
             st.just(Strategy.first_max()),
             st.floats(0.0, 1.0).map(Strategy.tau_p_star),
-            st.integers(0, n).map(Strategy.classical_threshold),
+            st.integers(0, n + 2).map(Strategy.classical_threshold),
         ),
         label="strategy",
     )
@@ -137,6 +143,15 @@ def test_inline_shuffle_is_random_shuffle():
             assert fast.getstate() == ref.getstate(), (n, seed)
 
 
+def assert_state_after_draws(rng, seed, n, d, case):
+    # rng must be where CPython's shuffle is after its draws for index n-1
+    # down to index d.
+    ref = random.Random(seed)
+    for j in range(n - 1, d - 1, -1):
+        ref._randbelow(j + 1)
+    assert rng.getstate() == ref.getstate(), (*case, d)
+
+
 @pytest.mark.parametrize("n", [127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097])
 def test_tau_n_tail_reads_the_shuffle_stream_down_to_the_deciding_draw(n):
     # The tail walker's win equals the forward hole search after a full
@@ -165,10 +180,42 @@ def test_tau_n_tail_reads_the_shuffle_stream_down_to_the_deciding_draw(n):
                 if missing.find(b"\x01" * (k + 1), max(v - k, 0), v + k + 1) >= 0:
                     break
                 d -= 1
-            ref = random.Random(seed)
-            for j in range(n - 1, d - 1, -1):
-                ref._randbelow(j + 1)  # CPython's shuffle draw for index j
-            assert tail.getstate() == ref.getstate(), (n, k, seed, d)
+            assert_state_after_draws(tail, seed, n, d, (n, k, seed))
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097])
+def test_threshold_tails_read_the_shuffle_stream_down_to_the_deciding_draw(n):
+    # The first_max and classical_threshold readers' wins equal the forward
+    # rule after a full random.shuffle, and each leaves its generator where
+    # CPython's shuffle is after fixing index n-1 down to the deciding index.
+    for i in range(3):
+        seed = trial_seed(n, 7 + i)
+        perm = list(range(1, n + 1))
+        random.Random(seed).shuffle(perm)
+        sink = perm.index(1)
+        # first_max loses at the draw that moves 1 off index 0, which is the
+        # draw for the sink's final index; a win draws down to index 1.
+        tail = random.Random(seed)
+        assert _first_max_win(n, tail) == (sink == 0), (n, seed)
+        assert_state_after_draws(tail, seed, n, max(sink, 1), (n, seed))
+        for k in sorted({1, 3, n // 2, n - 1}):
+            arrived = bytearray(n + k + 1)  # arrived[pos + k] marks pos
+            maximal = []
+            for pos in perm:
+                maximal.append(arrived.rfind(1, pos, pos + k) < 0)
+                arrived[pos + k] = 1
+            for r in (0, 1, int(n / math.e), n - 1, n):
+                chosen = next((t for t in range(r, n) if maximal[t]), n - 1)
+                tail = random.Random(seed)
+                won = _classical_threshold_win(n, k, r, tail)
+                assert won == (perm[chosen] == 1), (n, k, r, seed)
+                # Walking back from the last arrival to index r (at most
+                # n-1), the reader decides at the first maximal arrival
+                # fixed after the sink, else at index r.  r = 0 is first_max.
+                last = min(r, n - 1)
+                before_sink = [t for t in range(last, sink) if maximal[t]]
+                d = max(sink, 1) if r == 0 else max(before_sink, default=last)
+                assert_state_after_draws(tail, seed, n, d, (n, k, r, seed))
 
 
 @pytest.mark.parametrize("s", [
@@ -215,6 +262,9 @@ FROZEN_WINS = [
     (500, 8, None, 402, 738),
     (1025, 2, Strategy.tau_n(), 304, 186),
     (1025, 512, Strategy.tau_n(), 305, 1018),
+    (1025, 3, Strategy.first_max(), 403, 7),
+    (1025, 1024, Strategy.classical_threshold(377), 404, 724),
+    (1025, 3, Strategy.classical_threshold(377), 405, 12),
 ]
 
 
