@@ -23,16 +23,18 @@ prefix that ends with the sink leaves position n and no k+1 consecutive
 interior positions missing.  So ``_tau_n_win`` runs ``_shuffled``'s draw
 loop and stops at the first fixed value that settles the win; there is no
 forward search.  ``first_max`` and ``classical_threshold`` read the tail
-the same way (``_first_max_win``, ``_classical_threshold_win``).  Only
-``tau_p_star`` plays the full shuffle forward, in ``run_trial``, because
-its coin flips follow the shuffle in the stream.
+the same way (``_first_max_win``, ``_classical_threshold_win``).  A
+``tau_p_star`` trial's coin flips follow the whole shuffle in the stream,
+so ``_sink_index`` makes every draw, with no list, to find the sink; the
+trial loses if the sink is among the M rejected arrivals, and otherwise
+reseeds and reads the tail as ``classical_threshold(M)``.
 
-None of this is an API contract: tests pin the shuffle against
-``random.shuffle`` (every n <= 300, and across block edges up to 4097),
-each tail reader's win and generator state against a full shuffle and the
-forward rule (block edges up to 4097), the decoded words against
-``random()`` (every n <= 300), and the reseeded generator against one
-fresh generator per trial.
+None of this is an API contract: tests pin the shuffle and the sink's
+index against ``random.shuffle`` (every n <= 300, and across block edges
+up to 4097), each tail reader's win and generator state against a full
+shuffle and the forward rule (block edges up to 4097), the decoded words
+against ``random()`` (every n <= 300), and the reseeded generator against
+one fresh generator per trial.
 """
 from __future__ import annotations
 
@@ -169,6 +171,29 @@ def _first_max_win(n: int, rng: random.Random) -> bool:
     return True
 
 
+def _sink_index(n: int, rng: random.Random) -> int:
+    """The sink's index in ``_shuffled(n, rng)``, drawing the same words.
+
+    As in ``_first_max_win``, 1 leaves index 0 at the first draw of 0, for
+    index i, and stays there; with no such draw it ends at index 0.  The
+    loop makes all of the shuffle's draws, so the stream after it is where
+    the shuffle leaves it.
+    """
+    sink = 0
+    getrandbits = rng.getrandbits
+    hi = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        lo = (1 << (bits - 1)) - 1
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            if not j and not sink:
+                sink = i
+        hi = lo - 1
+    return sink
+
+
 def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool:
     """One ``classical_threshold(r)`` trial, read from the shuffle's tail.
 
@@ -213,6 +238,22 @@ def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool
     return seen
 
 
+def _tau_p_star_win(n: int, k: int, s: Strategy, seed: int, rng: random.Random) -> bool:
+    """One ``tau_p_star`` trial on the stream ``rng.seed(seed)`` set.
+
+    The rejection count M is drawn after the whole shuffle, so find the
+    sink's index first.  The trial loses if the sink is among the M rejected
+    arrivals.  Otherwise it is ``classical_threshold(M)`` on the same order:
+    reseed and read the shuffle's tail down to M.
+    """
+    sink = _sink_index(n, rng)
+    m = min(_skip_count(s, n, rng), n - 1)
+    if m > sink:
+        return False
+    rng.seed(seed)
+    return _classical_threshold_win(n, k, m, rng)
+
+
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     """One simulated run of a threshold-family strategy (``first_max``,
     ``classical_threshold``, ``tau_p_star``): draw the arrival order, then
@@ -221,10 +262,9 @@ def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
     The stream is consumed in a fixed order (shuffle, then any strategy
     randomness) to keep records reproducible.  The shuffle is
     ``_shuffled``, CPython's ``random.shuffle`` inlined and pinned to it by
-    a test.  ``simulate`` plays only ``tau_p_star`` here, since its coin
-    flips follow the whole shuffle.  ``first_max`` and
-    ``classical_threshold`` trials read the shuffle's tail for their win,
-    and tests hold those readers to this forward play.
+    a test.  ``simulate`` reads every threshold-family trial from the
+    shuffle's tail instead, and tests hold those readers to this forward
+    play.
     """
     if s.kind == "tau_n":
         raise ValueError("run_trial plays the threshold family; tau_n reads the shuffle's tail")
@@ -262,12 +302,12 @@ def _continuous_win(n: int, gap: bytes, rng: random.Random) -> bool:
 def _count_wins(
     n: int, k: int, s: Strategy | None, master_seed: int, start: int, stop: int
 ) -> int:
-    g = PathPower(n, k)
     gap = b"\x01" * (k + 1)
     rng = random.Random()
     wins = 0
     for i in range(start, stop):
-        rng.seed(trial_seed(master_seed, i))
+        seed = trial_seed(master_seed, i)
+        rng.seed(seed)
         if s is None:
             wins += _continuous_win(n, gap, rng)
         elif s.kind == "tau_n":
@@ -277,7 +317,7 @@ def _count_wins(
         elif s.kind == "classical_threshold":
             wins += _classical_threshold_win(n, k, s.r, rng)
         else:
-            wins += run_trial(g, s, rng).win
+            wins += _tau_p_star_win(n, k, s, seed, rng)
     return wins
 
 
@@ -303,8 +343,8 @@ def simulate(
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     _check_seed(master_seed)
+    PathPower(n, k)  # check n, k before any pool starts
     if s is None:
-        PathPower(n, k)  # the same n, k errors as the discrete models
         if k >= n - 2:
             raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
     started = time.perf_counter()

@@ -22,7 +22,8 @@ from stopflow import (
 )
 from stopflow.oracle import walk_prefixes
 from stopflow.simulate import (
-    _classical_threshold_win, _first_max_win, _shuffled, _tau_n_win, run_trial,
+    _classical_threshold_win, _first_max_win, _shuffled, _sink_index, _tau_n_win,
+    _tau_p_star_win, run_trial,
 )
 
 # The package's ``simulate`` attribute is the function; this is the module.
@@ -51,8 +52,8 @@ def test_trial_seed_derivation():
 def assert_matches_reference_runner(g, s, seed):
     # Replay the same stream through the Observer-based reference: shuffle
     # first, then strategy randomness.  The tail readers (tau_n, first_max,
-    # classical_threshold) give only their win; run_trial plays the threshold
-    # family forward and gives the whole record.
+    # classical_threshold, tau_p_star) give only their win; run_trial plays
+    # the threshold family forward and gives the whole record.
     rng = random.Random(seed)
     perm = list(range(1, g.n + 1))
     rng.shuffle(perm)
@@ -65,6 +66,8 @@ def assert_matches_reference_runner(g, s, seed):
         assert _first_max_win(g.n, random.Random(seed)) == ref.win
     elif s.kind == "classical_threshold":
         assert _classical_threshold_win(g.n, g.k, s.r, random.Random(seed)) == ref.win
+    else:
+        assert _tau_p_star_win(g.n, g.k, s, seed, random.Random(seed)) == ref.win
 
 
 def test_run_trial_matches_reference_runner():
@@ -140,6 +143,21 @@ def test_inline_shuffle_is_random_shuffle():
             perm = list(range(1, n + 1))
             ref.shuffle(perm)
             assert _shuffled(n, fast) == perm, (n, seed)
+            assert fast.getstate() == ref.getstate(), (n, seed)
+
+
+def test_sink_index_reads_the_whole_shuffle():
+    # _sink_index finds 1 where random.shuffle puts it and leaves the
+    # generator where the shuffle does, so tau_p_star's coins follow as
+    # before.  The large n straddle the bit-length blocks of the draw loop.
+    boundaries = [127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097]
+    for n in [*range(2, 301), *boundaries]:
+        for i in range(5):
+            seed = trial_seed(n, 11 + i)
+            fast, ref = random.Random(seed), random.Random(seed)
+            perm = list(range(1, n + 1))
+            ref.shuffle(perm)
+            assert _sink_index(n, fast) == perm.index(1), (n, seed)
             assert fast.getstate() == ref.getstate(), (n, seed)
 
 
@@ -265,6 +283,11 @@ FROZEN_WINS = [
     (1025, 3, Strategy.first_max(), 403, 7),
     (1025, 1024, Strategy.classical_threshold(377), 404, 724),
     (1025, 3, Strategy.classical_threshold(377), 405, 12),
+    (1025, 1024, Strategy.tau_p_star(0.37), 406, 730),
+    (10, 3, Strategy.tau_p_star(0.25), 407, 566),
+    (1025, 3, Strategy.tau_p_star(0.9), 408, 180),
+    (60, 2, Strategy.tau_p_star(1.0), 409, 42),
+    (60, 2, Strategy.tau_p_star(0.0), 410, 24),
 ]
 
 
@@ -334,6 +357,18 @@ def test_simulate_pool_size_is_bounded(serial_pool, monkeypatch, threads, trials
     pooled = simulate(8, 2, Strategy.tau_n(), trials, master_seed=5, threads=threads)
     assert serial_pool == [workers]
     assert pooled.wins == simulate(8, 2, Strategy.tau_n(), trials, master_seed=5).wins
+
+
+@pytest.mark.parametrize("n, k, s", [
+    (5, 5, Strategy.tau_n()),
+    (5, 0, Strategy.tau_p_star(0.5)),
+    (1, 1, Strategy.first_max()),
+    (3, 3, None),
+])
+def test_simulate_checks_n_k_before_it_starts_a_pool(serial_pool, n, k, s):
+    with pytest.raises(ValueError, match="n="):
+        simulate(n, k, s, 10, master_seed=0, threads=2)
+    assert serial_pool == []
 
 
 def test_simulate_none_is_continuous_win_rate(serial_pool, monkeypatch):
