@@ -1,15 +1,24 @@
 """Exact rational evaluation of the success probability and analytic bounds.
 
 The win probability of the slack-triggered rule decomposes over the time m
-at which the triggering condition first can hold.  For each m the count
-``W[m]`` of qualifying arrival sets (those whose missing positions all fit
-in gaps of width at most k) splits as ``W[m] = sum_h V[m, h]``, where the
-h-th slice holds the sets with exactly h+1 components.  The probability is
+at which the triggering condition first can hold.  The count ``W[m]`` of
+qualifying arrival sets (those holding positions 1 and n whose missing
+positions all fit in gaps of width at most k) spreads the n-m missing
+positions over the m-1 gaps between arrivals, so
 
-    sum over m of  W[m] / (m * C(n, m)),
+    W[m] = [x^(n-m)] (1 + x + ... + x^k)^(m-1),
 
-evaluated with big-integer rationals; only the Gamma-function bounds use
-floating point.
+and the probability is
+
+    sum over m of  W[m] / (m * C(n, m))  =  sum over m of  W[m] (m-1)! (n-m)! / n!.
+
+Two paths compute it.  ``success_probability_exact`` reads ``W`` off the
+generating function's coefficient rows, with big integers over the one
+denominator n!.  ``exact_tables`` counts the sets by composition
+enumeration instead, splitting ``W[m] = sum_h V[m, h]`` where the h-th slice
+holds the sets with exactly h+1 components; it gives the per-m breakdown of
+``stopflow exact`` and is the slow reference the first path is tested
+against.  Only the Gamma-function bounds use floating point.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 EPSILON_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
@@ -86,7 +96,6 @@ class ExactTables:
     k: int
     V: dict[tuple[int, int], int]
     W: dict[int, int]
-    T: dict[int, int]
     probability: Fraction
 
 
@@ -102,25 +111,39 @@ def exact_tables(n: int, k: int) -> ExactTables:
     _check_nk(n, k)
     V: dict[tuple[int, int], int] = {}
     W: dict[int, int] = {}
-    T: dict[int, int] = {}
     probability = Fraction(0)
     for m in range(min_condition_time(n, k), n + 1):
         w_m = 0
-        t_m = 0
         for h in range((n - m) // k + 1):
             v = v_mh(n, k, m, h)
             V[m, h] = v
             w_m += v
-            t_m += (h + 1) * v
         W[m] = w_m
-        T[m] = t_m
         probability += Fraction(w_m, m * math.comb(n, m))
-    return ExactTables(n=n, k=k, V=V, W=W, T=T, probability=probability)
+    return ExactTables(n=n, k=k, V=V, W=W, probability=probability)
 
 
 def success_probability_exact(n: int, k: int) -> Fraction:
-    """Exact win probability of the optimal distance-aware rule on (n, k)."""
-    return exact_tables(n, k).probability
+    """Exact win probability of the optimal distance-aware rule on (n, k).
+
+    Sums ``W[m] (m-1)! (n-m)!`` over the denominator n!, where
+    ``W[m] = [x^(n-m)] (1 + x + ... + x^k)^(m-1)``.  ``row`` holds that
+    power's coefficients up to degree n-m, the highest this or any later
+    step reads; the next power's are its sums over windows of width k+1.
+    ``W[m]`` is 0 for m below ``min_condition_time``.  No ``V`` table is
+    built: ``exact_tables`` is the composition-enumeration reference this
+    equals.
+    """
+    _check_nk(n, k)
+    row = [1] + [0] * (n - 1)  # (1 + ... + x^k)^0 up to degree n-1
+    total = 0
+    for m in range(1, n + 1):
+        total += row[n - m] * math.factorial(m - 1) * math.factorial(n - m)
+        # Next row at r: row[r-k] + ... + row[r] = prefix[r+1] - prefix[r-k],
+        # where prefix reads 0 below index 0.
+        prefix = list(accumulate(row, initial=0))
+        row = [hi - lo for hi, lo in zip(prefix[1:n - m + 1], [0] * k + prefix)]
+    return Fraction(total, math.factorial(n))
 
 
 def success_probability_k2(n: int) -> Fraction:

@@ -344,6 +344,19 @@ def test_scaling_csv_rows_and_skips(tmp_path, capsys):
         assert float(fields[4]) <= 1.2879
 
 
+def test_scaling_probability_equals_exact_report(capsys):
+    # scaling reads the generating-function path, exact the composition tables.
+    for n, k in [(9, 2), (17, 4), (30, 3), (40, 1)]:
+        code, out, _ = run_cli(capsys, "scaling", "--k", str(k), "--n", str(n),
+                               "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        code, out, _ = run_cli(capsys, "exact", "--n", str(n), "--k", str(k),
+                               "--format", "json")
+        assert code == 0
+        assert row["p_exact"] == json.loads(out)["report"]["probability_fraction"]
+
+
 def test_scaling_json(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--k", "2", "--n", "10..30:10",
                            "--format", "json")

@@ -111,7 +111,6 @@ def test_tables_match_subset_enumeration():
                 assert tabs.W[m] == sum(by_h.values())
                 for h in range((n - m) // k + 1):
                     assert tabs.V[m, h] == by_h.get(h, 0)
-                assert tabs.T[m] == sum((h + 1) * v for h, v in by_h.items())
 
 
 def test_no_qualifying_subsets_below_range():
@@ -146,8 +145,14 @@ def test_degenerate_powers_give_one_half():
         assert success_probability_exact(n, n - 2) == Fraction(1, 2)
 
 
+def test_generating_function_matches_composition_tables():
+    cases = [(n, k) for n in range(2, 21) for k in range(1, n)]
+    for n, k in cases + [(60, 6), (100, 2), (200, 1)]:
+        assert success_probability_exact(n, k) == exact_tables(n, k).probability
+
+
 def test_k2_simplification_matches_general_form():
-    for n in range(3, 26):
+    for n in range(3, 201):
         assert success_probability_k2(n) == success_probability_exact(n, 2)
 
 
