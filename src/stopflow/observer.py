@@ -13,13 +13,15 @@ changes by three gap terms.  The slack
     slack(t) = (n - t) - k * (components - 1) - pending_inner
 
 counts future arrivals not already forced into gaps or inner slots.
-Strategies must consume only :class:`ObservationEvent` and the relative
-component structure; absolute positions never cross that boundary.
+Strategies must consume only :class:`ObservationEvent`, an immutable
+``typing.NamedTuple``, and the relative component structure; absolute
+positions never cross that boundary.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import PathPower
 
@@ -53,9 +55,9 @@ class ComponentView:
         return len(self.offsets)
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
-    """What the selector learns from one arrival."""
+class ObservationEvent(NamedTuple):
+    """What the selector learns from one arrival.  The exhaustive oracles build
+    one per prefix; a NamedTuple costs a third of a frozen dataclass."""
 
     t: int
     is_max: bool
@@ -82,7 +84,7 @@ class Observer:
         self.component_count = 0
         self.pending_inner = 0
         self._arrived: list[int] = []  # all arrived positions, sorted
-        self._history: list[tuple[int, int, int, int]] = []  # (pos, totals before it)
+        self._history: list[tuple[int, int, int, int]] = []  # (insert index, totals before it)
 
     @property
     def slack(self) -> int:
@@ -102,14 +104,15 @@ class Observer:
 
     def undo(self) -> None:
         """Take back the latest arrival (IndexError if none): one observer walks many prefixes."""
-        pos, self.t, self.component_count, self.pending_inner = self._history.pop()
-        del self._arrived[bisect.bisect_left(self._arrived, pos)]
+        idx, self.t, self.component_count, self.pending_inner = self._history.pop()
+        del self._arrived[idx]
 
     def observe(self, pos: int) -> ObservationEvent:
         """Ingest the arrival of ``pos`` and report the resulting event."""
-        g = self.g
-        k = g.k
-        g._check_position(pos)
+        n = self.g.n
+        k = self.g.k
+        if not 1 <= pos <= n:
+            raise ValueError(f"position {pos} out of range 1..{n}")
         arrived = self._arrived
         idx = bisect.bisect_left(arrived, pos)
         if idx < len(arrived) and arrived[idx] == pos:
@@ -118,20 +121,31 @@ class Observer:
         # Sorted neighbours; a missing one is a sentinel beyond reach, so
         # every gap that touches it is wider than k.
         below = arrived[idx - 1] if idx else -k
-        above = arrived[idx] if idx < len(arrived) else g.n + k + 1
+        above = arrived[idx] if idx < len(arrived) else n + k + 1
         arrived.insert(idx, pos)
-        self._history.append((pos, self.t, self.component_count, self.pending_inner))
-        self.t += 1
+        # Undo restores the list before any later arrival, so idx still holds pos.
+        t, count, inner = self.t, self.component_count, self.pending_inner
+        self._history.append((idx, t, count, inner))
+        t += 1
 
         # pos replaces the gap (below, above) by (below, pos) and (pos, above).
-        self.component_count += 1
-        for width, sign in ((above - below, -1), (pos - below, 1), (above - pos, 1)):
-            if width <= k:
-                self.component_count -= sign
-                self.pending_inner += sign * (width - 1)
+        count += 1
+        width = above - below
+        if width <= k:
+            count += 1
+            inner -= width - 1
+        width = pos - below
+        if width <= k:
+            count -= 1
+            inner += width - 1
+        width = above - pos
+        if width <= k:
+            count -= 1
+            inner += width - 1
+        self.t, self.component_count, self.pending_inner = t, count, inner
 
-        # Positional: keywords cost a frozen dataclass about a third more.
         # Maximal iff no outgoing edge, i.e. nothing arrived in [pos-k, pos-1].
+        # With a component present the slack is the module formula.
         return ObservationEvent(
-            self.t, pos - below > k, self.component_count, self.pending_inner, self.slack
+            t, pos - below > k, count, inner, (n - t) - k * (count - 1) - inner
         )

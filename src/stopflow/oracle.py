@@ -42,19 +42,24 @@ def walk_prefixes(g: PathPower, visit: Callable[..., bool | None]) -> None:
     events (both lists are reused).  A true return skips the extensions of
     the prefix: the visitor has credited its (n - t)! completions at once.
     """
-    _walk(Observer(g), [], [], visit)
+    _walk(Observer(g), list(g.positions()), [], [], visit)
 
 
-def _walk(obs: Observer, path: list[int], events: list[ObservationEvent], visit: Callable) -> None:
+def _walk(obs: Observer, free: list[int], path: list[int], events: list[ObservationEvent],
+          visit: Callable) -> None:
     # Module level, not a recursive closure: its reference cycle outlives the call.
-    for pos in [p for p in obs.g.positions() if p not in path]:
+    # ``free`` holds the unarrived positions, sorted; each is lent to the
+    # child walk and put back in place, so the order stays lexicographic.
+    for i in range(len(free)):
+        pos = free.pop(i)
         path.append(pos)
         events.append(obs.observe(pos))
-        if not visit(path, events):
-            _walk(obs, path, events, visit)
+        if not visit(path, events) and free:
+            _walk(obs, free, path, events, visit)
         obs.undo()
         path.pop()
         events.pop()
+        free.insert(i, pos)
 
 
 def _threshold_win_counts(n: int, k: int) -> list[int]:
@@ -139,13 +144,14 @@ def canonical_info_state(g: PathPower, prefix: Sequence[int]) -> InfoState:
     absolute placement and the relative order of components are quotiented
     out because the selector cannot resolve them.
     """
-    order = {pos: i for i, pos in enumerate(prefix, start=1)}
-    recs = [tuple(sorted((order[p], p - run[0]) for p in run))
-            for run in component_runs(sorted(prefix), g.k)]
-    # Arrival indices differ across components, so plain tuple order sorts
-    # the records by their first arrival.
-    recs.sort()
-    return tuple(recs)
+    low = {p: run[0] for run in component_runs(sorted(prefix), g.k) for p in run}
+    # Grouped in arrival order: each component's members come by arrival
+    # index, and dict insertion order lists the components by first arrival.
+    comps: dict[int, list[tuple[int, int]]] = {}
+    for i, pos in enumerate(prefix, start=1):
+        base = low[pos]
+        comps.setdefault(base, []).append((i, pos - base))
+    return tuple(map(tuple, comps.values()))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -257,7 +256,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 
     def corrupted(self, pos):
         event = original(self, pos)
-        return dataclasses.replace(event, pending_inner=event.pending_inner + 1)
+        return event._replace(pending_inner=event.pending_inner + 1)
 
     monkeypatch.setattr(Observer, "observe", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--bounds-n", "20")
@@ -296,7 +295,7 @@ def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, 
 
     def corrupted(self, pos):
         event = original(self, pos)
-        return dataclasses.replace(event, **{field: change(event)}) if event.t == 3 else event
+        return event._replace(**{field: change(event)}) if event.t == 3 else event
 
     monkeypatch.setattr(Observer, "observe", corrupted)
     assert not check(5).passed

@@ -166,6 +166,23 @@ def test_k1_reduction_matches_general_form():
         assert reduced == success_probability_exact(n, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=14))
+def test_success_probability_matches_plain_subset_enumeration(n):
+    # Slow reference: every arrival set holding 1 and n counts 1/(m C(n, m))
+    # under each k that no run of missing positions exceeds.
+    sets_by_m_and_gap: dict[tuple[int, int], int] = {}
+    for bits in range(1 << (n - 2)):
+        present = [1, *(q for q in range(2, n) if bits >> (q - 2) & 1), n]
+        gap = max(b - a - 1 for a, b in zip(present, present[1:]))
+        key = (len(present), gap)
+        sets_by_m_and_gap[key] = sets_by_m_and_gap.get(key, 0) + 1
+    for k in range(1, n):
+        expected = sum(Fraction(count, m * math.comb(n, m))
+                       for (m, gap), count in sets_by_m_and_gap.items() if gap <= k)
+        assert success_probability_exact(n, k) == expected, (n, k)
+
+
 def test_probability_lies_in_unit_interval():
     for n in range(2, 12):
         for k in range(1, n):

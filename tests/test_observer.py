@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopflow import Observer, PathPower
+from stopflow import ObservationEvent, Observer, PathPower
 
 GOLDEN_PERM = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 GOLDEN_PENDING = (0, 0, 1, 2, 1, 1, 2, 1, 0)
@@ -83,6 +84,34 @@ def test_out_of_range_arrival_rejected():
         obs.observe(6)
     with pytest.raises(ValueError):
         obs.observe(0)
+
+
+def test_rejected_arrivals_leave_the_state_untouched():
+    obs = Observer(PathPower(5, 2))
+    obs.observe(3)
+    obs.observe(1)
+    before = observer_state(obs), list(obs._history), list(obs._arrived)
+    for pos, message in ((0, "position 0 out of range 1..5"),
+                         (6, "position 6 out of range 1..5"),
+                         (3, "position 3 arrived twice")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            obs.observe(pos)
+        assert (observer_state(obs), obs._history, obs._arrived) == before, pos
+    # The undo stack still holds exactly the two accepted arrivals.
+    obs.undo()
+    assert observer_state(obs) == observer_state(run_events(5, 2, (3,))[0])
+    obs.undo()
+    with pytest.raises(IndexError):
+        obs.undo()
+
+
+def test_event_is_an_immutable_named_tuple():
+    event = Observer(PathPower(9, 2)).observe(4)
+    assert ObservationEvent._fields == ("t", "is_max", "component_count", "pending_inner", "slack")
+    assert event == (1, True, 1, 0, 8) and not event.condition_met
+    with pytest.raises(AttributeError):
+        event.slack = 0
+    assert event._replace(slack=0).condition_met
 
 
 def test_stopping_condition():

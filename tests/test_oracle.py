@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -18,6 +19,8 @@ from stopflow import (
     success_probability_exact,
 )
 from stopflow.exact import conditional_success
+from stopflow.observer import Observer, component_runs
+from stopflow.oracle import walk_prefixes
 
 
 def test_brute_force_golden_values():
@@ -45,6 +48,47 @@ def replayed_win_probability(n, k, s):
     g = PathPower(n, k)
     won = sum(run_strategy(s, g, perm).win for perm in itertools.permutations(range(1, n + 1)))
     return Fraction(won, math.factorial(n))
+
+
+def all_prefixes(n):
+    """Every arrival prefix of positions 1..n, in lexicographic order."""
+    return sorted(p for t in range(1, n + 1) for p in itertools.permutations(range(1, n + 1), t))
+
+
+def test_walk_visits_every_prefix_once_in_lexicographic_order():
+    for n in range(2, 7):
+        expected = all_prefixes(n)
+        assert len(expected) == sum(math.factorial(n) // math.factorial(n - t)
+                                    for t in range(1, n + 1))
+        for k in range(1, n):
+            g = PathPower(n, k)
+            seen = []
+
+            def visit(path, events):
+                seen.append(tuple(path))
+                fresh = Observer(g)
+                assert events == [fresh.observe(pos) for pos in path]
+
+            walk_prefixes(g, visit)
+            assert seen == expected, (n, k)
+
+
+def test_walk_skips_exactly_the_subtree_of_a_true_visit():
+    for n in range(2, 7):
+        prefixes = all_prefixes(n)
+        for k in range(1, n):
+            for d in range(1, n + 1):
+                def prune(prefix):
+                    return len(prefix) == d and sum(prefix) % 2 == 0
+
+                seen = []
+
+                def visit(path, events):
+                    seen.append(tuple(path))
+                    return prune(path)
+
+                walk_prefixes(PathPower(n, k), visit)
+                assert seen == [p for p in prefixes if len(p) <= d or not prune(p[:d])], (n, k, d)
 
 
 def test_threshold_counts_match_reference_runner():
@@ -122,6 +166,56 @@ def test_info_state_canonicalization_soundness():
                     rel = (t, labeled_relation(g, prefix))
                     assert state_to_rel.setdefault(state, rel) == rel
                     assert rel_to_state.setdefault(rel, state) == state
+
+
+def sorted_info_state(g, prefix):
+    """The slow reference: sort each component's members by arrival index,
+    then the components by their first arrival."""
+    order = {pos: i for i, pos in enumerate(prefix, start=1)}
+    recs = [tuple(sorted((order[p], p - run[0]) for p in run))
+            for run in component_runs(sorted(prefix), g.k)]
+    recs.sort()
+    return tuple(recs)
+
+
+def test_info_state_matches_the_sorting_reference():
+    for n in range(2, 8):
+        prefixes = all_prefixes(n)
+        for k in range(1, n):
+            g = PathPower(n, k)
+            for prefix in prefixes:
+                assert canonical_info_state(g, prefix) == sorted_info_state(g, prefix), (k, prefix)
+
+
+# (class count, sha256 of the audit's repr, DP value), as computed with the
+# sorting canonical state above and a walk that rescanned for unarrived
+# positions at every node.
+PINNED_CLASSES = {
+    (2, 1): (3, "049dbe5736b2e78d", Fraction(1, 2)),
+    (3, 1): (10, "ed210b4e515ada37", Fraction(1, 2)),
+    (3, 2): (11, "c1ccfb19361e0a37", Fraction(1, 2)),
+    (4, 1): (40, "cbb014c4f931069d", Fraction(5, 12)),
+    (4, 2): (48, "4bdc80d1a62a16ba", Fraction(1, 2)),
+    (4, 3): (49, "be338819ebb1d041", Fraction(1, 2)),
+    (5, 1): (197, "af134b070763c8ca", Fraction(23, 60)),
+    (5, 2): (252, "9af5bb6f71920d5e", Fraction(9, 20)),
+    (5, 3): (260, "9502d614250a1217", Fraction(1, 2)),
+    (5, 4): (261, "b0f0057b954b6baf", Fraction(1, 2)),
+    (6, 1): (1169, "d710dd184354ac0c", Fraction(7, 20)),
+    (6, 2): (1566, "2dca55769323f37e", Fraction(13, 30)),
+    (6, 3): (1622, "9976b7625677d867", Fraction(7, 15)),
+    (6, 4): (1630, "15b84de497daafaf", Fraction(1, 2)),
+    (6, 5): (1631, "50f807927a956fbe", Fraction(1, 2)),
+}
+
+
+def test_info_class_audit_and_dp_values_are_pinned():
+    assert set(PINNED_CLASSES) == {(n, k) for n in range(2, 7) for k in range(1, n)}
+    for (n, k), (classes, digest, value) in PINNED_CLASSES.items():
+        audit = info_class_audit(n, k)
+        assert len(audit) == classes, (n, k)
+        assert hashlib.sha256(repr(audit).encode()).hexdigest()[:16] == digest, (n, k)
+        assert dp_optimal_value(n, k) == value, (n, k)
 
 
 def test_info_state_encoding_is_pinned():
