@@ -2,9 +2,12 @@
 
 Everything here certifies the rest of the package by brute force: one walk
 over all arrival prefixes on one observer, exact mixing over the rejection
-count of the randomized rule, backward induction over canonical information
-states (the optimal value over all stopping rules that see only the labeled
-induced graph), and the continuous-arrival win test.
+count of the randomized rule, backward induction over information classes
+(the optimal value over all stopping rules that see only the labeled
+induced graph), and the continuous-arrival win test.  A class is an
+observation history, keyed by its parent class and the arcs of the newest
+arrival; ``canonical_info_state`` is the audit's encoding of a class, and
+the audit checks that the two determine each other.
 """
 from __future__ import annotations
 
@@ -129,7 +132,7 @@ def brute_force_win_probability(
 
 
 # ---------------------------------------------------------------------------
-# Canonical information states and backward induction
+# Information classes and backward induction
 # ---------------------------------------------------------------------------
 
 InfoState = tuple[tuple[tuple[int, int], ...], ...]
@@ -142,9 +145,15 @@ def canonical_info_state(g: PathPower, prefix: Sequence[int]) -> InfoState:
     component each vertex appears as (arrival index, offset from the lowest
     known vertex).  Offsets are exactly what the distance labels reveal;
     absolute placement and the relative order of components are quotiented
-    out because the selector cannot resolve them.
+    out because the selector cannot resolve them.  A position out of range
+    or arrived twice raises ``ValueError``, as ``Observer.observe`` does.
     """
-    low = {p: run[0] for run in component_runs(sorted(prefix), g.k) for p in run}
+    ordered = sorted(prefix)
+    if ordered and (ordered[0] < 1 or ordered[-1] > g.n) or len(set(ordered)) < len(ordered):
+        obs = Observer(g)
+        for pos in prefix:  # raises at the first bad arrival
+            obs.observe(pos)
+    low = {p: run[0] for run in component_runs(ordered, g.k) for p in run}
     # Grouped in arrival order: each component's members come by arrival
     # index, and dict insertion order lists the components by first arrival.
     comps: dict[int, list[tuple[int, int]]] = {}
@@ -171,35 +180,45 @@ class InfoClassStat:
         return Fraction(self.sink_last, self.members)
 
 
-def _info_classes(g: PathPower) -> dict[InfoState, list]:
+def _info_classes(g: PathPower) -> list[list]:
     """Every information class, by the prefix walk.
 
-    Maps each canonical state to ``[t, members, sink_last, parent_state,
-    event]``: the prefix length, the number of member prefixes, how many of
-    them end on the sink, the class of the members with the last arrival
-    dropped (None at t = 1), and the observer event of the first member's
-    last arrival.  The filtration is nested, so that class is the same for
-    every member; backward induction rests on this, and a class reached
-    from two parent classes raises.  Each parent precedes its children.
+    A class is an observation history: its parent class (the members with
+    the last arrival dropped) plus the newest arrival's row, the arrival
+    index and signed distance ``pos - path[i]`` of each earlier arrival
+    within k of it, which is what its arcs and their labels show.  So the
+    classes nest by construction.  Each record is ``[t, members, sink_last,
+    parent, event, prefix]``: the prefix length, the number of member
+    prefixes, how many of them end on the sink, the parent's index (-1 at
+    t = 1), the observer event of the first member's last arrival, and
+    that first member.  Records are listed in creation order, so each
+    parent precedes its children.
     """
-    classes: dict[InfoState, list] = {}
-    path_states: list[InfoState | None] = [None] * (g.n + 1)  # [t]: class of the t-prefix
+    k = g.k
+    classes: list[list] = []
+    index: dict[tuple[int, ...], int] = {}  # (parent, i1, d1, i2, d2, ...) -> class
+    path_ids = [-1] * (g.n + 1)  # [t]: class of the t-prefix
 
     def visit(path: list[int], events: list[ObservationEvent]) -> None:
         t = len(path)
-        state = path_states[t] = canonical_info_state(g, path)
-        parent = path_states[t - 1]
-        sink = int(path[-1] == 1)
-        rec = classes.get(state)
-        if rec is None:
-            classes[state] = [t, 1, sink, parent, events[-1]]
-        elif rec[3] != parent:
-            raise RuntimeError(
-                f"information class {state} reached from two parent classes"
-            )
+        pos = path[-1]
+        parent = path_ids[t - 1]
+        key = [parent]
+        for i in range(t - 1):
+            d = pos - path[i]
+            if -k <= d <= k:
+                key += (i, d)
+        key = tuple(key)
+        sink = int(pos == 1)
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(classes)
+            classes.append([t, 1, sink, parent, events[-1], tuple(path)])
         else:
+            rec = classes[c]
             rec[1] += 1
             rec[2] += sink
+        path_ids[t] = c
 
     walk_prefixes(g, visit)
     return classes
@@ -208,31 +227,45 @@ def _info_classes(g: PathPower) -> dict[InfoState, list]:
 def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     """Value of the optimal stopping problem by exact backward induction.
 
-    States are canonical information classes; stop values and transition
-    probabilities come from counting compatible ground-truth completions, so
-    the result is the exact optimum over all stopping rules adapted to the
-    labeled observation filtration.  The induction runs on integers: a
-    class's best is the number of completions of its members that optimal
-    play wins, the larger of stopping (sink_last * (n-t)!) and the sum of
-    its children's bests.
+    States are the information classes, the observation histories of
+    ``_info_classes``; stop values and transition probabilities come from
+    counting compatible ground-truth completions, so the result is the
+    exact optimum over all stopping rules adapted to the labeled
+    observation filtration.  The induction runs on integers, over the
+    classes in reverse creation order: a class's best is the number of
+    completions of its members that optimal play wins, the larger of
+    stopping (sink_last * (n-t)!) and the sum of its children's bests.
     """
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
     classes = _info_classes(PathPower(n, k))
-    won: dict[InfoState | None, int] = {}  # summed bests of each class's children
-    for state, (t, _, sink_last, parent, _) in reversed(classes.items()):
-        best = max(sink_last * math.factorial(n - t), won.pop(state, 0))
-        won[parent] = won.get(parent, 0) + best
-    return Fraction(won[None], math.factorial(n))
+    won = [0] * (len(classes) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
+    for c in range(len(classes) - 1, -1, -1):
+        t, _, sink_last, parent, _, _ = classes[c]
+        won[parent] += max(sink_last * math.factorial(n - t), won[c])
+    return Fraction(won[-1], math.factorial(n))
 
 
 def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassStat]:
-    """Per-class statistics for every information class, ordered by time step."""
+    """Per-class statistics for every information class, ordered by time step.
+
+    Each class carries ``canonical_info_state`` of its first member.  That
+    encoding and the observation history must determine each other, so two
+    classes with one state raise ``RuntimeError``: one of the two merges
+    histories the selector can tell apart.
+    """
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
+    g = PathPower(n, k)
+    stats = []
+    seen: set[InfoState] = set()
     # The state fixes the counts and maximality, so any member's event has them.
-    stats = [
-        InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
-        for state, (t, members, sink_last, _, e) in _info_classes(PathPower(n, k)).items()
-    ]
+    for t, members, sink_last, _, e, prefix in _info_classes(g):
+        state = canonical_info_state(g, prefix)
+        if state in seen:
+            raise RuntimeError(f"two information classes share the canonical state {state}")
+        seen.add(state)
+        stats.append(
+            InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
+        )
     stats.sort(key=lambda st: st.t)
     return stats
 

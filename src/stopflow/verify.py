@@ -26,6 +26,7 @@ from .exact import (
 from .graph import PathPower
 from .observer import Observer
 from .oracle import (
+    DP_GUARD,
     ENUMERATION_GUARD,
     ContinuousArrival,
     ResourceGuardError,
@@ -86,7 +87,7 @@ def check_formula_vs_oracle(n_max: int = 8) -> Check:
 
 
 def check_dp_vs_formula(n_max: int = 7) -> Check:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
@@ -267,7 +268,7 @@ def check_max_given_components(n_max: int = 7) -> Check:
 
 
 def check_conditional_success_vs_states(n_max: int = 6) -> Check:
-    n_max = min(n_max, 6)
+    n_max = min(n_max, 6, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):

@@ -280,6 +280,15 @@ def test_verify_checks_cap_n_max_themselves():
         assert check(9).detail == detail, check.__name__
 
 
+def test_dp_checks_cap_n_max_at_the_dp_guard(monkeypatch):
+    # A lowered guard shortens the checks that run the DP instead of making
+    # verify raise mid-suite.
+    for module in ("stopflow.oracle", "stopflow.verify"):
+        monkeypatch.setattr(f"{module}.DP_GUARD", 5)
+    assert check_dp_vs_formula(7).detail == "9 (n,k) pairs equal up to n=5"
+    assert check_conditional_success_vs_states(7) == check_conditional_success_vs_states(5)
+
+
 @pytest.mark.parametrize("field, change, check", [
     ("is_max", lambda e: not e.is_max, check_max_given_components),
     ("slack", lambda e: e.slack - 1, check_observer_invariants),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,10 @@ from stopflow import (
     run_strategy,
     success_probability_exact,
 )
+from stopflow import oracle
 from stopflow.exact import conditional_success
 from stopflow.observer import Observer, component_runs
-from stopflow.oracle import walk_prefixes
+from stopflow.oracle import _info_classes, walk_prefixes
 
 
 def test_brute_force_golden_values():
@@ -278,15 +280,101 @@ def test_info_classes_partition_every_prefix_level():
                 assert sum(st.sink_last for st in level) == falling // n
 
 
+def reference_dp_value(n, k):
+    """The slow reference: backward induction over canonical information
+    states rebuilt for every prefix and keyed by the state alone; a class
+    reached from two parent classes raises: the induction needs one parent."""
+    g = PathPower(n, k)
+    classes = {}  # state -> [t, sink_last, parent state], in order of first visit
+    path_states = [None] * (n + 1)  # [t]: class of the t-prefix
+
+    def visit(path, events):
+        t = len(path)
+        state = path_states[t] = oracle.canonical_info_state(g, path)
+        parent = path_states[t - 1]
+        sink = int(path[-1] == 1)
+        rec = classes.setdefault(state, [t, 0, parent])
+        if rec[2] != parent:
+            raise RuntimeError(f"information class {state} reached from two parent classes")
+        rec[1] += sink
+
+    walk_prefixes(g, visit)
+    won = {}  # summed bests of each class's children
+    for state, (t, sink_last, parent) in reversed(classes.items()):
+        best = max(sink_last * math.factorial(n - t), won.pop(state, 0))
+        won[parent] = won.get(parent, 0) + best
+    return Fraction(won[None], math.factorial(n))
+
+
+def test_dp_matches_the_canonical_state_reference():
+    for n in range(3, 8):
+        for k in range(1, n):
+            assert dp_optimal_value(n, k) == reference_dp_value(n, k), (n, k)
+
+
+def test_classes_are_the_observation_histories():
+    # A prefix's history is the row of each arrival: the arrival index and
+    # signed distance of every earlier arrival within k of it.  The history
+    # and the canonical state determine each other at every t, and the
+    # oracle's classes are the histories, in order of first visit.
+    for n in range(2, 8):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            hist = [()]  # [t]: history of the t-prefix
+            expected = {}  # history -> [t, members, sink_last, parent history, first member]
+            state_of, history_of = {}, {}
+
+            def visit(path, events):
+                t, pos = len(path), path[-1]
+                row = frozenset((i, pos - q) for i, q in enumerate(path[:-1]) if abs(pos - q) <= k)
+                del hist[t:]
+                h = hist[t - 1] + (row,)
+                hist.append(h)
+                state = canonical_info_state(g, path)
+                assert state_of.setdefault(h, state) == state, (k, path)
+                assert history_of.setdefault(state, h) == h, (k, path)
+                rec = expected.setdefault(h, [t, 0, 0, hist[t - 1], tuple(path)])
+                rec[1] += 1
+                rec[2] += pos == 1
+
+            walk_prefixes(g, visit)
+            histories = list(expected)
+            classes = _info_classes(g)
+            assert len(classes) == len(histories), (n, k)
+            for (t, members, sink_last, parent, _, first), want in zip(classes, expected.values()):
+                parent_history = histories[parent] if parent >= 0 else ()
+                assert [t, members, sink_last, parent_history, first] == want, (n, k, first)
+
+
 def test_backward_induction_rejects_a_coarser_state(monkeypatch):
-    # (t, component count) merges classes whose parents differ, so the
-    # information classes no longer form a tree.
+    # (t, component count) merges classes whose parents differ.  The audit
+    # finds two history classes with one state; the reference, keyed by the
+    # state, finds a class reached from two parent classes.
     monkeypatch.setattr(
         "stopflow.oracle.canonical_info_state",
         lambda g, prefix: (len(prefix), len(canonical_info_state(g, prefix))),
     )
+    with pytest.raises(RuntimeError, match="share the canonical state"):
+        info_class_audit(5, 1)
     with pytest.raises(RuntimeError, match="two parent classes"):
-        dp_optimal_value(5, 1)
+        reference_dp_value(5, 1)
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ((1, 1), "position 1 arrived twice"),
+    ((0, 9), "position 0 out of range 1..9"),
+    ((3, 10, 3), "position 10 out of range 1..9"),
+    ((3, 3, 10), "position 3 arrived twice"),
+])
+def test_info_state_rejects_what_observe_rejects(prefix, message):
+    # The messages are Observer.observe's for the same arrivals.
+    g = PathPower(9, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        canonical_info_state(g, prefix)
+    obs = Observer(g)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        for pos in prefix:
+            obs.observe(pos)
 
 
 def test_continuous_indicator_examples():
