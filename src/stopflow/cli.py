@@ -188,7 +188,6 @@ def cmd_simulate(args) -> CommandResult:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     seed = _resolve_seed(args)
     strategy = _resolve_strategy(args, n)
-    PathPower(n, k)  # a bad (n, k) fails here, before any pool worker starts
 
     rep = simulate(n, k, strategy, trials, seed, threads=threads)
     report = dataclasses.asdict(rep)

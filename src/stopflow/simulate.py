@@ -8,19 +8,19 @@ seeded loop, as ``simulate(n, k, None, ...)``.
 
 A trial costs little beyond its stream.  Each call (or pool worker)
 reseeds one ``random.Random`` per trial with ``.seed()``, the same state
-as a fresh ``Random(seed)``.  ``_shuffled`` is CPython's Fisher-Yates
-shuffle with ``_randbelow_with_getrandbits`` inlined, looping over blocks
-of bounds with one bit length.  The uniforms of a trial (coin flips,
-arrival times) come from one ``strategies.uniform_words`` call, the words
-n ``random()`` calls would read; they are ranked against a threshold by
-top byte, with one ``bytes.translate``, and only ties on that byte are
+as a fresh ``Random(seed)``.  The tail readers below copy the draw loop of
+``random.shuffle`` with ``_randbelow_with_getrandbits`` inlined, looping
+over blocks of bounds with one bit length.  The uniforms of a trial (coin
+flips, arrival times) come from one ``strategies.uniform_words`` call, the
+words n ``random()`` calls would read; they are ranked against a threshold
+by top byte, with one ``bytes.translate``, and only ties on that byte are
 decoded to exact 53-bit numerators.  So the stream is consumed exactly as
 ``random.shuffle`` and ``random()`` would.
 
 A ``tau_n`` trial reads only the part of its shuffle that decides it.
 The shuffle fixes the last arrivals first, and ``tau_n`` wins iff the
 prefix that ends with the sink leaves position n and no k+1 consecutive
-interior positions missing.  So ``_tau_n_win`` runs ``_shuffled``'s draw
+interior positions missing.  So ``_tau_n_win`` runs the shuffle's draw
 loop and stops at the first fixed value that settles the win; there is no
 forward search.  ``first_max`` and ``classical_threshold`` read the tail
 the same way (``_first_max_win``, ``_classical_threshold_win``).  A
@@ -29,12 +29,12 @@ so ``_sink_index`` makes every draw, with no list, to find the sink; the
 trial loses if the sink is among the M rejected arrivals, and otherwise
 reseeds and reads the tail as ``classical_threshold(M)``.
 
-None of this is an API contract: tests pin the shuffle and the sink's
-index against ``random.shuffle`` (every n <= 300, and across block edges
-up to 4097), each tail reader's win and generator state against a full
-shuffle and the forward rule (block edges up to 4097), the decoded words
-against ``random()`` (every n <= 300), and the reseeded generator against
-one fresh generator per trial.
+None of this is an API contract: tests pin the sink's index against
+``random.shuffle`` (every n <= 300, and across block edges up to 4097),
+each tail reader's win and generator state against a full shuffle and the
+forward rule (block edges up to 4097) and its win against ``run_trial``,
+the decoded words against ``random()`` (every n <= 300), and the reseeded
+generator against one fresh generator per trial.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .graph import PathPower
 from .strategies import (
-    StopRecord, Strategy, _skip_count, numerator, rank_uniforms, uniform_words,
+    StopRecord, Strategy, _skip_count, numerator, rank_uniforms, run_strategy, uniform_words,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -88,41 +88,19 @@ class SimulationReport:
     wall_time: float
 
 
-def _shuffled(n: int, rng: random.Random) -> list[int]:
-    """``rng.shuffle(list(range(1, n + 1)))`` with no method call per item.
-
-    Same draws as CPython's shuffle: for i from n-1 down to 1 it swaps item
-    i with item ``_randbelow(i + 1)``, which redraws ``getrandbits`` of the
-    bound's bit length until the value falls below the bound.  The loop runs
-    in blocks of i whose bounds share one bit length.
-    """
-    perm = list(range(1, n + 1))
-    getrandbits = rng.getrandbits
-    hi = n - 1
-    for bits in range(n.bit_length(), 1, -1):
-        lo = (1 << (bits - 1)) - 1  # every bound i + 1 in this block has `bits` bits
-        for i in range(hi, lo - 1, -1):
-            j = getrandbits(bits)
-            while j > i:
-                j = getrandbits(bits)
-            perm[i], perm[j] = perm[j], perm[i]
-        hi = lo - 1
-    return perm
-
-
 def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
     """One ``tau_n`` trial, read from the shuffle's tail.
 
     ``tau_n`` wins iff, when the sink arrives, position n has arrived and no
-    k+1 consecutive interior positions are missing.  ``_shuffled``'s draws fix
-    the last arrivals first, so run its draw loop and stop at the first fixed
-    value that decides: 1 wins, since the values fixed before it are the
-    positions missing at its arrival and none of them lost; n, or a value
-    whose run of missing positions grows past k, loses.  ``run[v]`` is the
-    length of the missing run that ends at v, kept at both ends of each run;
-    ``run[n + 1] = k`` makes a missing n lose.  The stream is the shuffle's,
-    read down to the deciding draw; the loop is ``_shuffled``'s, copied
-    because a shared generator of draws slows both.
+    k+1 consecutive interior positions are missing.  ``random.shuffle``'s
+    draws fix the last arrivals first, so run its draw loop and stop at the
+    first fixed value that decides: 1 wins, since the values fixed before it
+    are the positions missing at its arrival and none of them lost; n, or a
+    value whose run of missing positions grows past k, loses.  ``run[v]`` is
+    the length of the missing run that ends at v, kept at both ends of each
+    run; ``run[n + 1] = k`` makes a missing n lose.  The stream is the shuffle's,
+    read down to the deciding draw; each reader keeps its own copy of the
+    loop because a shared generator of draws slows them.
     """
     perm = list(range(1, n + 1))
     run = [0] * (n + 2)
@@ -155,7 +133,7 @@ def _first_max_win(n: int, rng: random.Random) -> bool:
     ``first_max`` wins iff the sink 1 arrives first.  1 starts at index 0
     and stays there until a draw returns 0, which moves it to index i >= 1
     for good; so the trial loses at the first draw of 0.  Only the draws of
-    ``_shuffled``'s loop are made: nothing else decides.
+    ``random.shuffle``'s loop are made: nothing else decides.
     """
     getrandbits = rng.getrandbits
     hi = n - 1
@@ -172,7 +150,7 @@ def _first_max_win(n: int, rng: random.Random) -> bool:
 
 
 def _sink_index(n: int, rng: random.Random) -> int:
-    """The sink's index in ``_shuffled(n, rng)``, drawing the same words.
+    """The sink's index in a ``random.shuffle`` of 1..n, same words drawn.
 
     As in ``_first_max_win``, 1 leaves index 0 at the first draw of 0, for
     index i, and stays there; with no such draw it ends at index 0.  The
@@ -199,9 +177,9 @@ def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool
 
     The rule rejects arrivals 0..r-1, takes the first maximal one after
     them, and else the last; from r = n-1 on it takes the last.  With r = 0
-    it is ``first_max``.  Otherwise walk ``_shuffled``'s draws from index
-    n-1 down to r.  The values fixed so far are the later arrivals, so a
-    value fixed at index i arrived maximal iff the k values below it (those
+    it is ``first_max``.  Otherwise walk ``random.shuffle``'s draws from
+    index n-1 down to r.  The values fixed so far are the later arrivals, so
+    a value fixed at index i arrived maximal iff the k values below it (those
     down to 1) were fixed before it.  The sink always arrives maximal; the
     trial wins iff it is fixed in the walk and no maximal value is fixed
     after it.  Values are stored plus k, and ``run[v]`` is the length of the
@@ -255,33 +233,11 @@ def _tau_p_star_win(n: int, k: int, s: Strategy, seed: int, rng: random.Random) 
 
 
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
-    """One simulated run of a threshold-family strategy (``first_max``,
-    ``classical_threshold``, ``tau_p_star``): draw the arrival order, then
-    play the strategy forward.
-
-    The stream is consumed in a fixed order (shuffle, then any strategy
-    randomness) to keep records reproducible.  The shuffle is
-    ``_shuffled``, CPython's ``random.shuffle`` inlined and pinned to it by
-    a test.  ``simulate`` reads every threshold-family trial from the
-    shuffle's tail instead, and tests hold those readers to this forward
-    play.
-    """
-    if s.kind == "tau_n":
-        raise ValueError("run_trial plays the threshold family; tau_n reads the shuffle's tail")
-    n, k = g.n, g.k
-    perm = _shuffled(n, rng)
-    skip = _skip_count(s, n, rng)
-    # arrived[pos + k] marks pos; k leading zero bytes keep the window below
-    # pos unclamped.
-    arrived = bytearray(n + k + 1)
-    for pos in perm[:skip]:  # rejected outright: only mark them arrived
-        arrived[pos + k] = 1
-    for t in range(skip, n):
-        pos = perm[t]
-        if arrived.rfind(1, pos, pos + k) < 0:
-            return StopRecord(t + 1, pos, pos == 1)
-        arrived[pos + k] = 1
-    return StopRecord(n, perm[-1], perm[-1] == 1)
+    """One trial played forward: ``random.shuffle`` draws the arrival order,
+    then ``run_strategy`` plays ``s``, drawing any strategy randomness after."""
+    perm = list(g.positions())
+    rng.shuffle(perm)
+    return run_strategy(s, g, perm, rng)
 
 
 def _continuous_win(n: int, gap: bytes, rng: random.Random) -> bool:

@@ -315,7 +315,7 @@ def check_strategy_dominance(n_max: int = 7) -> Check:
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            best = brute_force_win_probability(n, k, Strategy.tau_n())
+            best = success_probability_exact(n, k)
             total = math.factorial(n)
             wins = _threshold_win_counts(n, k)
             for r in range(n + 1):

@@ -14,7 +14,6 @@ from stopflow import (
     Strategy,
     continuous_win_indicator,
     continuous_win_rate,
-    run_strategy,
     simulate,
     splitmix64,
     success_probability_exact,
@@ -22,8 +21,8 @@ from stopflow import (
 )
 from stopflow.oracle import walk_prefixes
 from stopflow.simulate import (
-    _classical_threshold_win, _first_max_win, _shuffled, _sink_index, _tau_n_win,
-    _tau_p_star_win, run_trial,
+    _classical_threshold_win, _first_max_win, _sink_index, _tau_n_win, _tau_p_star_win,
+    run_trial,
 )
 
 # The package's ``simulate`` attribute is the function; this is the module.
@@ -50,24 +49,19 @@ def test_trial_seed_derivation():
 
 
 def assert_matches_reference_runner(g, s, seed):
-    # Replay the same stream through the Observer-based reference: shuffle
-    # first, then strategy randomness.  The tail readers (tau_n, first_max,
-    # classical_threshold, tau_p_star) give only their win; run_trial plays
-    # the threshold family forward and gives the whole record.
+    # run_trial plays the same stream forward through the Observer-based
+    # reference: random.shuffle first, then strategy randomness.  The tail
+    # readers give only their win.
+    ref = run_trial(g, s, random.Random(seed)).win
     rng = random.Random(seed)
-    perm = list(range(1, g.n + 1))
-    rng.shuffle(perm)
-    ref = run_strategy(s, g, perm, rng)
     if s.kind == "tau_n":
-        assert _tau_n_win(g.n, g.k, random.Random(seed)) == ref.win
-        return
-    assert run_trial(g, s, random.Random(seed)) == ref
-    if s.kind == "first_max":
-        assert _first_max_win(g.n, random.Random(seed)) == ref.win
+        assert _tau_n_win(g.n, g.k, rng) == ref
+    elif s.kind == "first_max":
+        assert _first_max_win(g.n, rng) == ref
     elif s.kind == "classical_threshold":
-        assert _classical_threshold_win(g.n, g.k, s.r, random.Random(seed)) == ref.win
+        assert _classical_threshold_win(g.n, g.k, s.r, rng) == ref
     else:
-        assert _tau_p_star_win(g.n, g.k, s, seed, random.Random(seed)) == ref.win
+        assert _tau_p_star_win(g.n, g.k, s, seed, rng) == ref
 
 
 def test_run_trial_matches_reference_runner():
@@ -89,9 +83,9 @@ def test_run_trial_matches_reference_runner():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_run_trial_matches_reference_runner_everywhere(data):
-    # Differential test of the tail readers and the bytearray replay against
-    # the Observer-based reference: every k, every strategy kind, arbitrary
-    # 64-bit seeds.  r runs past n - 1, where the rule takes the last arrival.
+    # Differential test of the tail readers against the Observer-based
+    # reference: every k, every strategy kind, arbitrary 64-bit seeds.  r
+    # runs past n - 1, where the rule takes the last arrival.
     n = data.draw(st.integers(2, 80), label="n")
     k = data.draw(st.integers(1, n - 1), label="k")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
@@ -105,12 +99,6 @@ def test_run_trial_matches_reference_runner_everywhere(data):
         label="strategy",
     )
     assert_matches_reference_runner(PathPower(n, k), s, seed)
-
-
-def test_run_trial_refuses_tau_n():
-    # Played forward, tau_n would silently run as first_max.
-    with pytest.raises(ValueError, match="tail"):
-        run_trial(PathPower(8, 2), Strategy.tau_n(), random.Random(1))
 
 
 def test_zero_slack_is_a_hole_free_prefix():
@@ -129,21 +117,6 @@ def test_zero_slack_is_a_hole_free_prefix():
                 assert events[-1].condition_met == hole_free, (n, k, path)
 
             walk_prefixes(PathPower(n, k), visit)
-
-
-def test_inline_shuffle_is_random_shuffle():
-    # _shuffled copies CPython's shuffle, which is no API: if a Python
-    # release changes it, this fails before any pinned wins drift.  The
-    # large n straddle the bit-length blocks _shuffled loops over.
-    boundaries = [511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097]
-    for n in [*range(1, 301), *boundaries]:
-        for i in range(20):
-            seed = trial_seed(n, i)
-            fast, ref = random.Random(seed), random.Random(seed)
-            perm = list(range(1, n + 1))
-            ref.shuffle(perm)
-            assert _shuffled(n, fast) == perm, (n, seed)
-            assert fast.getstate() == ref.getstate(), (n, seed)
 
 
 def test_sink_index_reads_the_whole_shuffle():
@@ -246,11 +219,8 @@ def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
     # simulate reseeds one generator per call; each trial must see the
     # stream of its own Random(trial_seed(seed, i)).
     for n, k, seed in [(12, 3, 31), (40, 1, 2**64 - 5), (25, 24, 0)]:
-        if s.kind == "tau_n":
-            fresh = sum(_tau_n_win(n, k, random.Random(trial_seed(seed, i))) for i in range(300))
-        else:
-            g = PathPower(n, k)
-            fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
+        g = PathPower(n, k)
+        fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
         assert simulate(n, k, s, 300, master_seed=seed).wins == fresh
 
 
