@@ -4,10 +4,11 @@ Everything here certifies the rest of the package by brute force: one walk
 over all arrival prefixes on one observer, exact mixing over the rejection
 count of the randomized rule, backward induction over information classes
 (the optimal value over all stopping rules that see only the labeled
-induced graph), and the continuous-arrival win test.  A class is an
-observation history, keyed by its parent class and the arcs of the newest
-arrival; ``canonical_info_state`` is the audit's encoding of a class, and
-the audit checks that the two determine each other.
+induced graph), and the continuous-arrival win test.  Each walk-based
+aggregate is a visitor and its result, so one walk can feed several.  A
+class is an observation history, keyed by its parent class and the arcs of
+the newest arrival; ``canonical_info_state`` is the audit's encoding of a
+class, and the audit checks that the two determine each other.
 """
 from __future__ import annotations
 
@@ -39,17 +40,20 @@ def _check_guard(n: int, limit: int, what: str, force: bool) -> None:
 # Exhaustive enumeration over arrival prefixes
 # ---------------------------------------------------------------------------
 
-def walk_prefixes(g: PathPower, visit: Callable[..., bool | None]) -> None:
-    """Call ``visit(path, events)`` on every arrival prefix, depth first and
-    in lexicographic order, with the arrived positions and their observer
-    events (both lists are reused).  A true return skips the extensions of
-    the prefix: the visitor has credited its (n - t)! completions at once.
+def walk_prefixes(g: PathPower, *visits: Callable[..., bool | None]) -> None:
+    """Call each ``visit(path, events)`` on every arrival prefix, depth first
+    and in lexicographic order, with the arrived positions and their
+    observer events (both lists are reused).  A visitor that returns true is
+    muted for the extensions of that prefix only, having credited its
+    (n - t)! completions at once; it is called again on the next sibling.
+    The walk descends while at least one visitor is live, so each visitor
+    sees exactly the prefixes it would see walked alone.
     """
-    _walk(Observer(g), list(g.positions()), [], [], visit)
+    _walk(Observer(g), list(g.positions()), [], [], visits)
 
 
 def _walk(obs: Observer, free: list[int], path: list[int], events: list[ObservationEvent],
-          visit: Callable) -> None:
+          visits: Sequence[Callable]) -> None:
     # Module level, not a recursive closure: its reference cycle outlives the call.
     # ``free`` holds the unarrived positions, sorted; each is lent to the
     # child walk and put back in place, so the order stays lexicographic.
@@ -57,16 +61,45 @@ def _walk(obs: Observer, free: list[int], path: list[int], events: list[Observat
         pos = free.pop(i)
         path.append(pos)
         events.append(obs.observe(pos))
-        if not visit(path, events) and free:
-            _walk(obs, free, path, events, visit)
+        live = []  # a loop, not a comprehension: cheaper per prefix on one visitor
+        for visit in visits:
+            if not visit(path, events):
+                live.append(visit)
+        if live and free:
+            _walk(obs, free, path, events, live)
         obs.undo()
         path.pop()
         events.pop()
         free.insert(i, pos)
 
 
-def _threshold_win_counts(n: int, k: int) -> list[int]:
-    """wins[M] = number of arrival orders won by "reject M, take first maximal"."""
+def _aggregates(g: PathPower, *makes: Callable) -> list:
+    """Walk the prefixes of ``g`` once with the visitor of each ``make(g)``;
+    return their results in order."""
+    visitors = [make(g) for make in makes]
+    walk_prefixes(g, *(visit for visit, _ in visitors))
+    return [result() for _, result in visitors]
+
+
+def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
+    """Visitor and result: the number of arrival orders the slack rule wins."""
+    n = g.n
+    won = 0
+
+    def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
+        # run_strategy's rule: first maximal arrival at zero slack, else the last
+        nonlocal won
+        e = events[-1]
+        if e.condition_met and e.is_max or e.t == n:
+            won += math.factorial(n - e.t) * (path[-1] == 1)
+            return True
+
+    return stop, lambda: won
+
+
+def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]:
+    """Visitor and result of ``_threshold_win_counts``."""
+    n = g.n
     wins = [0] * (n + 1)
 
     def visit(path: list[int], events: list[ObservationEvent]) -> bool | None:
@@ -82,8 +115,12 @@ def _threshold_win_counts(n: int, k: int) -> list[int]:
             wins[n] += t_sink == n
             return True
 
-    walk_prefixes(PathPower(n, k), visit)
-    return wins
+    return visit, lambda: wins
+
+
+def _threshold_win_counts(n: int, k: int) -> list[int]:
+    """wins[M] = number of arrival orders won by "reject M, take first maximal"."""
+    return _aggregates(PathPower(n, k), _threshold_visitor)[0]
 
 
 def _rejection_mixture(wins: list[int], p: Fraction) -> Fraction:
@@ -111,18 +148,7 @@ def brute_force_win_probability(
     _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
     total = math.factorial(n)
     if s.kind == "tau_n":
-        won = 0
-
-        def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
-            # run_strategy's rule: first maximal arrival at zero slack, else the last
-            nonlocal won
-            e = events[-1]
-            if e.condition_met and e.is_max or e.t == n:
-                won += math.factorial(n - e.t) * (path[-1] == 1)
-                return True
-
-        walk_prefixes(PathPower(n, k), stop)
-        return Fraction(won, total)
+        return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], total)
     wins = _threshold_win_counts(n, k)
     if s.kind == "first_max":
         return Fraction(wins[0], total)
@@ -180,8 +206,8 @@ class InfoClassStat:
         return Fraction(self.sink_last, self.members)
 
 
-def _info_classes(g: PathPower) -> list[list]:
-    """Every information class, by the prefix walk.
+def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[list]]]:
+    """Visitor and result: every information class, by the prefix walk.
 
     A class is an observation history: its parent class (the members with
     the last arrival dropped) plus the newest arrival's row, the arrival
@@ -220,16 +246,29 @@ def _info_classes(g: PathPower) -> list[list]:
             rec[2] += sink
         path_ids[t] = c
 
-    walk_prefixes(g, visit)
-    return classes
+    return visit, lambda: classes
+
+
+def _info_classes(g: PathPower) -> list[list]:
+    """Every information class of ``g``, as ``_info_class_visitor`` lists them."""
+    return _aggregates(g, _info_class_visitor)[0]
+
+
+def _backward_induction(n: int, classes: list[list]) -> Fraction:
+    """``dp_optimal_value`` over the classes ``_info_class_visitor`` listed."""
+    won = [0] * (len(classes) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
+    for c in range(len(classes) - 1, -1, -1):
+        t, _, sink_last, parent, _, _ = classes[c]
+        won[parent] += max(sink_last * math.factorial(n - t), won[c])
+    return Fraction(won[-1], math.factorial(n))
 
 
 def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     """Value of the optimal stopping problem by exact backward induction.
 
     States are the information classes, the observation histories of
-    ``_info_classes``; stop values and transition probabilities come from
-    counting compatible ground-truth completions, so the result is the
+    ``_info_class_visitor``; stop values and transition probabilities come
+    from counting compatible ground-truth completions, so the result is the
     exact optimum over all stopping rules adapted to the labeled
     observation filtration.  The induction runs on integers, over the
     classes in reverse creation order: a class's best is the number of
@@ -237,12 +276,24 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     stopping (sink_last * (n-t)!) and the sum of its children's bests.
     """
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
-    classes = _info_classes(PathPower(n, k))
-    won = [0] * (len(classes) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
-    for c in range(len(classes) - 1, -1, -1):
-        t, _, sink_last, parent, _, _ = classes[c]
-        won[parent] += max(sink_last * math.factorial(n - t), won[c])
-    return Fraction(won[-1], math.factorial(n))
+    return _backward_induction(n, _info_classes(PathPower(n, k)))
+
+
+def _class_stats(g: PathPower, classes: list[list]) -> list[InfoClassStat]:
+    """``info_class_audit`` of the classes ``_info_class_visitor`` listed on ``g``."""
+    stats = []
+    seen: set[InfoState] = set()
+    # The state fixes the counts and maximality, so any member's event has them.
+    for t, members, sink_last, _, e, prefix in classes:
+        state = canonical_info_state(g, prefix)
+        if state in seen:
+            raise RuntimeError(f"two information classes share the canonical state {state}")
+        seen.add(state)
+        stats.append(
+            InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
+        )
+    stats.sort(key=lambda st: st.t)
+    return stats
 
 
 def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassStat]:
@@ -255,19 +306,7 @@ def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassSt
     """
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
     g = PathPower(n, k)
-    stats = []
-    seen: set[InfoState] = set()
-    # The state fixes the counts and maximality, so any member's event has them.
-    for t, members, sink_last, _, e, prefix in _info_classes(g):
-        state = canonical_info_state(g, prefix)
-        if state in seen:
-            raise RuntimeError(f"two information classes share the canonical state {state}")
-        seen.add(state)
-        stats.append(
-            InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
-        )
-    stats.sort(key=lambda st: st.t)
-    return stats
+    return _class_stats(g, _info_classes(g))
 
 
 # ---------------------------------------------------------------------------

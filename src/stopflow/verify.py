@@ -2,10 +2,12 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
-The exhaustive checks walk the oracle's arrival prefixes; only the
-continuous-model check, whose indicator reads the whole order, replays n!.
-Desk-scale guards apply: ``verify_all`` passes ``n_max`` (at most the
-oracle guard) to every check, and each check caps it at its own limit.
+The exhaustive checks read the oracle's prefix walk through visitors:
+``verify_all`` walks each (n, k) once for all of them, and a standalone
+``check_*`` runs the same driver alone.  Only the continuous-model check,
+whose indicator reads the whole order, replays n!.  Desk-scale guards
+apply: ``verify_all`` passes ``n_max`` (at most the oracle guard) to every
+check, and each check caps it at its own limit.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, Generator
 
 from .exact import (
     best_epsilon,
@@ -30,13 +33,16 @@ from .oracle import (
     ENUMERATION_GUARD,
     ContinuousArrival,
     ResourceGuardError,
+    _aggregates,
+    _backward_induction,
+    _check_guard,
+    _class_stats,
+    _info_class_visitor,
     _rejection_mixture,
-    _threshold_win_counts,
+    _slack_rule_visitor,
+    _threshold_visitor,
     brute_force_win_probability,
     continuous_win_indicator,
-    dp_optimal_value,
-    info_class_audit,
-    walk_prefixes,
 )
 from .strategies import Strategy, run_strategy
 
@@ -71,12 +77,52 @@ class VerifyReport:
     checks: tuple[Check, ...]
 
 
+if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported copy of Check
+    WalkCheck = Generator[tuple[int, int, Callable], object, Check]
+
+
+def _run_walks(checks: list[WalkCheck]) -> list[Check]:
+    """Run exhaustive checks on one prefix walk per (n, k); return their
+    Checks in order.
+
+    A check is a generator: it yields (n, k, make) for each walk it needs,
+    in increasing (n, k), is sent the result of the visitor ``make(g)``
+    builds, and returns its Check.  Checks that ask for one ``make`` at one
+    (n, k) share its visitor.  Results are dropped after their (n, k).
+    """
+    done: list[Check | None] = [None] * len(checks)
+    wants: dict[int, tuple[int, int, Callable]] = {}  # check index -> its next walk
+
+    def send(i: int, value: object) -> None:
+        try:
+            wants[i] = checks[i].send(value)
+        except StopIteration as stop:
+            done[i] = stop.value
+
+    for i in range(len(checks)):
+        send(i, None)
+    while wants:
+        n, k = min(want[:2] for want in wants.values())
+        here = [i for i, want in wants.items() if want[:2] == (n, k)]
+        makes = list(dict.fromkeys(wants[i][2] for i in here))
+        results = dict(zip(makes, _aggregates(PathPower(n, k), *makes)))
+        for i in here:
+            send(i, results[wants.pop(i)[2]])
+        del results
+    return done
+
+
 def check_formula_vs_oracle(n_max: int = 8) -> Check:
+    return _run_walks([_formula_vs_oracle(n_max)])[0]
+
+
+def _formula_vs_oracle(n_max: int) -> WalkCheck:
     cases = 0
     for n in range(2, n_max + 1):
+        _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", False)
         for k in range(1, n):
             f = success_probability_exact(n, k)
-            o = brute_force_win_probability(n, k, Strategy.tau_n())
+            o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
             if f != o:
                 return Check(
                     "formula_vs_oracle", False,
@@ -87,11 +133,15 @@ def check_formula_vs_oracle(n_max: int = 8) -> Check:
 
 
 def check_dp_vs_formula(n_max: int = 7) -> Check:
+    return _run_walks([_dp_vs_formula(n_max)])[0]
+
+
+def _dp_vs_formula(n_max: int) -> WalkCheck:
     n_max = min(n_max, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            d = dp_optimal_value(n, k)
+            d = _backward_induction(n, (yield n, k, _info_class_visitor))
             f = success_probability_exact(n, k)
             if d != f:
                 return Check(
@@ -168,7 +218,13 @@ def check_bounds_sandwich(max_n: int = 200) -> Check:
 
 
 def check_observer_invariants(n_max: int = 7) -> Check:
-    n_max = min(n_max, 7)
+    return _run_walks([_observer_invariants(n_max)])[0]
+
+
+def _invariant_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
+    """Visitor and result: the first invariant failure ("" if none) and the
+    number of complete arrival orders."""
+    n, k = g.n, g.k
     runs = 0
     failure = ""
 
@@ -177,19 +233,27 @@ def check_observer_invariants(n_max: int = 7) -> Check:
         nonlocal runs, failure
         e = events[-1]
         met = len(events) > 1 and events[-2].condition_met
-        for what, bad in (("negative slack", e.slack < 0),
-                          ("condition not persistent", met and not e.condition_met),
-                          ("maximal arrival after exhaustion", met and e.is_max)):
-            if bad and not failure:
-                failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
+        what = ("negative slack" if e.slack < 0
+                else "condition not persistent" if met and not e.condition_met
+                else "maximal arrival after exhaustion" if met and e.is_max
+                else "")
+        if what and not failure:
+            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
         runs += e.t == n
         return bool(failure)
 
+    return visit, lambda: (failure, runs)
+
+
+def _observer_invariants(n_max: int) -> WalkCheck:
+    n_max = min(n_max, 7)
+    runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            walk_prefixes(PathPower(n, k), visit)
+            failure, complete = yield n, k, _invariant_visitor
             if failure:
                 return Check("observer_invariants", False, failure)
+            runs += complete
     return Check("observer_invariants", True, f"{runs} exhaustive runs up to n={n_max}")
 
 
@@ -242,8 +306,14 @@ def check_subset_counting(n_max: int = 10) -> Check:
 
 
 def check_max_given_components(n_max: int = 7) -> Check:
-    n_max = min(n_max, 7)
-    cases = 0
+    return _run_walks([_max_given_components(n_max)])[0]
+
+
+def _component_tally(g: PathPower) -> tuple[Callable, Callable[[], dict]]:
+    """Visitor and result: (t, component count) -> [orders, orders with a
+    maximal t-th arrival]."""
+    n = g.n
+    tally: dict[tuple[int, int], list[int]] = {}
 
     def visit(path, events):
         # A prefix stands for its (n - t)! completions, as in a replay tally.
@@ -253,11 +323,15 @@ def check_max_given_components(n_max: int = 7) -> Check:
         cell[0] += weight
         cell[1] += weight * e.is_max
 
+    return visit, lambda: tally
+
+
+def _max_given_components(n_max: int) -> WalkCheck:
+    n_max = min(n_max, 7)
+    cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            tally: dict[tuple[int, int], list[int]] = {}
-            walk_prefixes(PathPower(n, k), visit)
-            for (m, c), (tot, mx) in tally.items():
+            for (m, c), (tot, mx) in (yield n, k, _component_tally).items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     return Check(
                         "max_given_components", False,
@@ -268,11 +342,15 @@ def check_max_given_components(n_max: int = 7) -> Check:
 
 
 def check_conditional_success_vs_states(n_max: int = 6) -> Check:
+    return _run_walks([_conditional_success_vs_states(n_max)])[0]
+
+
+def _conditional_success_vs_states(n_max: int) -> WalkCheck:
     n_max = min(n_max, 6, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            for st in info_class_audit(n, k):
+            for st in _class_stats(PathPower(n, k), (yield n, k, _info_class_visitor)):
                 if not st.last_is_max:
                     continue
                 expect = conditional_success(n, k, st.t, st.component_count, st.pending_inner)
@@ -310,6 +388,10 @@ def check_continuous_discrete(n_max: int = 7) -> Check:
 
 
 def check_strategy_dominance(n_max: int = 7) -> Check:
+    return _run_walks([_strategy_dominance(n_max)])[0]
+
+
+def _strategy_dominance(n_max: int) -> WalkCheck:
     n_max = min(n_max, 7)
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
@@ -317,7 +399,7 @@ def check_strategy_dominance(n_max: int = 7) -> Check:
         for k in range(1, n):
             best = success_probability_exact(n, k)
             total = math.factorial(n)
-            wins = _threshold_win_counts(n, k)
+            wins = yield n, k, _threshold_visitor
             for r in range(n + 1):
                 if Fraction(wins[r], total) > best:
                     return Check(
@@ -347,21 +429,21 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
             f"verification enumerates all arrival orders and is guarded at "
             f"n_max <= {ENUMERATION_GUARD} (got {n_max})"
         )
-    checks = [check_formula_vs_oracle(n_max)]
-    if not skip_dp:
-        checks.append(check_dp_vs_formula(n_max))
-    checks.extend(
-        [
-            check_degenerate_half_cases(),
-            check_golden_trace(),
-            check_frozen_exact_values(),
-            check_bounds_sandwich(bounds_max_n),
-            check_observer_invariants(n_max),
-            check_subset_counting(),
-            check_max_given_components(n_max),
-            check_conditional_success_vs_states(n_max),
-            check_continuous_discrete(n_max),
-            check_strategy_dominance(n_max),
-        ]
-    )
+    # The exhaustive checks share one walk per (n, k); the rest run alone.
+    checks = [
+        _formula_vs_oracle(n_max),
+        *(() if skip_dp else (_dp_vs_formula(n_max),)),
+        check_degenerate_half_cases(),
+        check_golden_trace(),
+        check_frozen_exact_values(),
+        check_bounds_sandwich(bounds_max_n),
+        _observer_invariants(n_max),
+        check_subset_counting(),
+        _max_given_components(n_max),
+        _conditional_success_vs_states(n_max),
+        check_continuous_discrete(n_max),
+        _strategy_dominance(n_max),
+    ]
+    walked = iter(_run_walks([c for c in checks if not isinstance(c, Check)]))
+    checks = [c if isinstance(c, Check) else next(walked) for c in checks]
     return VerifyReport(passed=all(c.passed for c in checks), checks=tuple(checks))

@@ -6,12 +6,18 @@ import pytest
 from stopflow import Observer, __version__
 from stopflow.cli import fraction_decimal, main, parse_grid
 from stopflow.verify import (
+    check_bounds_sandwich,
     check_conditional_success_vs_states,
     check_continuous_discrete,
+    check_degenerate_half_cases,
     check_dp_vs_formula,
+    check_formula_vs_oracle,
+    check_frozen_exact_values,
+    check_golden_trace,
     check_max_given_components,
     check_observer_invariants,
     check_strategy_dominance,
+    check_subset_counting,
     verify_all,
 )
 from fractions import Fraction
@@ -280,6 +286,36 @@ def test_verify_checks_cap_n_max_themselves():
         assert check(9).detail == detail, check.__name__
 
 
+def solo_checks(n_max, skip_dp=False):
+    """verify_all's checks, in its order, each run by its standalone function."""
+    checks = [check_formula_vs_oracle(n_max)]
+    if not skip_dp:
+        checks.append(check_dp_vs_formula(n_max))
+    return tuple(checks) + (
+        check_degenerate_half_cases(),
+        check_golden_trace(),
+        check_frozen_exact_values(),
+        check_bounds_sandwich(200),
+        check_observer_invariants(n_max),
+        check_subset_counting(),
+        check_max_given_components(n_max),
+        check_conditional_success_vs_states(n_max),
+        check_continuous_discrete(n_max),
+        check_strategy_dominance(n_max),
+    )
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 6, 7])
+def test_verify_all_reports_the_standalone_checks(n_max):
+    # verify_all walks each (n, k) once for all its exhaustive checks; each
+    # standalone check walks alone.  Verdicts and details must agree.
+    solo = solo_checks(n_max)
+    assert verify_all(n_max).checks == solo
+    assert verify_all(n_max, skip_dp=True).checks == tuple(
+        c for c in solo if c.name != "dp_vs_formula"
+    )
+
+
 def test_dp_checks_cap_n_max_at_the_dp_guard(monkeypatch):
     # A lowered guard shortens the checks that run the DP instead of making
     # verify raise mid-suite.
@@ -298,7 +334,9 @@ def test_dp_checks_cap_n_max_at_the_dp_guard(monkeypatch):
     ("is_max", lambda e: not e.is_max, check_observer_invariants),
 ], ids=["is_max-components", "slack-negative", "slack-persistence", "is_max-exhaustion"])
 def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, check):
-    # A walk that pruned too much would pass these checks vacuously.
+    # A walk that pruned too much would pass these checks vacuously.  In
+    # verify_all's shared walk, a visitor muted on one subtree must not hide
+    # the fault from the others: every check reports what it reports alone.
     assert check(5).passed
     original = Observer.observe
 
@@ -308,6 +346,7 @@ def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, 
 
     monkeypatch.setattr(Observer, "observe", corrupted)
     assert not check(5).passed
+    assert verify_all(5).checks == solo_checks(5)
 
 
 def test_verify_rejects_ranges_that_check_nothing(capsys):

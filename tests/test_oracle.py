@@ -93,6 +93,50 @@ def test_walk_skips_exactly_the_subtree_of_a_true_visit():
                 assert seen == [p for p in prefixes if len(p) <= d or not prune(p[:d])], (n, k, d)
 
 
+def test_a_shared_walk_gives_each_visitor_its_solo_walk(monkeypatch):
+    # A true visit mutes only that visitor, only below that prefix: in one
+    # shared walk each visitor sees exactly what it sees walked alone, and
+    # the walk observes each prefix of the union of the solo trees once.
+    observed = 0
+    original = Observer.observe
+
+    def counted(self, pos):
+        nonlocal observed
+        observed += 1
+        return original(self, pos)
+
+    monkeypatch.setattr(Observer, "observe", counted)
+
+    def recorder(prune, seen):
+        def visit(path, events):
+            seen.append((tuple(path), tuple(events)))
+            return prune(path, events)
+        return visit
+
+    for n in range(2, 7):
+        rules = {
+            "never": lambda path, events: False,
+            "sink": lambda path, events: path[-1] == 1,
+            "tau_n stop": lambda path, events: (events[-1].condition_met and events[-1].is_max
+                                                or len(path) == n),
+            "depth 2": lambda path, events: len(path) == 2,
+            "one prefix": lambda path, events: tuple(path) == (n, 1),
+        }
+        for k in range(1, n):
+            g = PathPower(n, k)
+            solo = {}
+            for name, prune in rules.items():
+                solo[name] = []
+                walk_prefixes(g, recorder(prune, solo[name]))
+            for names in (list(rules), [name for name in rules if name != "never"]):
+                shared = {name: [] for name in names}
+                observed = 0
+                walk_prefixes(g, *(recorder(rules[name], shared[name]) for name in names))
+                assert shared == {name: solo[name] for name in names}, (n, k, names)
+                union = {path for name in names for path, _ in solo[name]}
+                assert observed == len(union), (n, k, names)
+
+
 def test_threshold_counts_match_reference_runner():
     for n in range(2, 7):
         for k in range(1, n):
