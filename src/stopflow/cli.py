@@ -29,7 +29,7 @@ from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
 from .simulate import _MASK64, simulate
-from .strategies import KINDS, Strategy, default_threshold
+from .strategies import KINDS, Strategy, _wants_stop, default_threshold
 from .verify import verify_all
 
 SEED_ENV_VAR = "STOPFLOW_SEED"
@@ -275,6 +275,7 @@ def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
 
 
 def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
+    tau_n = Strategy.tau_n()
     obs = Observer(g)
     steps = []
     stop_index = None
@@ -284,7 +285,7 @@ def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
             {"offsets": list(view.offsets), "inner_missing": view.inner_missing}
             for view in obs.components()
         ]
-        fires = stop_index is None and event.condition_met and event.is_max
+        fires = stop_index is None and _wants_stop(tau_n, event, 0)
         if fires:
             stop_index = event.t
         steps.append(

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .graph import PathPower
 from .observer import ObservationEvent, Observer, component_runs
-from .strategies import Strategy
+from .strategies import Strategy, _skip_count, _wants_stop
 
 ENUMERATION_GUARD = 9
 DP_GUARD = 7
@@ -85,12 +85,13 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
     """Visitor and result: the number of arrival orders the slack rule wins."""
     n = g.n
     won = 0
+    tau_n = Strategy.tau_n()
 
     def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
-        # run_strategy's rule: first maximal arrival at zero slack, else the last
+        # run_strategy's rule: the first arrival _wants_stop takes, else the last
         nonlocal won
         e = events[-1]
-        if e.condition_met and e.is_max or e.t == n:
+        if _wants_stop(tau_n, e, 0) or e.t == n:
             won += math.factorial(n - e.t) * (path[-1] == 1)
             return True
 
@@ -98,7 +99,8 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
 
 
 def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]:
-    """Visitor and result of ``_threshold_win_counts``."""
+    """Visitor and result: wins[M] = number of arrival orders won by "reject
+    M, take the first maximal"."""
     n = g.n
     wins = [0] * (n + 1)
 
@@ -118,14 +120,9 @@ def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]
     return visit, lambda: wins
 
 
-def _threshold_win_counts(n: int, k: int) -> list[int]:
-    """wins[M] = number of arrival orders won by "reject M, take first maximal"."""
-    return _aggregates(PathPower(n, k), _threshold_visitor)[0]
-
-
 def _rejection_mixture(wins: list[int], p: Fraction) -> Fraction:
     """Exact win probability of "reject M ~ Binomial(n, p), take the first
-    maximal", mixing the per-M counts ``wins`` of ``_threshold_win_counts``."""
+    maximal", mixing the per-M counts ``wins`` of ``_threshold_visitor``."""
     n = len(wins) - 1
     total = math.factorial(n)
     return sum(
@@ -146,15 +143,13 @@ def brute_force_win_probability(
     out exactly with Binomial(n, p) weights instead of sampling.
     """
     _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
-    total = math.factorial(n)
     if s.kind == "tau_n":
-        return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], total)
-    wins = _threshold_win_counts(n, k)
-    if s.kind == "first_max":
-        return Fraction(wins[0], total)
-    if s.kind == "classical_threshold":
-        return Fraction(wins[min(s.r, n)], total)
-    return _rejection_mixture(wins, Fraction(s.p))
+        return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], math.factorial(n))
+    wins = _aggregates(PathPower(n, k), _threshold_visitor)[0]
+    if s.kind == "tau_p_star":
+        return _rejection_mixture(wins, Fraction(s.p))
+    # a fixed threshold; first_max is classical_threshold(0)
+    return Fraction(wins[min(_skip_count(s, n, None), n)], math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ The shuffle fixes the last arrivals first, and ``tau_n`` wins iff the
 prefix that ends with the sink leaves position n and no k+1 consecutive
 interior positions missing.  So ``_tau_n_win`` runs the shuffle's draw
 loop and stops at the first fixed value that settles the win; there is no
-forward search.  ``first_max`` and ``classical_threshold`` read the tail
-the same way (``_first_max_win``, ``_classical_threshold_win``).  A
-``tau_p_star`` trial's coin flips follow the whole shuffle in the stream,
-so ``_sink_index`` makes every draw, with no list, to find the sink; the
+forward search.  ``classical_threshold(r)`` reads the tail the same way
+(``_classical_threshold_win``); ``first_max`` is r = 0, which loses at
+the first draw of 0, where ``_sink_index`` can stop.  A ``tau_p_star``
+trial's coin flips follow the whole shuffle in the stream, so there
+``_sink_index`` makes every draw, with no list, to find the sink; the
 trial loses if the sink is among the M rejected arrivals, and otherwise
 reseeds and reads the tail as ``classical_threshold(M)``.
 
@@ -127,35 +128,14 @@ def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
     raise AssertionError("indices 1..n-1 hold 1 or n, so the walk decides")
 
 
-def _first_max_win(n: int, rng: random.Random) -> bool:
-    """One ``first_max`` trial, read from the shuffle's tail.
-
-    ``first_max`` wins iff the sink 1 arrives first.  1 starts at index 0
-    and stays there until a draw returns 0, which moves it to index i >= 1
-    for good; so the trial loses at the first draw of 0.  Only the draws of
-    ``random.shuffle``'s loop are made: nothing else decides.
-    """
-    getrandbits = rng.getrandbits
-    hi = n - 1
-    for bits in range(n.bit_length(), 1, -1):
-        lo = (1 << (bits - 1)) - 1
-        for i in range(hi, lo - 1, -1):
-            j = getrandbits(bits)
-            while j > i:
-                j = getrandbits(bits)
-            if not j:
-                return False
-        hi = lo - 1
-    return True
-
-
-def _sink_index(n: int, rng: random.Random) -> int:
+def _sink_index(n: int, rng: random.Random, whole: bool = True) -> int:
     """The sink's index in a ``random.shuffle`` of 1..n, same words drawn.
 
-    As in ``_first_max_win``, 1 leaves index 0 at the first draw of 0, for
-    index i, and stays there; with no such draw it ends at index 0.  The
-    loop makes all of the shuffle's draws, so the stream after it is where
-    the shuffle leaves it.
+    1 starts at index 0 and stays there until a draw returns 0, which moves
+    it to index i >= 1 for good; with no such draw it ends at index 0.  With
+    ``whole`` the loop makes all of the shuffle's draws, so the stream after
+    it is where the shuffle leaves it; without, it returns at that first
+    draw of 0, having made only the draws down to index i.
     """
     sink = 0
     getrandbits = rng.getrandbits
@@ -167,6 +147,8 @@ def _sink_index(n: int, rng: random.Random) -> int:
             while j > i:
                 j = getrandbits(bits)
             if not j and not sink:
+                if not whole:
+                    return i
                 sink = i
         hi = lo - 1
     return sink
@@ -177,18 +159,19 @@ def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool
 
     The rule rejects arrivals 0..r-1, takes the first maximal one after
     them, and else the last; from r = n-1 on it takes the last.  With r = 0
-    it is ``first_max``.  Otherwise walk ``random.shuffle``'s draws from
-    index n-1 down to r.  The values fixed so far are the later arrivals, so
-    a value fixed at index i arrived maximal iff the k values below it (those
-    down to 1) were fixed before it.  The sink always arrives maximal; the
-    trial wins iff it is fixed in the walk and no maximal value is fixed
-    after it.  Values are stored plus k, and ``run[v]`` is the length of the
+    it is ``first_max``, which wins iff the sink arrives first, so
+    ``_sink_index`` stops at the draw that moves it off index 0.  Otherwise
+    walk ``random.shuffle``'s draws from index n-1 down to r.  The values
+    fixed so far are the later arrivals, so a value fixed at index i arrived
+    maximal iff the k values below it (those down to 1) were fixed before
+    it.  The sink always arrives maximal; the trial wins iff it is fixed in
+    the walk and no maximal value is fixed after it.  Values are stored plus k, and ``run[v]`` is the length of the
     run of fixed values that ends at v, kept at both ends of each run as in
     ``_tau_n_win``; ``run[k] = k`` stands for k values below 1 fixed from
     the start, so v arrived maximal iff ``run[v - 1] >= k``.
     """
     if r == 0:
-        return _first_max_win(n, rng)
+        return not _sink_index(n, rng, whole=False)
     r = min(r, n - 1)
     sink = k + 1
     perm = list(range(sink, n + sink))
@@ -268,12 +251,10 @@ def _count_wins(
             wins += _continuous_win(n, gap, rng)
         elif s.kind == "tau_n":
             wins += _tau_n_win(n, k, rng)
-        elif s.kind == "first_max":
-            wins += _first_max_win(n, rng)
-        elif s.kind == "classical_threshold":
-            wins += _classical_threshold_win(n, k, s.r, rng)
-        else:
+        elif s.kind == "tau_p_star":
             wins += _tau_p_star_win(n, k, s, seed, rng)
+        else:  # a fixed threshold; first_max is classical_threshold(0)
+            wins += _classical_threshold_win(n, k, _skip_count(s, n, None), rng)
     return wins
 
 
@@ -304,17 +285,16 @@ def simulate(
         if k >= n - 2:
             raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
     started = time.perf_counter()
-    if threads == 1:
-        wins = _count_wins(n, k, s, master_seed, 0, trials)
+    chunk = -(-trials // threads)
+    spans = [
+        (n, k, s, master_seed, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)
+    ]
+    # The pool forks all its workers at once; more than the spans or the
+    # CPUs only costs processes, and one worker is this process.
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers == 1:
+        wins = sum(map(_count_wins_task, spans))
     else:
-        chunk = -(-trials // threads)
-        spans = [
-            (n, k, s, master_seed, lo, min(lo + chunk, trials))
-            for lo in range(0, trials, chunk)
-        ]
-        # The pool forks all its workers at once; more than the spans or
-        # the CPUs only costs processes.
-        workers = min(threads, len(spans), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             wins = sum(pool.map(_count_wins_task, spans))
     wall = time.perf_counter() - started

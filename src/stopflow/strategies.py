@@ -8,7 +8,7 @@ Four strategy kinds ship here:
   the first M arrivals, then take the first maximal one (distance-blind);
 * ``classical_threshold`` -- like tau_p_star but with a fixed rejection
   count r;
-* ``first_max`` -- stop immediately (the first arrival is always maximal).
+* ``first_max`` -- ``classical_threshold(0)``: the first arrival is maximal.
 
 Every strategy decides from the event stream alone; if it never fires the
 run stops at t = n and the record carries the final arrival.
@@ -150,9 +150,7 @@ def _skip_count(s: Strategy, n: int, rng: random.Random | None) -> int:
 def _wants_stop(s: Strategy, event: ObservationEvent, skip: int) -> bool:
     if s.kind == "tau_n":
         return event.condition_met and event.is_max
-    if s.kind == "first_max":
-        return True
-    # threshold family: first maximal arrival after the rejection phase
+    # threshold family, first_max included: first maximal arrival after the skip
     return event.t > skip and event.is_max
 
 

@@ -350,7 +350,12 @@ def _conditional_success_vs_states(n_max: int) -> WalkCheck:
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            for st in _class_stats(PathPower(n, k), (yield n, k, _info_class_visitor)):
+            classes = yield n, k, _info_class_visitor
+            try:
+                stats = _class_stats(PathPower(n, k), classes)
+            except RuntimeError as exc:  # the class audit failed
+                return Check("conditional_success_vs_states", False, f"(n={n}, k={k}): {exc}")
+            for st in stats:
                 if not st.last_is_max:
                     continue
                 expect = conditional_success(n, k, st.t, st.component_count, st.pending_inner)

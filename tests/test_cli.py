@@ -270,6 +270,18 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_reports_a_failed_class_audit(capsys, monkeypatch):
+    # A canonical state that merges classes makes the audit raise; verify
+    # must report that as the stop-value check's failure, not crash.
+    monkeypatch.setattr("stopflow.oracle.canonical_info_state", lambda g, prefix: (len(prefix),))
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4")
+    assert code == 2
+    assert ("FAIL  conditional_success_vs_states: (n=3, k=1): two information classes "
+            "share the canonical state (2,)\n") in out
+    assert "verdict: FAILURES present" in out and "Traceback" not in err
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
+
+
 def test_verify_checks_cap_n_max_themselves():
     # verify_all passes n_max straight through; these caps keep the output of
     # verify --n-max 8 as it was when verify_all applied them.

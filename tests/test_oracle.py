@@ -40,6 +40,14 @@ def test_brute_force_formula_agreement_small():
             )
 
 
+def test_brute_force_first_max_is_classical_threshold_zero():
+    for n in range(2, 8):
+        for k in range(1, n):
+            assert brute_force_win_probability(n, k, Strategy.first_max()) == (
+                brute_force_win_probability(n, k, Strategy.classical_threshold(0))
+            ), (n, k)
+
+
 def test_brute_force_resource_guard():
     with pytest.raises(ResourceGuardError):
         brute_force_win_probability(10, 2, Strategy.tau_n())

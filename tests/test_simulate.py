@@ -21,7 +21,7 @@ from stopflow import (
 )
 from stopflow.oracle import walk_prefixes
 from stopflow.simulate import (
-    _classical_threshold_win, _first_max_win, _sink_index, _tau_n_win, _tau_p_star_win,
+    _classical_threshold_win, _sink_index, _tau_n_win, _tau_p_star_win,
     run_trial,
 )
 
@@ -57,7 +57,7 @@ def assert_matches_reference_runner(g, s, seed):
     if s.kind == "tau_n":
         assert _tau_n_win(g.n, g.k, rng) == ref
     elif s.kind == "first_max":
-        assert _first_max_win(g.n, rng) == ref
+        assert _classical_threshold_win(g.n, g.k, 0, rng) == ref
     elif s.kind == "classical_threshold":
         assert _classical_threshold_win(g.n, g.k, s.r, rng) == ref
     else:
@@ -187,7 +187,7 @@ def test_threshold_tails_read_the_shuffle_stream_down_to_the_deciding_draw(n):
         # first_max loses at the draw that moves 1 off index 0, which is the
         # draw for the sink's final index; a win draws down to index 1.
         tail = random.Random(seed)
-        assert _first_max_win(n, tail) == (sink == 0), (n, seed)
+        assert _sink_index(n, tail, whole=False) == sink, (n, seed)
         assert_state_after_draws(tail, seed, n, max(sink, 1), (n, seed))
         for k in sorted({1, 3, n // 2, n - 1}):
             arrived = bytearray(n + k + 1)  # arrived[pos + k] marks pos
@@ -319,13 +319,14 @@ def serial_pool(monkeypatch):
 @pytest.mark.parametrize("threads, trials, cpus, workers", [
     (5000, 40, 4, 4),   # capped by the CPU count
     (5000, 3, 64, 3),   # capped by the span count: one trial per span
-    (3, 40, None, 1),   # os.cpu_count() may not know
+    (3, 40, None, 1),   # os.cpu_count() may not know: one worker, no pool
     (2, 40, 8, 2),
+    (1, 40, 8, 1),
 ])
 def test_simulate_pool_size_is_bounded(serial_pool, monkeypatch, threads, trials, cpus, workers):
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
     pooled = simulate(8, 2, Strategy.tau_n(), trials, master_seed=5, threads=threads)
-    assert serial_pool == [workers]
+    assert serial_pool == ([workers] if workers > 1 else [])  # one worker is this process
     assert pooled.wins == simulate(8, 2, Strategy.tau_n(), trials, master_seed=5).wins
 
 
@@ -357,6 +358,14 @@ def test_simulate_estimate_matches_exact_value():
     assert abs(rep.estimate - exact) <= 3 * max(rep.stderr, 1e-9)
     assert rep.ci_lo <= rep.estimate <= rep.ci_hi
     assert abs(rep.stderr - math.sqrt(rep.estimate * (1 - rep.estimate) / trials)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1025])
+def test_simulate_first_max_is_classical_threshold_zero(n):
+    # The n straddle the bit-length blocks of the shuffle's draw loop.
+    for k, seed in [(1, 61), (n - 1, 62), (n // 2, 2**64 - 63)]:
+        assert (simulate(n, k, Strategy.first_max(), 400, master_seed=seed).wins
+                == simulate(n, k, Strategy.classical_threshold(0), 400, master_seed=seed).wins)
 
 
 def test_simulate_first_max_is_one_over_n():

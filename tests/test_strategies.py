@@ -67,6 +67,15 @@ def test_first_max_stops_at_first_arrival():
         assert rec.stop_index == 1 and rec.chosen_position == perm[0]
 
 
+def test_first_max_is_classical_threshold_zero():
+    for n in range(2, 7):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            for perm in itertools.permutations(range(1, n + 1)):
+                assert (run_strategy(Strategy.first_max(), g, perm)
+                        == run_strategy(Strategy.classical_threshold(0), g, perm)), (k, perm)
+
+
 def test_classical_threshold_skips_exactly_r():
     g = PathPower(5, 4)
     # descending arrivals: every arrival is maximal when it comes
