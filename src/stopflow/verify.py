@@ -4,10 +4,9 @@ Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
 The exhaustive checks read the oracle's prefix walk through visitors:
 ``verify_all`` walks each (n, k) once for all of them, and a standalone
-``check_*`` runs the same driver alone.  Only the continuous-model check,
-whose indicator reads the whole order, replays n!.  Desk-scale guards
-apply: ``verify_all`` passes ``n_max`` (at most the oracle guard) to every
-check, and each check caps it at its own limit.
+``check_*`` runs the same driver alone.  Desk-scale guards apply:
+``verify_all`` passes ``n_max`` (at most the oracle guard) to every check,
+and each check caps it at its own limit.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from .oracle import (
     brute_force_win_probability,
     continuous_win_indicator,
 )
-from .strategies import Strategy, run_strategy
+from .strategies import Strategy, _wants_stop, run_strategy
 
 # Golden observation trace: n=9, k=2, this arrival order must produce the
 # pending-inner sequence below, and the slack rule must stop at t=6 on the
@@ -54,6 +53,9 @@ GOLDEN_TRACE_K = 2
 GOLDEN_TRACE_PERMUTATION = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 GOLDEN_TRACE_PENDING_INNER = (0, 0, 1, 2, 1, 1, 2, 1, 0)
 GOLDEN_TRACE_STOP = 6
+
+# The bounds sandwich costs about n^3 in its largest n; 1000 takes seconds.
+BOUNDS_GUARD = 1000
 
 # Four-decimal rounding of the k=2 supremum of the scaled upper bound.
 SCALED_LIMIT = 1.2879
@@ -372,23 +374,54 @@ def _conditional_success_vs_states(n_max: int) -> WalkCheck:
 
 
 def check_continuous_discrete(n_max: int = 7) -> Check:
+    return _run_walks([_continuous_discrete(n_max)])[0]
+
+
+def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
+    """Visitor and result: the first order on which the continuous indicator
+    and the slack rule disagree ("" if none) and the number of orders
+    compared.
+
+    Both verdicts are fixed by the prefix that ends on the sink: the
+    indicator reads only which times are later than the sink's, and the
+    slack rule wins iff it first stops there.  So each such prefix stands
+    for its (n - t)! completions, and its first one names a disagreement.
+    """
+    n, k = g.n, g.k
+    tau_n = Strategy.tau_n()
+    runs = 0
+    failure = ""
+
+    def visit(path, events):
+        # Not muted at an earlier stop of the slack rule: that subtree's
+        # orders are losses, and the indicator must say so on each.
+        nonlocal runs, failure
+        if path[-1] != 1:
+            return bool(failure)
+        t = len(path)
+        stops = [_wants_stop(tau_n, e, 0) for e in events]
+        discrete = not any(stops[:-1]) and (stops[-1] or t == n)
+        order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
+        times = [0.0] * n
+        for i, pos in enumerate(order, start=1):
+            times[pos - 1] = (i - 0.5) / n
+        if continuous_win_indicator(g, ContinuousArrival(tuple(times))) != discrete and not failure:
+            failure = f"disagreement at (n={n}, k={k}), order {order}"
+        runs += math.factorial(n - t)
+        return True
+
+    return visit, lambda: (failure, runs)
+
+
+def _continuous_discrete(n_max: int) -> WalkCheck:
     n_max = min(n_max, 7)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
-            g = PathPower(n, k)
-            for perm in itertools.permutations(range(1, n + 1)):
-                times = [0.0] * n
-                for t, pos in enumerate(perm, start=1):
-                    times[pos - 1] = (t - 0.5) / n
-                cw = continuous_win_indicator(g, ContinuousArrival(tuple(times)))
-                dw = run_strategy(Strategy.tau_n(), g, perm).win
-                if cw != dw:
-                    return Check(
-                        "continuous_discrete", False,
-                        f"disagreement at (n={n}, k={k}), order {perm}",
-                    )
-                runs += 1
+            failure, compared = yield n, k, _continuous_tally
+            if failure:
+                return Check("continuous_discrete", False, failure)
+            runs += compared
     return Check("continuous_discrete", True, f"{runs} orderings agree up to n={n_max}")
 
 
@@ -434,6 +467,11 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
             f"verification enumerates all arrival orders and is guarded at "
             f"n_max <= {ENUMERATION_GUARD} (got {n_max})"
         )
+    if bounds_max_n > BOUNDS_GUARD:
+        raise ResourceGuardError(
+            f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} "
+            f"(got {bounds_max_n})"
+        )
     # The exhaustive checks share one walk per (n, k); the rest run alone.
     checks = [
         _formula_vs_oracle(n_max),
@@ -446,7 +484,7 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
         check_subset_counting(),
         _max_given_components(n_max),
         _conditional_success_vs_states(n_max),
-        check_continuous_discrete(n_max),
+        _continuous_discrete(n_max),
         _strategy_dominance(n_max),
     ]
     walked = iter(_run_walks([c for c in checks if not isinstance(c, Check)]))

@@ -4,8 +4,10 @@ import math
 import pytest
 
 from stopflow import Observer, __version__
+from stopflow import verify as verify_module
 from stopflow.cli import fraction_decimal, main, parse_grid
 from stopflow.verify import (
+    Check,
     check_bounds_sandwich,
     check_conditional_success_vs_states,
     check_continuous_discrete,
@@ -293,6 +295,7 @@ def test_verify_checks_cap_n_max_themselves():
         check_observer_invariants: "34406 exhaustive runs up to n=7",
         check_max_given_components: "155 (m, c) cells match (h+1)/m",
         check_strategy_dominance: "350 competing strategies dominated",
+        check_continuous_discrete: "22584 orderings agree up to n=7",
     }
     for check, detail in at_7.items():
         assert check(9).detail == detail, check.__name__
@@ -361,6 +364,23 @@ def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, 
     assert verify_all(5).checks == solo_checks(5)
 
 
+def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
+    # Flip the indicator on the (6, 2) orders whose sink arrives first: the
+    # check, alone or in verify_all, must name the first of them.
+    original = verify_module.continuous_win_indicator
+
+    def flipped(g, arr):
+        won = original(g, arr)
+        return not won if (g.n, g.k) == (6, 2) and arr.p == 0.5 / 6 else won
+
+    monkeypatch.setattr(verify_module, "continuous_win_indicator", flipped)
+    detail = "disagreement at (n=6, k=2), order (1, 2, 3, 4, 5, 6)"
+    assert check_continuous_discrete(7) == Check("continuous_discrete", False, detail)
+    report = verify_all(7)
+    assert not report.passed
+    assert Check("continuous_discrete", False, detail) in report.checks
+
+
 def test_verify_rejects_ranges_that_check_nothing(capsys):
     # below n_max=4 continuous_discrete has no case; below 6 the k=3 bounds grid is empty
     for argv in (["--n-max", "0"], ["--n-max", "1"], ["--n-max", "3"], ["--bounds-n", "5"],
@@ -378,6 +398,13 @@ def test_verify_resource_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "12")
     assert code == 3
     assert "resource guard" in err
+
+
+def test_verify_guards_the_bounds_sandwich(capsys):
+    # Its cost grows about as n^3: past the guard it must fail at once, not run for hours.
+    code, out, err = run_cli(capsys, "verify", "--bounds-n", "1001")
+    assert code == 3 and out == ""
+    assert "resource guard" in err and "bounds_max_n <= 1000" in err
 
 
 # ---------------------------------------------------------------------------

@@ -467,3 +467,47 @@ def test_continuous_discrete_equivalence_exhaustive():
                 disc = run_strategy(Strategy.tau_n(), g, perm).win
                 assert cont == disc, (n, k, perm)
 
+
+
+def rank_times(order):
+    times = [0.0] * len(order)
+    for t, pos in enumerate(order, start=1):
+        times[pos - 1] = (t - 0.5) / len(order)
+    return ContinuousArrival(tuple(times))
+
+
+def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
+    # Both sides are fixed by the prefix that ends on the sink, so verify's
+    # visitor judges that prefix once, on its first completion, and credits
+    # all of its completions.
+    from stopflow import verify
+
+    indicator = verify.continuous_win_indicator
+    for n in range(4, 7):
+        for k in range(1, n - 2):
+            g = PathPower(n, k)
+            compared = 0
+
+            def visit(path, events):
+                nonlocal compared
+                if path[-1] != 1:
+                    return None
+                rest = sorted(set(range(1, n + 1)).difference(path))
+                orders = [(*path, *tail) for tail in itertools.permutations(rest)]
+                cont = {continuous_win_indicator(g, rank_times(order)) for order in orders}
+                disc = {run_strategy(Strategy.tau_n(), g, order).win for order in orders}
+                assert len(cont) == len(disc) == 1, (n, k, path)
+                # Agreement on the true indicator, a named disagreement on its negation.
+                named = f"disagreement at (n={n}, k={k}), order {orders[0]}"
+                for flip, failure in ((False, ""), (True, named)):
+                    monkeypatch.setattr(verify, "continuous_win_indicator",
+                                        lambda g_, arr: indicator(g_, arr) != flip)
+                    tally, result = verify._continuous_tally(g)
+                    assert tally(path, events) is True
+                    assert result() == (failure, len(orders)), (n, k, path)
+                monkeypatch.undo()
+                compared += len(orders)
+                return True
+
+            walk_prefixes(g, visit)
+            assert compared == math.factorial(n)
