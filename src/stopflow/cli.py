@@ -24,12 +24,12 @@ from itertools import chain
 from typing import Iterable
 
 from . import __version__
-from .exact import bound_report, exact_tables, success_probability_exact
+from .exact import bound_report, exact_tables, success_probability_exact, upper_bound
 from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
 from .simulate import _MASK64, simulate
-from .strategies import KINDS, Strategy, _wants_stop, default_threshold
+from .strategies import KINDS, Strategy, _wants_stop, default_threshold, run_strategy
 from .verify import verify_all
 
 SEED_ENV_VAR = "STOPFLOW_SEED"
@@ -233,7 +233,7 @@ def cmd_scaling(args) -> CommandResult:
                     "p_exact": str(p),
                     "p_decimal": fraction_decimal(p),
                     "scaled": scaled,
-                    "upper_bound": rep.upper if rep else 0.5,
+                    "upper_bound": upper_bound(n, k),
                     "lower_bound": rep.lower if rep else "",
                     "best_epsilon": rep.epsilon if rep else "",
                 }
@@ -276,18 +276,15 @@ def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
 
 def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
     tau_n = Strategy.tau_n()
+    rec = run_strategy(tau_n, g, perm)
     obs = Observer(g)
     steps = []
-    stop_index = None
     for pos in perm:
         event = obs.observe(pos)
         comps = [
             {"offsets": list(view.offsets), "inner_missing": view.inner_missing}
             for view in obs.components()
         ]
-        fires = stop_index is None and _wants_stop(tau_n, event, 0)
-        if fires:
-            stop_index = event.t
         steps.append(
             {
                 "t": event.t,
@@ -298,14 +295,12 @@ def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
                 "slack": event.slack,
                 "is_max": event.is_max,
                 "condition_met": event.condition_met,
-                "stop": fires,
+                # the rule's first firing; run_strategy's fallback at t = n is not one
+                "stop": event.t == rec.stop_index and _wants_stop(tau_n, event, 0),
             }
         )
-    if stop_index is None:
-        stop_index = g.n
-    chosen = perm[stop_index - 1]
-    return {"permutation": list(perm), "steps": steps, "stop_index": stop_index,
-            "chosen": chosen, "win": chosen == 1}
+    return {"permutation": list(perm), "steps": steps, "stop_index": rec.stop_index,
+            "chosen": rec.chosen_position, "win": rec.win}
 
 
 def cmd_trace(args) -> CommandResult:

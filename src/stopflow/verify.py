@@ -2,9 +2,10 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
-The exhaustive checks read the oracle's prefix walk through visitors:
-``verify_all`` walks each (n, k) once for all of them, and a standalone
-``check_*`` runs the same driver alone.  Desk-scale guards apply:
+Every check goes through one driver, ``_run_walks``.  The exhaustive checks,
+the frozen goldens among them, read the oracle's prefix walk through
+visitors: ``verify_all`` walks each (n, k) once for all of them, and a
+standalone ``check_*`` runs the same driver alone.  Desk-scale guards apply:
 ``verify_all`` passes ``n_max`` (at most the oracle guard) to every check,
 and each check caps it at its own limit.
 """
@@ -17,13 +18,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Generator
 
 from .exact import (
-    best_epsilon,
+    bound_report,
     conditional_success,
     exact_tables,
-    lower_bound_tau_p,
     min_condition_time,
     success_probability_exact,
-    upper_bound,
 )
 from .graph import PathPower
 from .observer import Observer
@@ -40,7 +39,6 @@ from .oracle import (
     _rejection_mixture,
     _slack_rule_visitor,
     _threshold_visitor,
-    brute_force_win_probability,
     continuous_win_indicator,
 )
 from .strategies import Strategy, _wants_stop, run_strategy
@@ -57,8 +55,9 @@ GOLDEN_TRACE_STOP = 6
 # The bounds sandwich costs about n^3 in its largest n; 1000 takes seconds.
 BOUNDS_GUARD = 1000
 
-# Four-decimal rounding of the k=2 supremum of the scaled upper bound.
-SCALED_LIMIT = 1.2879
+# Four exhaustive checks stop at this n whatever n_max they get: this keeps
+# the output of verify --n-max 8 as it was when verify_all applied the cap.
+WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
     (5, 2): Fraction(9, 20),
@@ -83,16 +82,16 @@ if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported co
     WalkCheck = Generator[tuple[int, int, Callable], object, Check]
 
 
-def _run_walks(checks: list[WalkCheck]) -> list[Check]:
-    """Run exhaustive checks on one prefix walk per (n, k); return their
-    Checks in order.
+def _run_walks(checks: list[Check | WalkCheck]) -> list[Check]:
+    """Run checks on one prefix walk per (n, k); return their Checks in order.
 
-    A check is a generator: it yields (n, k, make) for each walk it needs,
-    in increasing (n, k), is sent the result of the visitor ``make(g)``
-    builds, and returns its Check.  Checks that ask for one ``make`` at one
-    (n, k) share its visitor.  Results are dropped after their (n, k).
+    A finished Check passes straight through.  An exhaustive check is a
+    generator: it yields (n, k, make) for each walk it needs, in increasing
+    (n, k), is sent the result of the visitor ``make(g)`` builds, and
+    returns its Check.  Checks that ask for one ``make`` at one (n, k) share
+    its visitor.  Results are dropped after their (n, k).
     """
-    done: list[Check | None] = [None] * len(checks)
+    done = [c if isinstance(c, Check) else None for c in checks]
     wants: dict[int, tuple[int, int, Callable]] = {}  # check index -> its next walk
 
     def send(i: int, value: object) -> None:
@@ -101,8 +100,9 @@ def _run_walks(checks: list[WalkCheck]) -> list[Check]:
         except StopIteration as stop:
             done[i] = stop.value
 
-    for i in range(len(checks)):
-        send(i, None)
+    for i, c in enumerate(done):
+        if c is None:
+            send(i, None)
     while wants:
         n, k = min(want[:2] for want in wants.values())
         here = [i for i, want in wants.items() if want[:2] == (n, k)]
@@ -158,8 +158,6 @@ def check_degenerate_half_cases(n_max: int = 8) -> Check:
     half = Fraction(1, 2)
     for n in range(3, n_max + 1):
         for k in (n - 1, n - 2):
-            if k < 1:
-                continue
             p = success_probability_exact(n, k)
             if p != half:
                 return Check(
@@ -181,9 +179,13 @@ def check_golden_trace() -> Check:
 
 
 def check_frozen_exact_values() -> Check:
+    return _run_walks([_frozen_exact_values()])[0]
+
+
+def _frozen_exact_values() -> WalkCheck:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
-        o = brute_force_win_probability(n, k, Strategy.tau_n())
+        o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
         if not f == o == expect:
             return Check(
                 "frozen_exact_values", False,
@@ -203,16 +205,16 @@ def check_bounds_sandwich(max_n: int = 200) -> Check:
     for k in (1, 2, 3):
         for n in bounds_grid(k, max_n):
             p = float(success_probability_exact(n, k))
-            u = upper_bound(n, k)
+            rep = bound_report(n, k)
+            u, lb, limit = rep.upper, rep.lower, rep.asymptotic_constant
             if not p < u:
                 return Check("bounds_sandwich", False, f"(n={n}, k={k}): exact {p} >= upper {u}")
             scaled = n ** (1.0 / (k + 1)) * p
-            if scaled > SCALED_LIMIT:
+            if scaled > limit:
                 return Check(
                     "bounds_sandwich", False,
-                    f"(n={n}, k={k}): scaled value {scaled} exceeds {SCALED_LIMIT}",
+                    f"(n={n}, k={k}): scaled value {scaled} exceeds {limit}",
                 )
-            lb = lower_bound_tau_p(n, k, float(best_epsilon(n, k)))
             if p < lb:
                 return Check("bounds_sandwich", False, f"(n={n}, k={k}): exact {p} < lower {lb}")
             cases += 1
@@ -248,7 +250,7 @@ def _invariant_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, 
 
 
 def _observer_invariants(n_max: int) -> WalkCheck:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -257,22 +259,6 @@ def _observer_invariants(n_max: int) -> WalkCheck:
                 return Check("observer_invariants", False, failure)
             runs += complete
     return Check("observer_invariants", True, f"{runs} exhaustive runs up to n={n_max}")
-
-
-def _missing_runs(n: int, subset: tuple[int, ...]) -> list[int]:
-    present = set(subset)
-    runs = []
-    length = 0
-    for q in range(1, n + 1):
-        if q in present:
-            if length:
-                runs.append(length)
-            length = 0
-        else:
-            length += 1
-    if length:
-        runs.append(length)
-    return runs
 
 
 def check_subset_counting(n_max: int = 10) -> Check:
@@ -286,10 +272,11 @@ def check_subset_counting(n_max: int = 10) -> Check:
                 for subset in itertools.combinations(range(1, n + 1), m):
                     if subset[0] != 1 or subset[-1] != n:
                         continue
-                    runs = _missing_runs(n, subset)
-                    if any(r > k for r in runs):
+                    # Holding 1 and n, its missing runs are the positive gaps.
+                    gaps = [b - a - 1 for a, b in zip(subset, subset[1:])]
+                    if max(gaps) > k:
                         continue
-                    h = sum(1 for r in runs if r == k)
+                    h = gaps.count(k)
                     by_h[h] = by_h.get(h, 0) + 1
                     total += 1
                 if m < min_condition_time(n, k):
@@ -329,7 +316,7 @@ def _component_tally(g: PathPower) -> tuple[Callable, Callable[[], dict]]:
 
 
 def _max_given_components(n_max: int) -> WalkCheck:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, WALK_N_CAP)
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -414,7 +401,7 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
 
 
 def _continuous_discrete(n_max: int) -> WalkCheck:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
@@ -430,7 +417,7 @@ def check_strategy_dominance(n_max: int = 7) -> Check:
 
 
 def _strategy_dominance(n_max: int) -> WalkCheck:
-    n_max = min(n_max, 7)
+    n_max = min(n_max, WALK_N_CAP)
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
     for n in range(3, n_max + 1):
@@ -472,13 +459,13 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
             f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} "
             f"(got {bounds_max_n})"
         )
-    # The exhaustive checks share one walk per (n, k); the rest run alone.
-    checks = [
+    # The exhaustive checks share one walk per (n, k).
+    checks = _run_walks([
         _formula_vs_oracle(n_max),
         *(() if skip_dp else (_dp_vs_formula(n_max),)),
         check_degenerate_half_cases(),
         check_golden_trace(),
-        check_frozen_exact_values(),
+        _frozen_exact_values(),
         check_bounds_sandwich(bounds_max_n),
         _observer_invariants(n_max),
         check_subset_counting(),
@@ -486,7 +473,5 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
         _conditional_success_vs_states(n_max),
         _continuous_discrete(n_max),
         _strategy_dominance(n_max),
-    ]
-    walked = iter(_run_walks([c for c in checks if not isinstance(c, Check)]))
-    checks = [c if isinstance(c, Check) else next(walked) for c in checks]
+    ])
     return VerifyReport(passed=all(c.passed for c in checks), checks=tuple(checks))

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from stopflow import Observer, __version__
+from stopflow import oracle as oracle_module
 from stopflow import verify as verify_module
 from stopflow.cli import fraction_decimal, main, parse_grid
+from stopflow.exact import success_probability_exact
 from stopflow.verify import (
     Check,
     check_bounds_sandwich,
@@ -379,6 +383,58 @@ def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
     report = verify_all(7)
     assert not report.passed
     assert Check("continuous_discrete", False, detail) in report.checks
+
+
+def test_verify_all_walks_each_n_k_once(monkeypatch):
+    # Every exhaustive check, the goldens included, reads one shared walk per (n, k).
+    original = oracle_module.walk_prefixes
+    walks = Counter()
+
+    def counted(g, *visits):
+        walks[g.n, g.k] += 1
+        return original(g, *visits)
+
+    monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
+    assert verify_all(7).passed
+    assert walks and set(walks.values()) == {1}, walks
+
+
+def test_bounds_sandwich_certifies_the_shipped_report(monkeypatch):
+    # The sandwich must read the bounds that bound_report ships, not its own copy.
+    p = float(success_probability_exact(4, 1))
+    monkeypatch.setattr("stopflow.exact.upper_bound", lambda n, k: 0.0)
+    assert check_bounds_sandwich(30) == Check(
+        "bounds_sandwich", False, f"(n=4, k=1): exact {p} >= upper 0.0"
+    )
+
+
+def test_subset_counting_sees_a_table_fault(monkeypatch):
+    # One V[m, h] entry off by one at (5, 2) must be named by its row.
+    original = verify_module.exact_tables
+    m, h = min(original(5, 2).V)
+
+    def corrupted(n, k):
+        tabs = original(n, k)
+        if (n, k) != (5, 2):
+            return tabs
+        return dataclasses.replace(tabs, V={**tabs.V, (m, h): tabs.V[m, h] + 1})
+
+    monkeypatch.setattr(verify_module, "exact_tables", corrupted)
+    check = check_subset_counting()
+    assert not check.passed
+    assert check.detail.startswith(f"table mismatch at (n=5, k=2, m={m}): subsets ")
+
+
+def test_frozen_exact_values_names_a_wrong_golden(monkeypatch):
+    # Alone and in verify_all, with or without the exhaustive walk at (6, 2).
+    monkeypatch.setitem(verify_module.GOLDEN_EXACT_VALUES, (6, 2), Fraction(13, 31))
+    failed = Check("frozen_exact_values", False,
+                   "(n=6, k=2): formula 13/30, oracle 13/30, expected 13/31")
+    assert check_frozen_exact_values() == failed
+    for n_max in (4, 7):
+        report = verify_all(n_max)
+        assert not report.passed
+        assert failed in report.checks
 
 
 def test_verify_rejects_ranges_that_check_nothing(capsys):
