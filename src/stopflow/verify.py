@@ -55,8 +55,8 @@ GOLDEN_TRACE_STOP = 6
 # The bounds sandwich costs about n^3 in its largest n; 1000 takes seconds.
 BOUNDS_GUARD = 1000
 
-# Four exhaustive checks stop at this n whatever n_max they get: this keeps
-# the output of verify --n-max 8 as it was when verify_all applied the cap.
+# Caps four exhaustive checks whatever n_max they get, so that the output of
+# verify --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
 WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
