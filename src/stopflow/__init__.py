@@ -13,6 +13,7 @@ from .exact import (
     exact_tables,
     lower_bound_tau_p,
     recommended_p,
+    success_probabilities_exact,
     success_probability_exact,
     success_probability_k2,
     upper_bound,
@@ -63,6 +64,7 @@ __all__ = [
     "run_strategy",
     "simulate",
     "splitmix64",
+    "success_probabilities_exact",
     "success_probability_exact",
     "success_probability_k2",
     "trial_seed",

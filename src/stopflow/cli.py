@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import __version__
-from .exact import bound_report, exact_tables, success_probability_exact, upper_bound
+from .exact import _check_epsilon, bound_report, exact_tables, success_probabilities_exact, upper_bound
 from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
@@ -216,14 +216,17 @@ def cmd_scaling(args) -> CommandResult:
     k_grid = parse_grid(_require(args, "k"), "--k")
     n_grid = parse_grid(_require(args, "n"), "--n")
     epsilon = _epsilon(args)
+    if epsilon is not None:  # bound_report sees it only where a row has a lower bound
+        _check_epsilon(epsilon)
     rows = []
     skipped = []
     for k in k_grid:
+        exact = success_probabilities_exact([n for n in n_grid if k < n], k)
         for n in n_grid:
             if k >= n:
                 skipped.append({"n": n, "k": k, "reason": "k >= n"})
                 continue
-            p = success_probability_exact(n, k)
+            p = exact[n]
             scaled = n ** (1.0 / (k + 1)) * float(p)
             rep = bound_report(n, k, epsilon) if k < n - 2 else None
             rows.append(

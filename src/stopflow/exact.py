@@ -12,22 +12,25 @@ and the probability is
 
     sum over m of  W[m] / (m * C(n, m))  =  sum over m of  W[m] (m-1)! (n-m)! / n!.
 
-Two paths compute it.  ``success_probability_exact`` reads ``W`` off the
+Two paths compute it.  ``success_probabilities_exact`` reads ``W`` off the
 generating function's coefficient rows, with big integers over the one
-denominator n!.  ``exact_tables`` counts the sets by composition
-enumeration instead, splitting ``W[m] = sum_h V[m, h]`` where the h-th slice
-holds the sets with exactly h+1 components; it gives the per-m breakdown of
-``stopflow exact`` and is the slow reference the first path is tested
-against.  Only the Gamma-function bounds use floating point.
+denominator n!.  The rows do not depend on n, so one row pass serves a whole
+n-grid: ``scaling`` and ``bounds_sandwich`` make one pass per k, and
+``success_probability_exact`` is the one-point case.  ``exact_tables`` counts
+the sets by composition enumeration, splitting ``W[m] = sum_h V[m, h]`` where
+the h-th slice holds the sets with exactly h+1 components; it gives the per-m
+breakdown of ``stopflow exact`` and is the slow reference the first path is
+tested against.  Only the Gamma-function bounds use floating point.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 EPSILON_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 
@@ -124,26 +127,35 @@ def exact_tables(n: int, k: int) -> ExactTables:
 
 
 def success_probability_exact(n: int, k: int) -> Fraction:
-    """Exact win probability of the optimal distance-aware rule on (n, k).
+    """Exact win probability of the optimal distance-aware rule on (n, k)."""
+    return success_probabilities_exact([n], k)[n]
 
-    Sums ``W[m] (m-1)! (n-m)!`` over the denominator n!, where
-    ``W[m] = [x^(n-m)] (1 + x + ... + x^k)^(m-1)``.  ``row`` holds that
-    power's coefficients up to degree n-m, the highest this or any later
-    step reads; the next power's are its sums over windows of width k+1.
-    ``W[m]`` is 0 for m below ``min_condition_time``.  No ``V`` table is
-    built: ``exact_tables`` is the composition-enumeration reference this
-    equals.
+
+def success_probabilities_exact(ns: Iterable[int], k: int) -> dict[int, Fraction]:
+    """Exact win probability on (n, k) for every n of the grid ``ns``, in one pass.
+
+    Sums ``W[m] (m-1)! (n-m)!`` over the denominator n!, where ``W[m] =
+    [x^(n-m)] (1 + x + ... + x^k)^(m-1)``.  These powers do not depend on n:
+    ``row`` holds one up to degree top-m, the highest this or any later step
+    reads, and the next power's are its sums over windows of width k+1.
+    Every (n, k) is checked before any row work.  ``exact_tables`` is the
+    composition-enumeration reference this equals.
     """
-    _check_nk(n, k)
-    row = [1] + [0] * (n - 1)  # (1 + ... + x^k)^0 up to degree n-1
-    total = 0
-    for m in range(1, n + 1):
-        total += row[n - m] * math.factorial(m - 1) * math.factorial(n - m)
+    totals = dict.fromkeys(ns, 0)
+    for n in totals:
+        _check_nk(n, k)
+    top = max(totals, default=0)
+    fact = list(accumulate(range(1, top + 1), operator.mul, initial=1))  # fact[i] = i!
+    row = [1] + [0] * (top - 1)  # (1 + ... + x^k)^0 up to degree top-1
+    for m in range(1, top + 1):
+        for n in totals:
+            if n >= m:
+                totals[n] += row[n - m] * fact[m - 1] * fact[n - m]
         # Next row at r: row[r-k] + ... + row[r] = prefix[r+1] - prefix[r-k],
         # where prefix reads 0 below index 0.
         prefix = list(accumulate(row, initial=0))
-        row = [hi - lo for hi, lo in zip(prefix[1:n - m + 1], [0] * k + prefix)]
-    return Fraction(total, math.factorial(n))
+        row = [hi - lo for hi, lo in zip(prefix[1:top - m + 1], [0] * k + prefix)]
+    return {n: Fraction(total, fact[n]) for n, total in totals.items()}
 
 
 def success_probability_k2(n: int) -> Fraction:
@@ -218,6 +230,10 @@ def _check_eps(n: int, k: int, epsilon: float) -> None:
     _check_nk(n, k)
     if k >= n - 2:
         raise ValueError(f"bound needs 1 <= k < n-2, got k={k}, n={n}")
+    _check_epsilon(epsilon)
+
+
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 

@@ -22,6 +22,7 @@ from .exact import (
     conditional_success,
     exact_tables,
     min_condition_time,
+    success_probabilities_exact,
     success_probability_exact,
 )
 from .graph import PathPower
@@ -52,7 +53,8 @@ GOLDEN_TRACE_PERMUTATION = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 GOLDEN_TRACE_PENDING_INNER = (0, 0, 1, 2, 1, 1, 2, 1, 0)
 GOLDEN_TRACE_STOP = 6
 
-# The bounds sandwich costs about n^3 in its largest n; 1000 takes seconds.
+# The bounds sandwich makes one row pass per k up to its largest n, a cost that
+# still grows without bound: about 1.3 s at 1000 and 15 s at 2000.
 BOUNDS_GUARD = 1000
 
 # Caps four exhaustive checks whatever n_max they get, so that the output of
@@ -203,8 +205,8 @@ def bounds_grid(k: int, max_n: int) -> list[int]:
 def check_bounds_sandwich(max_n: int = 200) -> Check:
     cases = 0
     for k in (1, 2, 3):
-        for n in bounds_grid(k, max_n):
-            p = float(success_probability_exact(n, k))
+        for n, exact in success_probabilities_exact(bounds_grid(k, max_n), k).items():
+            p = float(exact)
             rep = bound_report(n, k)
             u, lb, limit = rep.upper, rep.lower, rep.asymptotic_constant
             if not p < u:

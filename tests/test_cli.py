@@ -6,11 +6,13 @@ from collections import Counter
 import pytest
 
 from stopflow import Observer, __version__
+from stopflow import cli as cli_module
 from stopflow import oracle as oracle_module
 from stopflow import verify as verify_module
 from stopflow.cli import fraction_decimal, main, parse_grid
 from stopflow.exact import success_probability_exact
 from stopflow.verify import (
+    BOUNDS_GUARD,
     Check,
     check_bounds_sandwich,
     check_conditional_success_vs_states,
@@ -408,6 +410,33 @@ def test_bounds_sandwich_certifies_the_shipped_report(monkeypatch):
     )
 
 
+def test_bounds_sandwich_passes_at_its_guard():
+    assert check_bounds_sandwich(BOUNDS_GUARD) == Check(
+        "bounds_sandwich", True, "369 grid points sandwiched, k in 1..3, n <= 1000"
+    )
+
+
+def test_sandwich_and_scaling_make_one_row_pass_per_k(monkeypatch, capsys):
+    passes = Counter()
+
+    def counted(module):
+        original = module.success_probabilities_exact
+
+        def grid(ns, k):
+            passes[module.__name__, k] += 1
+            return original(ns, k)
+
+        monkeypatch.setattr(module, "success_probabilities_exact", grid)
+
+    counted(verify_module)
+    counted(cli_module)
+    assert check_bounds_sandwich(200).passed
+    code, _, _ = run_cli(capsys, "scaling", "--k", "1..3", "--n", "10..200:10")
+    assert code == 0
+    assert passes == Counter({(module.__name__, k): 1 for module in (verify_module, cli_module)
+                              for k in (1, 2, 3)})
+
+
 def test_subset_counting_sees_a_table_fault(monkeypatch):
     # One V[m, h] entry off by one at (5, 2) must be named by its row.
     original = verify_module.exact_tables
@@ -457,7 +486,7 @@ def test_verify_resource_guard(capsys):
 
 
 def test_verify_guards_the_bounds_sandwich(capsys):
-    # Its cost grows about as n^3: past the guard it must fail at once, not run for hours.
+    # Its cost still grows without bound: past the guard it must fail at once.
     code, out, err = run_cli(capsys, "verify", "--bounds-n", "1001")
     assert code == 3 and out == ""
     assert "resource guard" in err and "bounds_max_n <= 1000" in err
@@ -506,6 +535,14 @@ def test_scaling_json(capsys):
     doc = json.loads(out)
     assert [row["n"] for row in doc["rows"]] == [10, 20, 30]
     assert doc["skipped"] == []
+
+
+def test_scaling_checks_epsilon_when_no_point_has_a_lower_bound(capsys):
+    # n=3..4 at k=2 gives no lower bound, so no bound_report ever sees epsilon.
+    for grid in ("3..4", "3..8"):
+        code, out, err = run_cli(capsys, "scaling", "--k", "2", "--n", grid, "--epsilon", "5")
+        assert (code, out) == (1, ""), grid
+        assert err == "stopflow: error: epsilon must lie in (0, 1), got 5.0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ CASES = {
     "error_verify_resource_guard": (["verify", "--n-max", "12"], {}, None),
     "error_bounds_degenerate": (["bounds", "--n", "4", "--k", "2"], {}, None),
     "error_scaling_bad_grid": (["scaling", "--k", "2", "--n", "9..5"], {}, None),
+    "error_scaling_bad_epsilon": (
+        ["scaling", "--k", "2", "--n", "3..4", "--epsilon", "5"], {}, None),
 }
 
 _WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+')

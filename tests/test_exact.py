@@ -16,6 +16,7 @@ from stopflow import (
     exact_tables,
     lower_bound_tau_p,
     recommended_p,
+    success_probabilities_exact,
     success_probability_exact,
     success_probability_k2,
     upper_bound,
@@ -23,6 +24,7 @@ from stopflow import (
 )
 from stopflow.exact import asymptotic_upper_constant, min_condition_time
 from stopflow.oracle import canonical_info_state
+from stopflow.verify import bounds_grid
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +158,58 @@ def test_k2_simplification_matches_general_form():
         assert success_probability_k2(n) == success_probability_exact(n, 2)
 
 
-def test_k1_reduction_matches_general_form():
+def k1_binomial_form(n):
     # With a single gap width the arrangement count collapses to one binomial.
+    return sum(
+        Fraction(math.comb(m - 1, n - m), m * math.comb(n, m))
+        for m in range(-((n + 1) // -2), n + 1)
+    )
+
+
+def test_k1_reduction_matches_general_form():
     for n in range(2, 31):
-        reduced = sum(
-            Fraction(math.comb(m - 1, n - m), m * math.comb(n, m))
-            for m in range(-((n + 1) // -2), n + 1)
-        )
-        assert reduced == success_probability_exact(n, 1)
+        assert k1_binomial_form(n) == success_probability_exact(n, 1)
+
+
+# One row pass per k serves a whole n-grid; each test below checks it
+# against a reference that never reads the coefficient rows.
+
+def test_grid_matches_composition_tables():
+    for k in range(1, 30):
+        grid = success_probabilities_exact(range(k + 1, 31), k)
+        assert list(grid) == list(range(k + 1, 31))
+        for n, p in grid.items():
+            assert p == exact_tables(n, k).probability, (n, k)
+
+
+def test_grid_matches_k2_collapsed_form():
+    ns = bounds_grid(2, 400)
+    assert success_probabilities_exact(ns, 2) == {n: success_probability_k2(n) for n in ns}
+
+
+def test_grid_matches_k1_binomial_form():
+    ns = range(2, 61)
+    assert success_probabilities_exact(ns, 1) == {n: k1_binomial_form(n) for n in ns}
+
+
+def test_grid_values_do_not_depend_on_the_grid():
+    full = success_probabilities_exact(range(4, 41), 3)
+    for ns in ([40, 12, 7], [40, 12, 7][::-1], range(40, 3, -1), [9, 9, 30, 9], [17]):
+        assert success_probabilities_exact(ns, 3) == {n: full[n] for n in ns}
+    assert success_probability_exact(17, 3) == full[17]
+
+
+def test_empty_grid_is_empty():
+    assert success_probabilities_exact([], 2) == {}
+
+
+@pytest.mark.parametrize("n, k", [(5, 5), (2, 2), (1, 1)])
+def test_grid_with_one_invalid_point_raises_the_one_point_error(n, k):
+    with pytest.raises(ValueError) as one_point:
+        success_probability_exact(n, k)
+    with pytest.raises(ValueError) as grid:
+        success_probabilities_exact([k + 3, n, 30], k)
+    assert str(grid.value) == str(one_point.value)
 
 
 @settings(max_examples=40, deadline=None)
