@@ -30,7 +30,7 @@ from .observer import Observer
 from .oracle import ResourceGuardError
 from .simulate import _MASK64, simulate
 from .strategies import KINDS, Strategy, _wants_stop, default_threshold, run_strategy
-from .verify import verify_all
+from .verify import BOUNDS_GUARD, verify_all
 
 SEED_ENV_VAR = "STOPFLOW_SEED"
 
@@ -218,6 +218,8 @@ def cmd_scaling(args) -> CommandResult:
     epsilon = _epsilon(args)
     if epsilon is not None:  # bound_report sees it only where a row has a lower bound
         _check_epsilon(epsilon)
+    if max(n_grid) > BOUNDS_GUARD:  # checked before any row pass
+        raise ResourceGuardError(f"scaling is guarded at n <= {BOUNDS_GUARD} (got n={max(n_grid)})")
     rows = []
     skipped = []
     for k in k_grid:

@@ -5,9 +5,11 @@ Each check pits an independent computation against the closed forms; the CLI
 Every check goes through one driver, ``_run_walks``.  The exhaustive checks,
 the frozen goldens among them, read the oracle's prefix walk through
 visitors: ``verify_all`` walks each (n, k) once for all of them, and a
-standalone ``check_*`` runs the same driver alone.  Desk-scale guards apply:
-``verify_all`` passes ``n_max`` (at most the oracle guard) to every check,
-and each check caps it at its own limit.
+standalone ``check_*`` runs the same driver alone.  ``observer_invariants``
+and ``max_given_components`` judge each prefix by its last events and share
+one visitor.  Desk-scale guards apply: ``verify_all`` checks ``n_max`` (at
+most the oracle guard) and passes it to every check, which caps it at its
+own limit; the bounds sandwich checks its own range.
 """
 from __future__ import annotations
 
@@ -53,8 +55,9 @@ GOLDEN_TRACE_PERMUTATION = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 GOLDEN_TRACE_PENDING_INNER = (0, 0, 1, 2, 1, 1, 2, 1, 0)
 GOLDEN_TRACE_STOP = 6
 
-# The bounds sandwich makes one row pass per k up to its largest n, a cost that
-# still grows without bound: about 1.3 s at 1000 and 15 s at 2000.
+# The bounds sandwich and ``stopflow scaling`` make one row pass per k up to
+# their largest n, a cost that still grows without bound: about 1.3 s at 1000
+# and 15 s at 2000 for the sandwich.
 BOUNDS_GUARD = 1000
 
 # Caps four exhaustive checks whatever n_max they get, so that the output of
@@ -121,9 +124,9 @@ def check_formula_vs_oracle(n_max: int = 8) -> Check:
 
 
 def _formula_vs_oracle(n_max: int) -> WalkCheck:
+    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration", False)
     cases = 0
     for n in range(2, n_max + 1):
-        _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", False)
         for k in range(1, n):
             f = success_probability_exact(n, k)
             o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
@@ -203,6 +206,13 @@ def bounds_grid(k: int, max_n: int) -> list[int]:
 
 
 def check_bounds_sandwich(max_n: int = 200) -> Check:
+    # Below n = 6 the k = 3 grid is empty, and the check would pass vacuously.
+    if max_n < 6:
+        raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {max_n}")
+    if max_n > BOUNDS_GUARD:
+        raise ResourceGuardError(
+            f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} (got {max_n})"
+        )
     cases = 0
     for k in (1, 2, 3):
         for n, exact in success_probabilities_exact(bounds_grid(k, max_n), k).items():
@@ -227,16 +237,18 @@ def check_observer_invariants(n_max: int = 7) -> Check:
     return _run_walks([_observer_invariants(n_max)])[0]
 
 
-def _invariant_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
-    """Visitor and result: the first invariant failure ("" if none) and the
-    number of complete arrival orders."""
+def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int, dict]]]:
+    """Visitor and result for the facts judged on each prefix's last events:
+    the first invariant failure ("" if none), the number of complete arrival
+    orders, and (t, component count) -> [orders, orders with a maximal t-th
+    arrival], where a prefix stands for its (n - t)! completions."""
     n, k = g.n, g.k
-    runs = 0
     failure = ""
+    tally: dict[tuple[int, int], list[int]] = {}
 
     def visit(path, events):
         # The predecessor suffices: once met, the condition must persist.
-        nonlocal runs, failure
+        nonlocal failure
         e = events[-1]
         met = len(events) > 1 and events[-2].condition_met
         what = ("negative slack" if e.slack < 0
@@ -245,10 +257,13 @@ def _invariant_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, 
                 else "")
         if what and not failure:
             failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
-        runs += e.t == n
-        return bool(failure)
+        weight = math.factorial(n - e.t)
+        cell = tally.setdefault((e.t, e.component_count), [0, 0])
+        cell[0] += weight
+        cell[1] += weight * e.is_max
 
-    return visit, lambda: (failure, runs)
+    # A complete order is a prefix of length n, of weight 0! = 1.
+    return visit, lambda: (failure, sum(v[0] for (t, _), v in tally.items() if t == n), tally)
 
 
 def _observer_invariants(n_max: int) -> WalkCheck:
@@ -256,7 +271,7 @@ def _observer_invariants(n_max: int) -> WalkCheck:
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            failure, complete = yield n, k, _invariant_visitor
+            failure, complete, _ = yield n, k, _prefix_visitor
             if failure:
                 return Check("observer_invariants", False, failure)
             runs += complete
@@ -300,29 +315,13 @@ def check_max_given_components(n_max: int = 7) -> Check:
     return _run_walks([_max_given_components(n_max)])[0]
 
 
-def _component_tally(g: PathPower) -> tuple[Callable, Callable[[], dict]]:
-    """Visitor and result: (t, component count) -> [orders, orders with a
-    maximal t-th arrival]."""
-    n = g.n
-    tally: dict[tuple[int, int], list[int]] = {}
-
-    def visit(path, events):
-        # A prefix stands for its (n - t)! completions, as in a replay tally.
-        e = events[-1]
-        weight = math.factorial(n - e.t)
-        cell = tally.setdefault((e.t, e.component_count), [0, 0])
-        cell[0] += weight
-        cell[1] += weight * e.is_max
-
-    return visit, lambda: tally
-
-
 def _max_given_components(n_max: int) -> WalkCheck:
     n_max = min(n_max, WALK_N_CAP)
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            for (m, c), (tot, mx) in (yield n, k, _component_tally).items():
+            _, _, tally = yield n, k, _prefix_visitor
+            for (m, c), (tot, mx) in tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     return Check(
                         "max_given_components", False,
@@ -445,21 +444,14 @@ def _strategy_dominance(n_max: int) -> WalkCheck:
 
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
-    # Below these limits some checks have no case and would pass vacuously:
-    # continuous_discrete starts at n=4, and the k=3 bounds grid at n=6.
+    # Below n_max = 4 continuous_discrete has no case and would pass vacuously;
+    # check_bounds_sandwich checks bounds_max_n itself.
     if n_max < 4:
         raise ValueError(f"verification needs n_max >= 4, got {n_max}")
-    if bounds_max_n < 6:
-        raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {bounds_max_n}")
     if n_max > ENUMERATION_GUARD:
         raise ResourceGuardError(
             f"verification enumerates all arrival orders and is guarded at "
             f"n_max <= {ENUMERATION_GUARD} (got {n_max})"
-        )
-    if bounds_max_n > BOUNDS_GUARD:
-        raise ResourceGuardError(
-            f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} "
-            f"(got {bounds_max_n})"
         )
     # The exhaustive checks share one walk per (n, k).
     checks = _run_walks([

@@ -11,6 +11,7 @@ from stopflow import oracle as oracle_module
 from stopflow import verify as verify_module
 from stopflow.cli import fraction_decimal, main, parse_grid
 from stopflow.exact import success_probability_exact
+from stopflow.oracle import ResourceGuardError
 from stopflow.verify import (
     BOUNDS_GUARD,
     Check,
@@ -370,6 +371,32 @@ def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, 
     assert verify_all(5).checks == solo_checks(5)
 
 
+@pytest.mark.parametrize("field, change, check, detail", [
+    ("is_max", lambda e: not e.is_max, check_max_given_components,
+     "(n=5, k=2, m=2, c=1): 36/84 != 1/2"),
+    ("slack", lambda e: -1, check_observer_invariants,
+     "negative slack at (n=5, k=2), prefix (2, 1), t=2"),
+], ids=["is_max-components", "slack-negative"])
+def test_prefix_walk_checks_see_a_fault_at_one_prefix(monkeypatch, field, change, check, detail):
+    # Corrupt the event of the prefix (2, 1) of (5, 2) only: the check that
+    # owns the fact fails alone, and the shared visitor judges every other
+    # prefix, and every other check, as before.
+    original = Observer.observe
+
+    def corrupted(self, pos):
+        event = original(self, pos)
+        if (self.g.n, self.g.k, pos) == (5, 2, 1) and self._arrived == [1, 2]:
+            return event._replace(**{field: change(event)})
+        return event
+
+    monkeypatch.setattr(Observer, "observe", corrupted)
+    failed = check(5)
+    assert (failed.passed, failed.detail) == (False, detail)
+    report = verify_all(5)
+    assert report.checks == solo_checks(5)
+    assert [c.name for c in report.checks if not c.passed] == [failed.name]
+
+
 def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
     # Flip the indicator on the (6, 2) orders whose sink arrives first: the
     # check, alone or in verify_all, must name the first of them.
@@ -399,6 +426,39 @@ def test_verify_all_walks_each_n_k_once(monkeypatch):
     monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
     assert verify_all(7).passed
     assert walks and set(walks.values()) == {1}, walks
+
+
+def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
+    walks = Counter()
+    original = oracle_module.walk_prefixes
+
+    def counted(g, *visits):
+        walks[g.n, g.k] += 1
+        return original(g, *visits)
+
+    monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
+    with pytest.raises(ResourceGuardError, match=r"guarded at n <= 9 \(got n=10\)"):
+        check_formula_vs_oracle(10)
+    assert walks == Counter()
+
+
+def test_bounds_sandwich_owns_its_range(monkeypatch):
+    # Outside its range the sandwich fails before any row pass, alone as in verify_all.
+    passes = []
+    original = verify_module.success_probabilities_exact
+    monkeypatch.setattr(verify_module, "success_probabilities_exact",
+                        lambda ns, k: passes.append(k) or original(ns, k))
+    with pytest.raises(ResourceGuardError) as guard:
+        check_bounds_sandwich(BOUNDS_GUARD + 1)
+    assert str(guard.value) == (
+        f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} "
+        f"(got {BOUNDS_GUARD + 1})"
+    )
+    with pytest.raises(ValueError) as empty:
+        check_bounds_sandwich(5)
+    assert type(empty.value) is ValueError
+    assert str(empty.value) == "the bounds sandwich needs bounds_max_n >= 6, got 5"
+    assert passes == []
 
 
 def test_bounds_sandwich_certifies_the_shipped_report(monkeypatch):
@@ -489,7 +549,11 @@ def test_verify_guards_the_bounds_sandwich(capsys):
     # Its cost still grows without bound: past the guard it must fail at once.
     code, out, err = run_cli(capsys, "verify", "--bounds-n", "1001")
     assert code == 3 and out == ""
-    assert "resource guard" in err and "bounds_max_n <= 1000" in err
+    assert err == ("stopflow: resource guard: the bounds sandwich is guarded at "
+                   "bounds_max_n <= 1000 (got 1001)\n")
+    code, out, err = run_cli(capsys, "verify", "--bounds-n", "5")
+    assert code == 1 and out == ""
+    assert err == "stopflow: error: the bounds sandwich needs bounds_max_n >= 6, got 5\n"
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +612,19 @@ def test_scaling_checks_epsilon_when_no_point_has_a_lower_bound(capsys):
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
+
+def test_scaling_guards_its_largest_n(monkeypatch, capsys):
+    # One row pass per k grows without bound: past BOUNDS_GUARD, exit 3 before any pass.
+    passes = []
+    original = cli_module.success_probabilities_exact
+    monkeypatch.setattr(cli_module, "success_probabilities_exact",
+                        lambda ns, k: passes.append(k) or original(ns, k))
+    code, out, err = run_cli(capsys, "scaling", "--k", "1..2", "--n", f"10..{BOUNDS_GUARD + 1}")
+    assert (code, out, passes) == (3, "", [])
+    assert err == f"stopflow: resource guard: scaling is guarded at n <= {BOUNDS_GUARD} (got n=1001)\n"
+    code, _, _ = run_cli(capsys, "scaling", "--k", "2", "--n", f"{BOUNDS_GUARD}")
+    assert (code, passes) == (0, [2])
+
 
 def test_trace_golden_run(capsys):
     code, out, _ = run_cli(capsys, "trace", "--n", "9", "--k", "2",

@@ -107,6 +107,7 @@ CASES = {
     "error_scaling_bad_grid": (["scaling", "--k", "2", "--n", "9..5"], {}, None),
     "error_scaling_bad_epsilon": (
         ["scaling", "--k", "2", "--n", "3..4", "--epsilon", "5"], {}, None),
+    "error_scaling_resource_guard": (["scaling", "--k", "2", "--n", "10..1010:500"], {}, None),
 }
 
 _WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+')
