@@ -55,11 +55,11 @@ def fraction_decimal(value: Fraction) -> str:
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
 
-def parse_grid(spec: str, what: str) -> list[int]:
-    """Parse '12', '10..200', or '10..200:10' into a list of values."""
+def parse_grid(spec: str, what: str) -> range:
+    """Parse '12', '10..200', or '10..200:10' into a range of values."""
     try:
         if ".." not in spec:
-            return [int(spec)]
+            return range(int(spec), int(spec) + 1)
         lo_part, rest = spec.split("..", 1)
         step = 1
         if ":" in rest:
@@ -70,7 +70,7 @@ def parse_grid(spec: str, what: str) -> list[int]:
         lo, hi = int(lo_part), int(hi_part)
         if step < 1 or hi < lo:
             raise ValueError
-        return list(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     except ValueError:
         raise UsageError(f"bad {what} specification {spec!r}; expected N, A..B, or A..B:STEP")
 
@@ -218,8 +218,11 @@ def cmd_scaling(args) -> CommandResult:
     epsilon = _epsilon(args)
     if epsilon is not None:  # bound_report sees it only where a row has a lower bound
         _check_epsilon(epsilon)
-    if max(n_grid) > BOUNDS_GUARD:  # checked before any row pass
-        raise ResourceGuardError(f"scaling is guarded at n <= {BOUNDS_GUARD} (got n={max(n_grid)})")
+    # On each grid's last value, before any row; a k past the cap gives only skipped rows.
+    for what, grid in (("n", n_grid), ("k", k_grid)):
+        if grid[-1] > BOUNDS_GUARD:
+            raise ResourceGuardError(
+                f"scaling is guarded at {what} <= {BOUNDS_GUARD} (got {what}={grid[-1]})")
     rows = []
     skipped = []
     for k in k_grid:
@@ -273,7 +276,7 @@ def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
             perm = tuple(int(tok) for tok in spec.split())
         except ValueError:
             raise UsageError(f"malformed permutation {spec!r}")
-        if sorted(perm) != list(range(1, n + 1)):
+        if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
             raise UsageError(f"permutation {spec!r} is not a permutation of 1..{n}")
         perms.append(perm)
     return perms
@@ -400,10 +403,6 @@ _SUBCOMMANDS = (
 _CSV_MODES = ("exact", "simulate", "scaling")
 
 
-def _formats(mode: str) -> tuple[str, ...]:
-    return ("csv", "json", "text") if mode in _CSV_MODES else ("json", "text")
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     # Shared after the first main call: parse_args only fills a new namespace.
@@ -416,7 +415,8 @@ def _build_parser() -> _Parser:
         for flag in flags:  # argparse rejects any other subcommand's flag
             sub.add_argument("--" + flag, **_FLAGS[flag])
         sub.add_argument("--out", help="write output to this path instead of stdout")
-        sub.add_argument("--format", choices=_formats(mode), default="text")
+        formats = ("csv", "json", "text") if mode in _CSV_MODES else ("json", "text")
+        sub.add_argument("--format", choices=formats, default="text")
         sub.add_argument("--config", help="flat key=value file with defaults for these flags")
         sub.set_defaults(func=func)
     return parser
@@ -449,20 +449,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        args._argv = argv
         if args.config:
             file_values = _load_config_file(args.config)
             unknown = set(file_values) - _CONFIG_FLAG_KEYS
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-            given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                     for tok in argv if tok.startswith("--")}
-            for key, value in file_values.items():
-                if key not in given and hasattr(args, key):
-                    setattr(args, key, value)
-            if args.format not in _formats(args.mode):
-                raise UsageError(f"bad format {args.format!r} for {args.mode}; "
-                                 f"expected one of {', '.join(_formats(args.mode))}")
+            # The file's lines become flags after the subcommand and ahead of the
+            # user's own, so argparse applies them and a later flag wins.
+            lines = [f"--{key.replace('_', '-')}={value}"
+                     for key, value in file_values.items() if hasattr(args, key)]
+            at = argv.index(args.mode) + 1
+            args = _build_parser().parse_args(argv[:at] + lines + argv[at:])
+        args._argv = argv
         result = args.func(args)
     except UsageError as exc:
         print(f"stopflow: usage error: {exc}", file=sys.stderr)
@@ -470,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceGuardError as exc:
         print(f"stopflow: resource guard: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"stopflow: error: {exc}", file=sys.stderr)
         return 1
     output = _render(args, result)

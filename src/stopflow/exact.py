@@ -32,6 +32,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+from .graph import _check_below_degenerate, _check_nk
+
 EPSILON_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 
 
@@ -100,13 +102,6 @@ class ExactTables:
     V: dict[tuple[int, int], int]
     W: dict[int, int]
     probability: Fraction
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
 
 
 @lru_cache(maxsize=256)
@@ -227,9 +222,7 @@ def best_epsilon(n: int, k: int) -> float:
 
 
 def _check_eps(n: int, k: int, epsilon: float) -> None:
-    _check_nk(n, k)
-    if k >= n - 2:
-        raise ValueError(f"bound needs 1 <= k < n-2, got k={k}, n={n}")
+    _check_below_degenerate(n, k, "bound")
     _check_epsilon(epsilon)
 
 

@@ -4,10 +4,25 @@ Vertices sit at positions 1..n; every edge points from a higher position
 to a lower one at distance at most k, so position 1 is the unique sink.
 The graph is held implicitly as (n, k): all structure is position
 arithmetic, so predicates are O(1) and nothing is stored.
+
+It owns the package's two input rules, which callers call directly:
+``_check_nk``, the graph exists (1 <= k < n), and ``_check_below_degenerate``,
+the bounds and the continuous model need 1 <= k < n-2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+def _check_nk(n: int, k: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
+def _check_below_degenerate(n: int, k: int, what: str) -> None:
+    _check_nk(n, k)
+    if k >= n - 2:
+        raise ValueError(f"{what} needs 1 <= k < n-2, got k={k}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -18,10 +33,7 @@ class PathPower:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={self.n}")
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"power must satisfy 1 <= k <= n-1, got k={self.k}, n={self.n}")
+        _check_nk(self.n, self.k)
 
     def _check_position(self, i: int) -> None:
         if not 1 <= i <= self.n:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .graph import PathPower
+from .graph import PathPower, _check_below_degenerate
 from .observer import ObservationEvent, Observer, component_runs
 from .strategies import Strategy, _skip_count, _wants_stop
 
@@ -29,11 +29,11 @@ class ResourceGuardError(Exception):
     """Raised when a brute-force request exceeds the desk-scale guard."""
 
 
-def _check_guard(n: int, limit: int, what: str, force: bool) -> None:
+def _check_guard(n: int, limit: int, what: str, force: bool | None = None) -> None:
+    # force=None: the caller takes no force, so the message offers none.
     if n > limit and not force:
-        raise ResourceGuardError(
-            f"{what} is guarded at n <= {limit} (got n={n}); pass force=True to override"
-        )
+        advice = "" if force is None else "; pass force=True to override"
+        raise ResourceGuardError(f"{what} is guarded at n <= {limit} (got n={n}){advice}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,7 @@ def continuous_win_indicator(g: PathPower, arr: ContinuousArrival) -> bool:
     time, no k+1 consecutive interior vertices are all still missing.
     """
     n, k = g.n, g.k
-    if k >= n - 2:
-        raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
+    _check_below_degenerate(n, k, "continuous model")
     times = arr.times
     if len(times) != n:
         raise ValueError(f"expected {n} arrival times, got {len(times)}")

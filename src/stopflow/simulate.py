@@ -45,8 +45,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
-from .graph import PathPower
+from .graph import PathPower, _check_below_degenerate, _check_nk
 from .strategies import (
     StopRecord, Strategy, _skip_count, numerator, rank_uniforms, run_strategy, uniform_words,
 )
@@ -238,13 +239,11 @@ def _continuous_win(n: int, gap: bytes, rng: random.Random) -> bool:
     return numerator(raw, n - 1) < p and rank_uniforms(raw, 1, n - 1, p + 1).find(gap) < 0
 
 
-def _count_wins(
-    n: int, k: int, s: Strategy | None, master_seed: int, start: int, stop: int
-) -> int:
+def _count_wins(n: int, k: int, s: Strategy | None, master_seed: int, span: range) -> int:
     gap = b"\x01" * (k + 1)
     rng = random.Random()
     wins = 0
-    for i in range(start, stop):
+    for i in span:
         seed = trial_seed(master_seed, i)
         rng.seed(seed)
         if s is None:
@@ -256,10 +255,6 @@ def _count_wins(
         else:  # a fixed threshold; first_max is classical_threshold(0)
             wins += _classical_threshold_win(n, k, _skip_count(s, n, None), rng)
     return wins
-
-
-def _count_wins_task(args) -> int:
-    return _count_wins(*args)
 
 
 def simulate(
@@ -280,23 +275,22 @@ def simulate(
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     _check_seed(master_seed)
-    PathPower(n, k)  # check n, k before any pool starts
-    if s is None:
-        if k >= n - 2:
-            raise ValueError(f"continuous model needs 1 <= k < n-2, got k={k}, n={n}")
+    if s is None:  # n and k are checked before any pool starts
+        _check_below_degenerate(n, k, "continuous model")
+    else:
+        _check_nk(n, k)
     started = time.perf_counter()
     chunk = -(-trials // threads)
-    spans = [
-        (n, k, s, master_seed, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)
-    ]
+    spans = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    count = partial(_count_wins, n, k, s, master_seed)
     # The pool forks all its workers at once; more than the spans or the
     # CPUs only costs processes, and one worker is this process.
     workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers == 1:
-        wins = sum(map(_count_wins_task, spans))
+        wins = sum(map(count, spans))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            wins = sum(pool.map(_count_wins_task, spans))
+            wins = sum(pool.map(count, spans))
     wall = time.perf_counter() - started
     est = wins / trials
     se = math.sqrt(est * (1.0 - est) / trials)

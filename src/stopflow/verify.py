@@ -124,7 +124,7 @@ def check_formula_vs_oracle(n_max: int = 8) -> Check:
 
 
 def _formula_vs_oracle(n_max: int) -> WalkCheck:
-    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration", False)
+    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration")
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):

@@ -50,9 +50,11 @@ def test_fraction_decimal_rendering():
 
 
 def test_parse_grid():
-    assert parse_grid("12", "--n") == [12]
-    assert parse_grid("10..14", "--n") == [10, 11, 12, 13, 14]
-    assert parse_grid("10..30:10", "--n") == [10, 20, 30]
+    assert list(parse_grid("12", "--n")) == [12]
+    assert list(parse_grid("10..14", "--n")) == [10, 11, 12, 13, 14]
+    assert list(parse_grid("10..30:10", "--n")) == [10, 20, 30]
+    # A range: a guard reads a grid's last value without building the grid.
+    assert parse_grid("10..31:10", "--n") == range(10, 32, 10)
     from stopflow.cli import UsageError
 
     with pytest.raises(UsageError):
@@ -437,9 +439,10 @@ def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
         return original(g, *visits)
 
     monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
-    with pytest.raises(ResourceGuardError, match=r"guarded at n <= 9 \(got n=10\)"):
+    with pytest.raises(ResourceGuardError, match=r"guarded at n <= 9 \(got n=10\)") as err:
         check_formula_vs_oracle(10)
     assert walks == Counter()
+    assert "force" not in str(err.value)  # the check takes no force to offer
 
 
 def test_bounds_sandwich_owns_its_range(monkeypatch):
@@ -626,6 +629,18 @@ def test_scaling_guards_its_largest_n(monkeypatch, capsys):
     assert (code, passes) == (0, [2])
 
 
+def test_scaling_guards_its_largest_k(monkeypatch, capsys):
+    # A k above the cap could only give skipped rows: exit 3, before any row pass.
+    passes = []
+    original = cli_module.success_probabilities_exact
+    monkeypatch.setattr(cli_module, "success_probabilities_exact",
+                        lambda ns, k: passes.append(k) or original(ns, k))
+    code, out, err = run_cli(capsys, "scaling", "--k", "2..1001:999", "--n", "5")
+    assert (code, out, passes) == (3, "", [])
+    assert err == (f"stopflow: resource guard: scaling is guarded at k <= {BOUNDS_GUARD} "
+                   "(got k=1001)\n")
+
+
 def test_trace_golden_run(capsys):
     code, out, _ = run_cli(capsys, "trace", "--n", "9", "--k", "2",
                            "--perm", "2 9 4 7 3 1 5 8 6")
@@ -718,6 +733,10 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     # explicit flag beats the file
     code, out, _ = run_cli(capsys, "exact", "--config", str(cfg), "--k", "4")
     assert code == 0 and "1/2" in out
+    # in the equals form too, and wherever it stands
+    for argv in (["--config", str(cfg), "--k=4"], ["--k=4", "--config", str(cfg)]):
+        code, out, _ = run_cli(capsys, "exact", *argv)
+        assert code == 0 and out.startswith("P[win] for n=5, k=4: 1/2")
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -789,3 +808,64 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "1/2" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# input rules: one message per rule, and no traceback on any hostile value
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["exact"],
+    ["simulate", "--strategy", "tau_n", "--trials", "10"],
+    ["trace", "--perm", "1 2 3 4 5"],
+    ["bounds"],
+])
+def test_a_power_outside_the_graph_reads_the_same_in_every_subcommand(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--n", "5", "--k", "9")
+    assert (code, out, err) == (1, "", "stopflow: error: need 1 <= k < n, got k=9, n=5\n")
+
+
+# Each subcommand's sane flags; one at a time is swapped for a hostile value.
+SANE_FLAGS = {
+    "exact": {"n": "5", "k": "2"},
+    "simulate": {"n": "6", "k": "2", "strategy": "tau_n", "trials": "20", "seed": "1",
+                 "threads": "1"},
+    "verify": {"n-max": "4", "bounds-n": "30"},
+    "scaling": {"n": "5..9", "k": "2", "epsilon": "0.5"},
+    "trace": {"n": "4", "k": "1", "perm": "4 3 2 1"},
+    "bounds": {"n": "50", "k": "2", "epsilon": "0.5"},
+}
+# --p and --r belong to one strategy each.
+OWNED_FLAGS = {"p": "tau_p_star", "r": "classical_threshold"}
+HOSTILE_VALUES = (str(10 ** 400), "-1", "nan", "x")
+# Left out, because the run would take long or take memory, not fail:
+# - exact at a large n (or a large n and k together): exact has no cost
+#   guard yet (ROADMAP item 2), so --n 10**400 would start a sum over every
+#   m up to n;
+# - a large in-range simulate --n or --trials (--trials 10**400 here): it
+#   runs that many trials, or draws orders of that length;
+# - scaling grids of allocating size, such as --n 1..10**10: the guard now
+#   reads only a grid's last value, but builds that made the grid a list
+#   first would allocate it, so the table stays safe to run on them.
+SLOW_IN_RANGE = {("exact", "n", str(10 ** 400)), ("simulate", "trials", str(10 ** 400))}
+HOSTILE_CASES = [
+    (mode, flag, value)
+    for mode, flags in SANE_FLAGS.items()
+    for flag in [f for f in flags if f != "strategy"] + list(OWNED_FLAGS) * (mode == "simulate")
+    for value in HOSTILE_VALUES
+    if (mode, flag, value) not in SLOW_IN_RANGE
+]
+
+
+@pytest.mark.parametrize("mode, flag, value", HOSTILE_CASES,
+                         ids=[f"{m}-{f}-{v[:5]}" for m, f, v in HOSTILE_CASES])
+def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, capsys):
+    flags = dict(SANE_FLAGS[mode])
+    if flag in OWNED_FLAGS:
+        flags["strategy"] = OWNED_FLAGS[flag]
+    flags[flag] = value
+    # The equals form keeps "-1" a value; main must return, not raise.
+    code, _, err = run_cli(capsys, mode, *(f"--{f}={v}" for f, v in flags.items()))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("stopflow: ")

@@ -104,6 +104,7 @@ CASES = {
         ["simulate", "--n", "5", "--k", "2", "--strategy", "bogus"], {}, None),
     "error_verify_resource_guard": (["verify", "--n-max", "12"], {}, None),
     "error_bounds_degenerate": (["bounds", "--n", "4", "--k", "2"], {}, None),
+    "error_bounds_huge_n": (["bounds", "--n", str(10 ** 400), "--k", "2"], {}, None),
     "error_scaling_bad_grid": (["scaling", "--k", "2", "--n", "9..5"], {}, None),
     "error_scaling_bad_epsilon": (
         ["scaling", "--k", "2", "--n", "3..4", "--epsilon", "5"], {}, None),

@@ -1,6 +1,7 @@
 import pytest
 
-from stopflow import PathPower
+from stopflow import PathPower, bound_report, simulate
+from stopflow.oracle import ContinuousArrival, continuous_win_indicator
 
 
 def longest_path_vertices(g: PathPower, i: int, j: int) -> int:
@@ -116,3 +117,29 @@ def test_position_range_checks():
         g.edge_exists(1, 5)
     with pytest.raises(ValueError):
         g.d_value(5, 4)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 0), (5, 5), (5, 9), (3, -1)])
+def test_graph_rejects_a_power_outside_1_to_n_minus_1(n, k):
+    with pytest.raises(ValueError, match=rf"^need 1 <= k < n, got k={k}, n={n}$"):
+        PathPower(n, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_every_caller_of_the_k_below_n_minus_2_rule_raises_one_form(n):
+    # The analytic bounds and the continuous model share graph's one rule;
+    # only the name of what needs it differs.
+    k = n - 2
+    tail = rf"needs 1 <= k < n-2, got k={k}, n={n}$"
+    with pytest.raises(ValueError, match="^continuous model " + tail):
+        simulate(n, k, None, 10, master_seed=0)
+    with pytest.raises(ValueError, match="^continuous model " + tail):
+        continuous_win_indicator(PathPower(n, k), ContinuousArrival((0.5,) * n))
+    with pytest.raises(ValueError, match="^bound " + tail):
+        bound_report(n, k)
+
+
+def test_a_power_outside_the_graph_fails_before_the_k_below_n_minus_2_rule():
+    for call in (lambda: simulate(5, 9, None, 10, master_seed=0), lambda: bound_report(5, 9)):
+        with pytest.raises(ValueError, match=r"^need 1 <= k < n, got k=9, n=5$"):
+            call()
