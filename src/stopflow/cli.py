@@ -29,7 +29,7 @@ from .graph import PathPower
 from .observer import Observer
 from .oracle import ResourceGuardError
 from .simulate import _MASK64, simulate
-from .strategies import KINDS, Strategy, _wants_stop, default_threshold, run_strategy
+from .strategies import KINDS, Strategy, _wants_stop, default_threshold, stop_time
 from .verify import BOUNDS_GUARD, verify_all
 
 SEED_ENV_VAR = "STOPFLOW_SEED"
@@ -223,6 +223,9 @@ def cmd_scaling(args) -> CommandResult:
         if grid[-1] > BOUNDS_GUARD:
             raise ResourceGuardError(
                 f"scaling is guarded at {what} <= {BOUNDS_GUARD} (got {what}={grid[-1]})")
+    if k_grid[0] >= n_grid[-1]:  # every row would be skipped
+        raise UsageError(
+            f"scaling needs some k < n: --k starts at {k_grid[0]}, --n ends at {n_grid[-1]}")
     rows = []
     skipped = []
     for k in k_grid:
@@ -284,14 +287,14 @@ def _read_permutations(args, n: int) -> list[tuple[int, ...]]:
 
 def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
     tau_n = Strategy.tau_n()
-    rec = run_strategy(tau_n, g, perm)
     obs = Observer(g)
+    replay = [(pos, obs.observe(pos), obs.components()) for pos in perm]
+    stop = stop_time(tau_n, (event for _, event, _ in replay), 0, g.n)
     steps = []
-    for pos in perm:
-        event = obs.observe(pos)
+    for pos, event, views in replay:
         comps = [
             {"offsets": list(view.offsets), "inner_missing": view.inner_missing}
-            for view in obs.components()
+            for view in views
         ]
         steps.append(
             {
@@ -303,12 +306,13 @@ def _trace_one(g: PathPower, perm: tuple[int, ...]) -> dict:
                 "slack": event.slack,
                 "is_max": event.is_max,
                 "condition_met": event.condition_met,
-                # the rule's first firing; run_strategy's fallback at t = n is not one
-                "stop": event.t == rec.stop_index and _wants_stop(tau_n, event, 0),
+                # the rule's first firing; the fallback at t = n is not one
+                "stop": event.t == stop and _wants_stop(tau_n, event, 0),
             }
         )
-    return {"permutation": list(perm), "steps": steps, "stop_index": rec.stop_index,
-            "chosen": rec.chosen_position, "win": rec.win}
+    chosen = perm[stop - 1]
+    return {"permutation": list(perm), "steps": steps, "stop_index": stop,
+            "chosen": chosen, "win": chosen == 1}
 
 
 def cmd_trace(args) -> CommandResult:

@@ -88,7 +88,7 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
     tau_n = Strategy.tau_n()
 
     def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
-        # run_strategy's rule: the first arrival _wants_stop takes, else the last
+        # strategies.stop_time's rule, incrementally: the first firing, else t = n
         nonlocal won
         e = events[-1]
         if _wants_stop(tau_n, e, 0) or e.t == n:

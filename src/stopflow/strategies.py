@@ -11,7 +11,7 @@ Four strategy kinds ship here:
 * ``first_max`` -- ``classical_threshold(0)``: the first arrival is maximal.
 
 Every strategy decides from the event stream alone; if it never fires the
-run stops at t = n and the record carries the final arrival.
+run stops at t = n and the record carries the final arrival (``stop_time``).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import PathPower
 from .observer import ObservationEvent, Observer
@@ -154,6 +154,11 @@ def _wants_stop(s: Strategy, event: ObservationEvent, skip: int) -> bool:
     return event.t > skip and event.is_max
 
 
+def stop_time(s: Strategy, events: Iterable[ObservationEvent], skip: int, n: int) -> int:
+    """The first t at which ``_wants_stop`` fires, else n; reads ``events`` up to that t."""
+    return next((e.t for e in events if _wants_stop(s, e, skip)), n)
+
+
 def run_strategy(
     s: Strategy,
     g: PathPower,
@@ -169,11 +174,7 @@ def run_strategy(
     if sorted(arrivals) != list(range(1, n + 1)):
         raise ValueError("arrivals must be a permutation of 1..n")
 
-    skip = _skip_count(s, n, rng)
-    obs = Observer(g)
-    for pos in arrivals:
-        event = obs.observe(pos)
-        if _wants_stop(s, event, skip):
-            return StopRecord(stop_index=event.t, chosen_position=pos, win=pos == 1)
-    last = arrivals[-1]
-    return StopRecord(stop_index=n, chosen_position=last, win=last == 1)
+    skip = _skip_count(s, n, rng)  # drawn before any arrival is observed
+    t = stop_time(s, map(Observer(g).observe, arrivals), skip, n)
+    chosen = arrivals[t - 1]
+    return StopRecord(stop_index=t, chosen_position=chosen, win=chosen == 1)

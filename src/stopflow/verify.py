@@ -2,17 +2,21 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
-Every check goes through one driver, ``_run_walks``.  The exhaustive checks,
-the frozen goldens among them, read the oracle's prefix walk through
-visitors: ``verify_all`` walks each (n, k) once for all of them, and a
-standalone ``check_*`` runs the same driver alone.  ``observer_invariants``
-and ``max_given_components`` judge each prefix by its last events and share
-one visitor.  Desk-scale guards apply: ``verify_all`` checks ``n_max`` (at
-most the oracle guard) and passes it to every check, which caps it at its
-own limit; the bounds sandwich checks its own range.
+Every check goes through one driver, ``_run_walks``.  Each exhaustive check,
+the frozen goldens among them, is one generator under its public name that
+reads the oracle's prefix walk through visitors.  ``_walk_check`` makes a
+call to it a standalone check on walks of its own; ``verify_all`` takes the
+generators from their ``.walk`` and walks each (n, k) once for all of
+them.  ``observer_invariants`` and ``max_given_components`` judge each
+prefix by its last events and share one visitor.  Desk-scale guards apply:
+``verify_all`` checks ``n_max`` (at most the oracle guard) and passes it to
+every check, which caps it at its own limit; the bounds sandwich checks its
+own range.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from .oracle import (
     _threshold_visitor,
     continuous_win_indicator,
 )
-from .strategies import Strategy, _wants_stop, run_strategy
+from .strategies import Strategy, run_strategy, stop_time
 
 # Golden observation trace: n=9, k=2, this arrival order must produce the
 # pending-inner sequence below, and the slack rule must stop at t=6 on the
@@ -119,11 +123,22 @@ def _run_walks(checks: list[Check | WalkCheck]) -> list[Check]:
     return done
 
 
-def check_formula_vs_oracle(n_max: int = 8) -> Check:
-    return _run_walks([_formula_vs_oracle(n_max)])[0]
+def _walk_check(walk: Callable[..., WalkCheck]) -> Callable[..., Check]:
+    """A call runs the exhaustive check's generator alone through
+    ``_run_walks`` and returns its Check.  ``.walk`` is the generator, which
+    ``verify_all`` shares; a ``functools.wraps`` wrapper keeps ``.walk`` (it
+    copies ``__dict__``) but repoints ``__wrapped__``."""
+    @functools.wraps(walk)
+    def check(*args, **kwargs) -> Check:
+        return _run_walks([walk(*args, **kwargs)])[0]
+
+    check.__signature__ = inspect.signature(walk).replace(return_annotation="Check")
+    check.walk = walk
+    return check
 
 
-def _formula_vs_oracle(n_max: int) -> WalkCheck:
+@_walk_check
+def check_formula_vs_oracle(n_max: int = 8) -> WalkCheck:
     _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration")
     cases = 0
     for n in range(2, n_max + 1):
@@ -139,11 +154,8 @@ def _formula_vs_oracle(n_max: int) -> WalkCheck:
     return Check("formula_vs_oracle", True, f"{cases} (n,k) pairs equal up to n={n_max}")
 
 
-def check_dp_vs_formula(n_max: int = 7) -> Check:
-    return _run_walks([_dp_vs_formula(n_max)])[0]
-
-
-def _dp_vs_formula(n_max: int) -> WalkCheck:
+@_walk_check
+def check_dp_vs_formula(n_max: int = 7) -> WalkCheck:
     n_max = min(n_max, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
@@ -183,11 +195,8 @@ def check_golden_trace() -> Check:
     return Check("golden_trace", True, f"stop at t={rec.stop_index} with a win")
 
 
-def check_frozen_exact_values() -> Check:
-    return _run_walks([_frozen_exact_values()])[0]
-
-
-def _frozen_exact_values() -> WalkCheck:
+@_walk_check
+def check_frozen_exact_values() -> WalkCheck:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
         o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
@@ -233,10 +242,6 @@ def check_bounds_sandwich(max_n: int = 200) -> Check:
     return Check("bounds_sandwich", True, f"{cases} grid points sandwiched, k in 1..3, n <= {max_n}")
 
 
-def check_observer_invariants(n_max: int = 7) -> Check:
-    return _run_walks([_observer_invariants(n_max)])[0]
-
-
 def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int, dict]]]:
     """Visitor and result for the facts judged on each prefix's last events:
     the first invariant failure ("" if none), the number of complete arrival
@@ -266,7 +271,8 @@ def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int
     return visit, lambda: (failure, sum(v[0] for (t, _), v in tally.items() if t == n), tally)
 
 
-def _observer_invariants(n_max: int) -> WalkCheck:
+@_walk_check
+def check_observer_invariants(n_max: int = 7) -> WalkCheck:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(2, n_max + 1):
@@ -311,11 +317,8 @@ def check_subset_counting(n_max: int = 10) -> Check:
     return Check("subset_counting", True, f"{cases} (n,k,m) table rows match subset counts")
 
 
-def check_max_given_components(n_max: int = 7) -> Check:
-    return _run_walks([_max_given_components(n_max)])[0]
-
-
-def _max_given_components(n_max: int) -> WalkCheck:
+@_walk_check
+def check_max_given_components(n_max: int = 7) -> WalkCheck:
     n_max = min(n_max, WALK_N_CAP)
     cases = 0
     for n in range(2, n_max + 1):
@@ -331,11 +334,8 @@ def _max_given_components(n_max: int) -> WalkCheck:
     return Check("max_given_components", True, f"{cases} (m, c) cells match (h+1)/m")
 
 
-def check_conditional_success_vs_states(n_max: int = 6) -> Check:
-    return _run_walks([_conditional_success_vs_states(n_max)])[0]
-
-
-def _conditional_success_vs_states(n_max: int) -> WalkCheck:
+@_walk_check
+def check_conditional_success_vs_states(n_max: int = 6) -> WalkCheck:
     n_max = min(n_max, 6, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
@@ -361,10 +361,6 @@ def _conditional_success_vs_states(n_max: int) -> WalkCheck:
     )
 
 
-def check_continuous_discrete(n_max: int = 7) -> Check:
-    return _run_walks([_continuous_discrete(n_max)])[0]
-
-
 def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
     """Visitor and result: the first order on which the continuous indicator
     and the slack rule disagree ("" if none) and the number of orders
@@ -387,8 +383,7 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
         if path[-1] != 1:
             return bool(failure)
         t = len(path)
-        stops = [_wants_stop(tau_n, e, 0) for e in events]
-        discrete = not any(stops[:-1]) and (stops[-1] or t == n)
+        discrete = stop_time(tau_n, events, 0, n) == t
         order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
         times = [0.0] * n
         for i, pos in enumerate(order, start=1):
@@ -401,7 +396,8 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
     return visit, lambda: (failure, runs)
 
 
-def _continuous_discrete(n_max: int) -> WalkCheck:
+@_walk_check
+def check_continuous_discrete(n_max: int = 7) -> WalkCheck:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(4, n_max + 1):
@@ -413,11 +409,8 @@ def _continuous_discrete(n_max: int) -> WalkCheck:
     return Check("continuous_discrete", True, f"{runs} orderings agree up to n={n_max}")
 
 
-def check_strategy_dominance(n_max: int = 7) -> Check:
-    return _run_walks([_strategy_dominance(n_max)])[0]
-
-
-def _strategy_dominance(n_max: int) -> WalkCheck:
+@_walk_check
+def check_strategy_dominance(n_max: int = 7) -> WalkCheck:
     n_max = min(n_max, WALK_N_CAP)
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
@@ -455,17 +448,17 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
         )
     # The exhaustive checks share one walk per (n, k).
     checks = _run_walks([
-        _formula_vs_oracle(n_max),
-        *(() if skip_dp else (_dp_vs_formula(n_max),)),
+        check_formula_vs_oracle.walk(n_max),
+        *(() if skip_dp else (check_dp_vs_formula.walk(n_max),)),
         check_degenerate_half_cases(),
         check_golden_trace(),
-        _frozen_exact_values(),
+        check_frozen_exact_values.walk(),
         check_bounds_sandwich(bounds_max_n),
-        _observer_invariants(n_max),
+        check_observer_invariants.walk(n_max),
         check_subset_counting(),
-        _max_given_components(n_max),
-        _conditional_success_vs_states(n_max),
-        _continuous_discrete(n_max),
-        _strategy_dominance(n_max),
+        check_max_given_components.walk(n_max),
+        check_conditional_success_vs_states.walk(n_max),
+        check_continuous_discrete.walk(n_max),
+        check_strategy_dominance.walk(n_max),
     ])
     return VerifyReport(passed=all(c.passed for c in checks), checks=tuple(checks))

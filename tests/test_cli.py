@@ -1,11 +1,13 @@
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 from collections import Counter
 
 import pytest
 
-from stopflow import Observer, __version__
+from stopflow import Observer, PathPower, Strategy, __version__, run_strategy
 from stopflow import cli as cli_module
 from stopflow import oracle as oracle_module
 from stopflow import verify as verify_module
@@ -308,6 +310,28 @@ def test_verify_checks_cap_n_max_themselves():
     }
     for check, detail in at_7.items():
         assert check(9).detail == detail, check.__name__
+
+
+def test_walk_checks_keep_their_signatures_and_expose_their_generator():
+    # One generator per exhaustive check: a call returns its Check on walks of
+    # its own, and verify_all shares the walks through .walk.
+    defaults = {
+        check_formula_vs_oracle: 8, check_dp_vs_formula: 7, check_frozen_exact_values: None,
+        check_observer_invariants: 7, check_max_given_components: 7,
+        check_conditional_success_vs_states: 6, check_continuous_discrete: 7,
+        check_strategy_dominance: 7,
+    }
+    for check, default in defaults.items():
+        params = "" if default is None else f"n_max: 'int' = {default}"
+        assert str(inspect.signature(check)) == f"({params}) -> 'Check'", check.__name__
+        walk = check.walk() if default is None else check.walk(4)
+        assert inspect.isgenerator(walk)
+        walk.close()
+    assert check_frozen_exact_values() == Check(
+        "frozen_exact_values", True, "2 goldens oracle-confirmed")
+    for check in (check_degenerate_half_cases, check_golden_trace, check_bounds_sandwich,
+                  check_subset_counting):
+        assert not hasattr(check, "walk")
 
 
 def solo_checks(n_max, skip_dp=False):
@@ -641,6 +665,24 @@ def test_scaling_guards_its_largest_k(monkeypatch, capsys):
                    "(got k=1001)\n")
 
 
+@pytest.mark.parametrize("k_grid, n_grid", [("2", "-1"), ("2", "0..1"), ("5", "2..5"),
+                                            ("3..9", "1..3")])
+def test_scaling_with_no_k_below_n_is_a_usage_error(monkeypatch, capsys, k_grid, n_grid):
+    # Every row would be skipped: exit 1 before any row pass, not a vacuous pass.
+    passes = []
+    monkeypatch.setattr(cli_module, "success_probabilities_exact",
+                        lambda ns, k: passes.append(k) or {})
+    code, out, err = run_cli(capsys, "scaling", "--k", k_grid, "--n", n_grid)
+    assert (code, out, passes) == (1, "", [])
+    k_lo, n_hi = parse_grid(k_grid, "--k")[0], parse_grid(n_grid, "--n")[-1]
+    assert err == (f"stopflow: usage error: scaling needs some k < n: --k starts at {k_lo}, "
+                   f"--n ends at {n_hi}\n")
+
+
+def test_scaling_with_one_k_below_n_runs():
+    assert main(["scaling", "--k", "4..9", "--n", "2..5", "--format", "json"]) == 0
+
+
 def test_trace_golden_run(capsys):
     code, out, _ = run_cli(capsys, "trace", "--n", "9", "--k", "2",
                            "--perm", "2 9 4 7 3 1 5 8 6")
@@ -684,6 +726,31 @@ def test_trace_perm_file_batch(tmp_path, capsys):
                            "--perm-file", str(f), "--format", "json")
     assert code == 0
     assert len(json.loads(out)["traces"]) == 2
+
+
+def test_trace_replays_each_order_once_and_matches_the_runner(tmp_path, monkeypatch, capsys):
+    # Every order for n <= 6 and every k: one Observer per order, the runner's
+    # stop record, and a stop mark only on the rule's first firing.
+    built = []
+    init = Observer.__init__
+    monkeypatch.setattr(Observer, "__init__", lambda self, g: built.append(g) or init(self, g))
+    for n in range(2, 7):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        f = tmp_path / f"perms{n}.txt"
+        f.write_text("".join(" ".join(map(str, p)) + "\n" for p in perms))
+        for k in range(1, n):
+            built.clear()
+            code, out, _ = run_cli(capsys, "trace", "--n", str(n), "--k", str(k),
+                                   "--perm-file", str(f), "--format", "json")
+            assert code == 0 and len(built) == len(perms), (n, k)
+            g = PathPower(n, k)
+            for perm, trace in zip(perms, json.loads(out)["traces"]):
+                rec = run_strategy(Strategy.tau_n(), g, perm)
+                assert (trace["stop_index"], trace["chosen"], trace["win"]) == (
+                    rec.stop_index, rec.chosen_position, rec.win), (n, k, perm)
+                fired = [s["t"] for s in trace["steps"] if s["is_max"] and s["condition_met"]]
+                marked = [s["t"] for s in trace["steps"] if s["stop"]]
+                assert marked == fired[:1] and (not fired or fired[0] == rec.stop_index)
 
 
 def test_trace_usage_errors(capsys):

@@ -5,10 +5,13 @@ and the benchmark's setup reads ``exact_tables.cache_clear``.  Without this
 test a removed name shows only when the benchmark runs.
 """
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import stopflow.cli  # the tracer wraps cli.main too
 import stopflow.exact
+import stopflow.oracle
+import stopflow.verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -29,3 +32,21 @@ def test_tracer_wraps_every_bound_name_and_restores_them():
 
 def test_cold_cache_hook_exists():
     assert callable(stopflow.exact.exact_tables.cache_clear)
+
+
+def test_verify_shares_its_walks_inside_the_tracer(monkeypatch):
+    # verify_all reads each exhaustive check's generator from ``.walk``; the
+    # tracer's functools.wraps wrapper must carry it, or verify_all fails (or
+    # walks once per check if it took ``__wrapped__``, which the wrapper repoints).
+    oracle, verify = stopflow.oracle, stopflow.verify
+    walks = Counter()
+    original = oracle.walk_prefixes
+    monkeypatch.setattr(oracle, "walk_prefixes",
+                        lambda g, *visits: walks.update([(g.n, g.k)]) or original(g, *visits))
+    tracer = load_tracer()
+    with tracer.Tracer():
+        assert "stopflow.verify.check_formula_vs_oracle" in tracer.installed_wrappers()
+        assert verify.verify_all(4, bounds_max_n=30).passed
+        assert walks and set(walks.values()) == {1}, walks
+        check = verify.check_formula_vs_oracle(4)
+    assert isinstance(check, verify.Check) and check.passed

@@ -15,7 +15,14 @@ from stopflow import (
     brute_force_win_probability,
     run_strategy,
 )
-from stopflow.strategies import default_threshold, draw_rejection_count, numerator, uniform_words
+from stopflow import strategies as strategies_module
+from stopflow.strategies import (
+    default_threshold,
+    draw_rejection_count,
+    numerator,
+    stop_time,
+    uniform_words,
+)
 
 GOLDEN_PERM = (2, 9, 4, 7, 3, 1, 5, 8, 6)
 
@@ -140,6 +147,30 @@ def test_tau_p_star_needs_a_generator():
         run_strategy(Strategy.tau_p_star(0.5), PathPower(6, 2), (4, 2, 6, 1, 3, 5))
     with pytest.raises(TypeError):
         Strategy.tau_p_star(0.5, rng_seed=7)
+
+
+def test_stop_time_is_the_first_firing_else_n():
+    # stop_time reads the events lazily: nothing past the first firing.
+    g = PathPower(9, 2)
+    obs = Observer(g)
+    events = iter([obs.observe(pos) for pos in GOLDEN_PERM])
+    assert stop_time(Strategy.tau_n(), events, 0, 9) == 6
+    assert [e.t for e in events] == [7, 8, 9]
+    obs = Observer(PathPower(3, 1))
+    never = [obs.observe(pos) for pos in (1, 2, 3)]
+    assert stop_time(Strategy.tau_n(), never, 0, 3) == 3
+    assert stop_time(Strategy.classical_threshold(3), never, 3, 3) == 3
+    assert stop_time(Strategy.first_max(), never, 0, 3) == 1
+
+
+def test_run_strategy_draws_its_rejection_count_before_any_arrival(monkeypatch):
+    log = []
+    draw, observe = strategies_module.draw_rejection_count, Observer.observe
+    monkeypatch.setattr(strategies_module, "draw_rejection_count",
+                        lambda *a: log.append("draw") or draw(*a))
+    monkeypatch.setattr(Observer, "observe", lambda self, pos: log.append(pos) or observe(self, pos))
+    rec = run_strategy(Strategy.tau_p_star(0.5), PathPower(9, 2), GOLDEN_PERM, random.Random(3))
+    assert log[0] == "draw" and log[1:] == list(GOLDEN_PERM[: rec.stop_index])
 
 
 def test_tau_n_stops_only_on_maximal_arrivals():
