@@ -189,7 +189,10 @@ def cmd_simulate(args) -> CommandResult:
     seed = _resolve_seed(args)
     strategy = _resolve_strategy(args, n)
 
-    rep = simulate(n, k, strategy, trials, seed, threads=threads)
+    try:
+        rep = simulate(n, k, strategy, trials, seed, threads=threads)
+    except OverflowError as exc:  # an order of n positions past an index
+        raise ValueError(f"--n is too large: {exc}") from None
     report = dataclasses.asdict(rep)
     config = {"n": n, "k": k, "strategy": strategy.describe(), "trials": trials,
               "seed": seed, "threads": threads}
@@ -226,6 +229,8 @@ def cmd_scaling(args) -> CommandResult:
     if k_grid[0] >= n_grid[-1]:  # every row would be skipped
         raise UsageError(
             f"scaling needs some k < n: --k starts at {k_grid[0]}, --n ends at {n_grid[-1]}")
+    if n_grid[0] < 2:  # no graph has n < 2, so no k would make its row
+        raise UsageError(f"scaling needs n >= 2: --n starts at {n_grid[0]}")
     rows = []
     skipped = []
     for k in k_grid:
@@ -344,7 +349,10 @@ def cmd_trace(args) -> CommandResult:
 def cmd_bounds(args) -> CommandResult:
     n, k = _n_k(args)
     epsilon = _epsilon(args)
-    rep = bound_report(n, k, epsilon)
+    try:
+        rep = bound_report(n, k, epsilon)
+    except OverflowError as exc:  # n past a float; k < n is checked first
+        raise ValueError(f"--n is too large: {exc}") from None
     config = {"n": n, "k": k, "epsilon": "grid-best" if epsilon is None else epsilon}
     text = [
         f"bounds for n={rep.n}, k={rep.k}:",

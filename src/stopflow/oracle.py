@@ -81,9 +81,15 @@ def _aggregates(g: PathPower, *makes: Callable) -> list:
     return [result() for _, result in visitors]
 
 
+def _completions(n: int) -> list[int]:
+    """[t]: (n - t)!, the number of arrival orders that extend one t-prefix."""
+    return [math.factorial(n - t) for t in range(n + 1)]
+
+
 def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
     """Visitor and result: the number of arrival orders the slack rule wins."""
     n = g.n
+    weight = _completions(n)
     won = 0
     tau_n = Strategy.tau_n()
 
@@ -92,7 +98,7 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
         nonlocal won
         e = events[-1]
         if _wants_stop(tau_n, e, 0) or e.t == n:
-            won += math.factorial(n - e.t) * (path[-1] == 1)
+            won += weight[e.t] * (path[-1] == 1)
             return True
 
     return stop, lambda: won
@@ -102,6 +108,7 @@ def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]
     """Visitor and result: wins[M] = number of arrival orders won by "reject
     M, take the first maximal"."""
     n = g.n
+    weight = _completions(n)
     wins = [0] * (n + 1)
 
     def visit(path: list[int], events: list[ObservationEvent]) -> bool | None:
@@ -113,7 +120,7 @@ def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]
             t_sink = len(path)
             prev = next((e.t for e in reversed(events[:-1]) if e.is_max), 0)
             for m in range(prev, t_sink):
-                wins[m] += math.factorial(n - t_sink)
+                wins[m] += weight[t_sink]
             wins[n] += t_sink == n
             return True
 
@@ -201,61 +208,74 @@ class InfoClassStat:
         return Fraction(self.sink_last, self.members)
 
 
-def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[list]]]:
+# A class's slots in the flat table of ``_info_class_visitor``, and its width.
+_T, _MEMBERS, _SINK_LAST, _PARENT, _COMPONENTS, _PENDING, _IS_MAX, _PREFIX, _WIDTH = range(9)
+
+
+def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     """Visitor and result: every information class, by the prefix walk.
 
     A class is an observation history: its parent class (the members with
     the last arrival dropped) plus the newest arrival's row, the arrival
     index and signed distance ``pos - path[i]`` of each earlier arrival
     within k of it, which is what its arcs and their labels show.  So the
-    classes nest by construction.  Each record is ``[t, members, sink_last,
-    parent, event, prefix]``: the prefix length, the number of member
-    prefixes, how many of them end on the sink, the parent's index (-1 at
-    t = 1), the observer event of the first member's last arrival, and
-    that first member.  Records are listed in creation order, so each
-    parent precedes its children.
+    classes nest by construction.  The result is one flat table, ``_WIDTH``
+    slots per class in creation order, so each parent precedes its
+    children: the prefix length t, the number of member prefixes, how many
+    of them end on the sink, the parent's number (-1 at t = 1), the newest
+    arrival's component count, pending-inner count and maximality, and the
+    first member as ``bytes`` (positions stay below 256 at any n a walk can
+    finish).  No slot holds a container, so the table gives the garbage
+    collector nothing to track.
     """
     k = g.k
-    classes: list[list] = []
-    index: dict[tuple[int, ...], int] = {}  # (parent, i1, d1, i2, d2, ...) -> class
+    classes: list = []
+    # [t]: t-prefix history -> class.  A history's key is its parent's number
+    # followed by one base-(2k+1) digit per earlier arrival: d + k for a
+    # distance d = pos - path[i] within k (d is never 0), else k.  Keys of one
+    # t have t - 1 digits and a parent >= 0 (or -1 at t = 1), so they differ.
+    index: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
     path_ids = [-1] * (g.n + 1)  # [t]: class of the t-prefix
+    base = 2 * k + 1
 
     def visit(path: list[int], events: list[ObservationEvent]) -> None:
         t = len(path)
         pos = path[-1]
-        parent = path_ids[t - 1]
-        key = [parent]
-        for i in range(t - 1):
-            d = pos - path[i]
-            if -k <= d <= k:
-                key += (i, d)
-        key = tuple(key)
-        sink = int(pos == 1)
-        c = index.get(key)
+        parent = key = path_ids[t - 1]
+        for q in path[:-1]:
+            d = pos - q
+            key = key * base + (d + k if -k <= d <= k else k)
+        level = index[t]
+        sink = pos == 1
+        c = level.get(key)
         if c is None:
-            c = index[key] = len(classes)
-            classes.append([t, 1, sink, parent, events[-1], tuple(path)])
+            c = level[key] = len(classes) // _WIDTH
+            e = events[-1]
+            classes.extend((t, 1, int(sink), parent, e.component_count, e.pending_inner,
+                            e.is_max, bytes(path)))
         else:
-            rec = classes[c]
-            rec[1] += 1
-            rec[2] += sink
+            at = c * _WIDTH
+            classes[at + _MEMBERS] += 1
+            if sink:
+                classes[at + _SINK_LAST] += 1
         path_ids[t] = c
 
     return visit, lambda: classes
 
 
-def _info_classes(g: PathPower) -> list[list]:
+def _info_classes(g: PathPower) -> list:
     """Every information class of ``g``, as ``_info_class_visitor`` lists them."""
     return _aggregates(g, _info_class_visitor)[0]
 
 
-def _backward_induction(n: int, classes: list[list]) -> Fraction:
+def _backward_induction(n: int, classes: list) -> Fraction:
     """``dp_optimal_value`` over the classes ``_info_class_visitor`` listed."""
-    won = [0] * (len(classes) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
-    for c in range(len(classes) - 1, -1, -1):
-        t, _, sink_last, parent, _, _ = classes[c]
-        won[parent] += max(sink_last * math.factorial(n - t), won[c])
-    return Fraction(won[-1], math.factorial(n))
+    weight = _completions(n)
+    ts, sink_last, parents = (classes[slot::_WIDTH] for slot in (_T, _SINK_LAST, _PARENT))
+    won = [0] * (len(ts) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
+    for c in range(len(ts) - 1, -1, -1):
+        won[parents[c]] += max(sink_last[c] * weight[ts[c]], won[c])
+    return Fraction(won[-1], weight[0])
 
 
 def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
@@ -274,19 +294,18 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     return _backward_induction(n, _info_classes(PathPower(n, k)))
 
 
-def _class_stats(g: PathPower, classes: list[list]) -> list[InfoClassStat]:
+def _class_stats(g: PathPower, classes: list) -> list[InfoClassStat]:
     """``info_class_audit`` of the classes ``_info_class_visitor`` listed on ``g``."""
     stats = []
     seen: set[InfoState] = set()
-    # The state fixes the counts and maximality, so any member's event has them.
-    for t, members, sink_last, _, e, prefix in classes:
+    # The state fixes the counts and maximality, so the first member's are every member's.
+    for at in range(0, len(classes), _WIDTH):
+        t, members, sink_last, _, comps, pending, is_max, prefix = classes[at:at + _WIDTH]
         state = canonical_info_state(g, prefix)
         if state in seen:
             raise RuntimeError(f"two information classes share the canonical state {state}")
         seen.add(state)
-        stats.append(
-            InfoClassStat(t, state, members, sink_last, e.component_count, e.pending_inner, e.is_max)
-        )
+        stats.append(InfoClassStat(t, state, members, sink_last, comps, pending, is_max))
     stats.sort(key=lambda st: st.t)
     return stats
 

@@ -42,6 +42,7 @@ from .oracle import (
     _backward_induction,
     _check_guard,
     _class_stats,
+    _completions,
     _info_class_visitor,
     _rejection_mixture,
     _slack_rule_visitor,
@@ -246,10 +247,14 @@ def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int
     """Visitor and result for the facts judged on each prefix's last events:
     the first invariant failure ("" if none), the number of complete arrival
     orders, and (t, component count) -> [orders, orders with a maximal t-th
-    arrival], where a prefix stands for its (n - t)! completions."""
+    arrival] in increasing (t, component count), where a prefix stands for
+    its (n - t)! completions."""
     n, k = g.n, g.k
+    weight = _completions(n)
     failure = ""
-    tally: dict[tuple[int, int], list[int]] = {}
+    # [t][c]: orders, and orders with a maximal t-th arrival, at t arrivals in c components
+    orders = [[0] * (n + 1) for _ in range(n + 1)]
+    maximal = [[0] * (n + 1) for _ in range(n + 1)]
 
     def visit(path, events):
         # The predecessor suffices: once met, the condition must persist.
@@ -262,13 +267,18 @@ def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int
                 else "")
         if what and not failure:
             failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
-        weight = math.factorial(n - e.t)
-        cell = tally.setdefault((e.t, e.component_count), [0, 0])
-        cell[0] += weight
-        cell[1] += weight * e.is_max
+        t = e.t
+        orders[t][e.component_count] += weight[t]
+        if e.is_max:
+            maximal[t][e.component_count] += weight[t]
 
-    # A complete order is a prefix of length n, of weight 0! = 1.
-    return visit, lambda: (failure, sum(v[0] for (t, _), v in tally.items() if t == n), tally)
+    def result():
+        tally = {(t, c): [orders[t][c], maximal[t][c]]
+                 for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
+        # A complete order is a prefix of length n, of weight 0! = 1.
+        return failure, sum(orders[n]), tally
+
+    return visit, result
 
 
 @_walk_check
@@ -372,6 +382,7 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
     for its (n - t)! completions, and its first one names a disagreement.
     """
     n, k = g.n, g.k
+    weight = _completions(n)
     tau_n = Strategy.tau_n()
     runs = 0
     failure = ""
@@ -390,7 +401,7 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
             times[pos - 1] = (i - 0.5) / n
         if continuous_win_indicator(g, ContinuousArrival(tuple(times))) != discrete and not failure:
             failure = f"disagreement at (n={n}, k={k}), order {order}"
-        runs += math.factorial(n - t)
+        runs += weight[t]
         return True
 
     return visit, lambda: (failure, runs)

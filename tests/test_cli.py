@@ -679,6 +679,18 @@ def test_scaling_with_no_k_below_n_is_a_usage_error(monkeypatch, capsys, k_grid,
                    f"--n ends at {n_hi}\n")
 
 
+@pytest.mark.parametrize("n_grid", ["-3..3", "1..5", "0..9:3"])
+def test_scaling_with_n_below_2_is_a_usage_error(monkeypatch, capsys, n_grid):
+    # No graph has n < 2: exit 1 before any row pass, not a skipped row.
+    passes = []
+    monkeypatch.setattr(cli_module, "success_probabilities_exact",
+                        lambda ns, k: passes.append(k) or {})
+    code, out, err = run_cli(capsys, "scaling", "--k", "1..2", f"--n={n_grid}")
+    assert (code, out, passes) == (1, "", [])
+    assert err == (f"stopflow: usage error: scaling needs n >= 2: "
+                   f"--n starts at {parse_grid(n_grid, '--n')[0]}\n")
+
+
 def test_scaling_with_one_k_below_n_runs():
     assert main(["scaling", "--k", "4..9", "--n", "2..5", "--format", "json"]) == 0
 
@@ -915,13 +927,21 @@ HOSTILE_VALUES = (str(10 ** 400), "-1", "nan", "x")
 #   reads only a grid's last value, but builds that made the grid a list
 #   first would allocate it, so the table stays safe to run on them.
 SLOW_IN_RANGE = {("exact", "n", str(10 ** 400)), ("simulate", "trials", str(10 ** 400))}
+# Cases whose whole error text is pinned: each names the flag at fault.
+PINNED_ERRORS = {
+    ("bounds", "n", str(10 ** 400)):
+        "stopflow: error: --n is too large: int too large to convert to float\n",
+    ("simulate", "n", str(10 ** 400)):
+        "stopflow: error: --n is too large: Python int too large to convert to C ssize_t\n",
+    ("scaling", "n", "-3..3"): "stopflow: usage error: scaling needs n >= 2: --n starts at -3\n",
+}
 HOSTILE_CASES = [
     (mode, flag, value)
     for mode, flags in SANE_FLAGS.items()
     for flag in [f for f in flags if f != "strategy"] + list(OWNED_FLAGS) * (mode == "simulate")
     for value in HOSTILE_VALUES
     if (mode, flag, value) not in SLOW_IN_RANGE
-]
+] + [("scaling", "n", "-3..3")]
 
 
 @pytest.mark.parametrize("mode, flag, value", HOSTILE_CASES,
@@ -936,3 +956,5 @@ def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, ca
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert code == 0 or err.startswith("stopflow: ")
+    if (mode, flag, value) in PINNED_ERRORS:
+        assert (code, err) == (1, PINNED_ERRORS[mode, flag, value])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -392,10 +393,18 @@ def test_classes_are_the_observation_histories():
             walk_prefixes(g, visit)
             histories = list(expected)
             classes = _info_classes(g)
-            assert len(classes) == len(histories), (n, k)
-            for (t, members, sink_last, parent, _, first), want in zip(classes, expected.values()):
+            assert len(classes) == len(histories) * oracle._WIDTH, (n, k)
+            rows = zip(*[classes[slot::oracle._WIDTH] for slot in range(oracle._WIDTH)])
+            for (t, members, sink_last, parent, *_, first), want in zip(rows, expected.values()):
                 parent_history = histories[parent] if parent >= 0 else ()
-                assert [t, members, sink_last, parent_history, first] == want, (n, k, first)
+                assert [t, members, sink_last, parent_history, tuple(first)] == want, (n, k, first)
+
+
+def test_info_classes_hold_no_object_the_collector_tracks():
+    # One flat table of ints, bools and bytes: no per-class list or event.
+    classes = _info_classes(PathPower(7, 3))
+    gc.collect()
+    assert classes and not any(gc.is_tracked(entry) for entry in classes)
 
 
 def test_backward_induction_rejects_a_coarser_state(monkeypatch):
@@ -511,3 +520,25 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
 
             walk_prefixes(g, visit)
             assert compared == math.factorial(n)
+
+
+def test_prefix_tally_matches_a_replay_of_every_order():
+    # The slow reference: replay each of the n! orders and count, at every t,
+    # the cell (t, component count) and whether the t-th arrival is maximal.
+    from stopflow import verify
+
+    for n in range(2, 7):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            expect: dict = {}
+            for perm in itertools.permutations(range(1, n + 1)):
+                obs = Observer(g)
+                for pos in perm:
+                    e = obs.observe(pos)
+                    cell = expect.setdefault((e.t, e.component_count), [0, 0])
+                    cell[0] += 1
+                    cell[1] += e.is_max
+            failure, complete, tally = oracle._aggregates(g, verify._prefix_visitor)[0]
+            assert (failure, complete) == ("", math.factorial(n)), (n, k)
+            assert tally == expect, (n, k)
+            assert list(tally) == sorted(tally), (n, k)
