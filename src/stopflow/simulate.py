@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -279,6 +280,8 @@ def simulate(
         _check_below_degenerate(n, k, "continuous model")
     else:
         _check_nk(n, k)
+    if n > sys.maxsize:  # no trial could index an order of n positions
+        raise OverflowError("Python int too large to convert to C ssize_t")
     started = time.perf_counter()
     chunk = -(-trials // threads)
     spans = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]

@@ -2,16 +2,16 @@
 
 Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
-Every check goes through one driver, ``_run_walks``.  Each exhaustive check,
-the frozen goldens among them, is one generator under its public name that
-reads the oracle's prefix walk through visitors.  ``_walk_check`` makes a
-call to it a standalone check on walks of its own; ``verify_all`` takes the
-generators from their ``.walk`` and walks each (n, k) once for all of
-them.  ``observer_invariants`` and ``max_given_components`` judge each
-prefix by its last events and share one visitor.  Desk-scale guards apply:
-``verify_all`` checks ``n_max`` (at most the oracle guard) and passes it to
-every check, which caps it at its own limit; the bounds sandwich checks its
-own range.
+Every check is one function under its public name, decorated by ``_check``:
+its body returns the passing detail or raises ``_Failed`` with the failing
+one, and an exhaustive check's body is a generator that reads the oracle's
+prefix walk through visitors.  Every check runs as its ``.walk`` generator
+through one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
+walking each (n, k) once for all of them.  ``observer_invariants`` and
+``max_given_components`` judge each prefix by its last events and share one
+visitor.  Desk-scale guards apply: ``verify_all`` checks ``n_max`` (at most
+the oracle guard) and passes it to every check, which caps it at its own
+limit; the bounds sandwich checks its own range.
 """
 from __future__ import annotations
 
@@ -89,19 +89,23 @@ class VerifyReport:
 
 
 if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported copy of Check
+    Walks = Generator[tuple[int, int, Callable], object, str]
     WalkCheck = Generator[tuple[int, int, Callable], object, Check]
 
 
-def _run_walks(checks: list[Check | WalkCheck]) -> list[Check]:
+class _Failed(Exception):
+    """Raised by a check's body with its failing detail."""
+
+
+def _run_walks(checks: list[WalkCheck]) -> list[Check]:
     """Run checks on one prefix walk per (n, k); return their Checks in order.
 
-    A finished Check passes straight through.  An exhaustive check is a
-    generator: it yields (n, k, make) for each walk it needs, in increasing
-    (n, k), is sent the result of the visitor ``make(g)`` builds, and
-    returns its Check.  Checks that ask for one ``make`` at one (n, k) share
-    its visitor.  Results are dropped after their (n, k).
+    A check is a generator: it yields (n, k, make) for each walk it needs, in
+    increasing (n, k), is sent the result of the visitor ``make(g)`` builds,
+    and returns its Check.  Checks that ask for one ``make`` at one (n, k)
+    share its visitor.  Results are dropped after their (n, k).
     """
-    done = [c if isinstance(c, Check) else None for c in checks]
+    done: list[Check | None] = [None] * len(checks)
     wants: dict[int, tuple[int, int, Callable]] = {}  # check index -> its next walk
 
     def send(i: int, value: object) -> None:
@@ -110,9 +114,8 @@ def _run_walks(checks: list[Check | WalkCheck]) -> list[Check]:
         except StopIteration as stop:
             done[i] = stop.value
 
-    for i, c in enumerate(done):
-        if c is None:
-            send(i, None)
+    for i in range(len(checks)):
+        send(i, None)
     while wants:
         n, k = min(want[:2] for want in wants.values())
         here = [i for i, want in wants.items() if want[:2] == (n, k)]
@@ -124,22 +127,37 @@ def _run_walks(checks: list[Check | WalkCheck]) -> list[Check]:
     return done
 
 
-def _walk_check(walk: Callable[..., WalkCheck]) -> Callable[..., Check]:
-    """A call runs the exhaustive check's generator alone through
-    ``_run_walks`` and returns its Check.  ``.walk`` is the generator, which
-    ``verify_all`` shares; a ``functools.wraps`` wrapper keeps ``.walk`` (it
-    copies ``__dict__``) but repoints ``__wrapped__``."""
-    @functools.wraps(walk)
+def _check(body: Callable[..., str | Walks]) -> Callable[..., Check]:
+    """The check named after ``body``, less its ``check_`` prefix.
+
+    ``.walk`` is a generator that runs the body (``yield from`` it, if the
+    body is one) and returns the Check: passed with the detail the body
+    returns, or failed with the one it raises as ``_Failed``.  A call runs
+    ``.walk`` alone through ``_run_walks``; a ``functools.wraps`` wrapper
+    keeps ``.walk`` (it copies ``__dict__``) but repoints ``__wrapped__``.
+    """
+    name = body.__name__.removeprefix("check_")
+
+    def walk(*args, **kwargs) -> WalkCheck:
+        try:
+            detail = body(*args, **kwargs)
+            if inspect.isgenerator(detail):
+                detail = yield from detail
+        except _Failed as failed:
+            return Check(name, False, str(failed))
+        return Check(name, True, detail)
+
+    @functools.wraps(body)
     def check(*args, **kwargs) -> Check:
         return _run_walks([walk(*args, **kwargs)])[0]
 
-    check.__signature__ = inspect.signature(walk).replace(return_annotation="Check")
+    check.__signature__ = inspect.signature(body).replace(return_annotation="Check")
     check.walk = walk
     return check
 
 
-@_walk_check
-def check_formula_vs_oracle(n_max: int = 8) -> WalkCheck:
+@_check
+def check_formula_vs_oracle(n_max: int = 8) -> Walks:
     _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration")
     cases = 0
     for n in range(2, n_max + 1):
@@ -147,16 +165,13 @@ def check_formula_vs_oracle(n_max: int = 8) -> WalkCheck:
             f = success_probability_exact(n, k)
             o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
             if f != o:
-                return Check(
-                    "formula_vs_oracle", False,
-                    f"mismatch at (n={n}, k={k}): formula {f} vs oracle {o}",
-                )
+                raise _Failed(f"mismatch at (n={n}, k={k}): formula {f} vs oracle {o}")
             cases += 1
-    return Check("formula_vs_oracle", True, f"{cases} (n,k) pairs equal up to n={n_max}")
+    return f"{cases} (n,k) pairs equal up to n={n_max}"
 
 
-@_walk_check
-def check_dp_vs_formula(n_max: int = 7) -> WalkCheck:
+@_check
+def check_dp_vs_formula(n_max: int = 7) -> Walks:
     n_max = min(n_max, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
@@ -164,49 +179,43 @@ def check_dp_vs_formula(n_max: int = 7) -> WalkCheck:
             d = _backward_induction(n, (yield n, k, _info_class_visitor))
             f = success_probability_exact(n, k)
             if d != f:
-                return Check(
-                    "dp_vs_formula", False,
-                    f"mismatch at (n={n}, k={k}): DP {d} vs formula {f}",
-                )
+                raise _Failed(f"mismatch at (n={n}, k={k}): DP {d} vs formula {f}")
             cases += 1
-    return Check("dp_vs_formula", True, f"{cases} (n,k) pairs equal up to n={n_max}")
+    return f"{cases} (n,k) pairs equal up to n={n_max}"
 
 
-def check_degenerate_half_cases(n_max: int = 8) -> Check:
+@_check
+def check_degenerate_half_cases(n_max: int = 8) -> str:
     half = Fraction(1, 2)
     for n in range(3, n_max + 1):
         for k in (n - 1, n - 2):
             p = success_probability_exact(n, k)
             if p != half:
-                return Check(
-                    "degenerate_half_cases", False, f"exact({n},{k}) = {p}, expected 1/2"
-                )
-    return Check("degenerate_half_cases", True, f"exact(n,n-1)=exact(n,n-2)=1/2 for n=3..{n_max}")
+                raise _Failed(f"exact({n},{k}) = {p}, expected 1/2")
+    return f"exact(n,n-1)=exact(n,n-2)=1/2 for n=3..{n_max}"
 
 
-def check_golden_trace() -> Check:
+@_check
+def check_golden_trace() -> str:
     g = PathPower(GOLDEN_TRACE_N, GOLDEN_TRACE_K)
     obs = Observer(g)
     seen = tuple(obs.observe(pos).pending_inner for pos in GOLDEN_TRACE_PERMUTATION)
     if seen != GOLDEN_TRACE_PENDING_INNER:
-        return Check("golden_trace", False, f"pending-inner sequence {seen}")
+        raise _Failed(f"pending-inner sequence {seen}")
     rec = run_strategy(Strategy.tau_n(), g, GOLDEN_TRACE_PERMUTATION)
     if rec.stop_index != GOLDEN_TRACE_STOP or not rec.win:
-        return Check("golden_trace", False, f"stop record {rec}")
-    return Check("golden_trace", True, f"stop at t={rec.stop_index} with a win")
+        raise _Failed(f"stop record {rec}")
+    return f"stop at t={rec.stop_index} with a win"
 
 
-@_walk_check
-def check_frozen_exact_values() -> WalkCheck:
+@_check
+def check_frozen_exact_values() -> Walks:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
         o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
         if not f == o == expect:
-            return Check(
-                "frozen_exact_values", False,
-                f"(n={n}, k={k}): formula {f}, oracle {o}, expected {expect}",
-            )
-    return Check("frozen_exact_values", True, f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed")
+            raise _Failed(f"(n={n}, k={k}): formula {f}, oracle {o}, expected {expect}")
+    return f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed"
 
 
 def bounds_grid(k: int, max_n: int) -> list[int]:
@@ -215,7 +224,8 @@ def bounds_grid(k: int, max_n: int) -> list[int]:
     return dense + sparse
 
 
-def check_bounds_sandwich(max_n: int = 200) -> Check:
+@_check
+def check_bounds_sandwich(max_n: int = 200) -> str:
     # Below n = 6 the k = 3 grid is empty, and the check would pass vacuously.
     if max_n < 6:
         raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {max_n}")
@@ -230,17 +240,14 @@ def check_bounds_sandwich(max_n: int = 200) -> Check:
             rep = bound_report(n, k)
             u, lb, limit = rep.upper, rep.lower, rep.asymptotic_constant
             if not p < u:
-                return Check("bounds_sandwich", False, f"(n={n}, k={k}): exact {p} >= upper {u}")
+                raise _Failed(f"(n={n}, k={k}): exact {p} >= upper {u}")
             scaled = n ** (1.0 / (k + 1)) * p
             if scaled > limit:
-                return Check(
-                    "bounds_sandwich", False,
-                    f"(n={n}, k={k}): scaled value {scaled} exceeds {limit}",
-                )
+                raise _Failed(f"(n={n}, k={k}): scaled value {scaled} exceeds {limit}")
             if p < lb:
-                return Check("bounds_sandwich", False, f"(n={n}, k={k}): exact {p} < lower {lb}")
+                raise _Failed(f"(n={n}, k={k}): exact {p} < lower {lb}")
             cases += 1
-    return Check("bounds_sandwich", True, f"{cases} grid points sandwiched, k in 1..3, n <= {max_n}")
+    return f"{cases} grid points sandwiched, k in 1..3, n <= {max_n}"
 
 
 def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int, dict]]]:
@@ -281,20 +288,21 @@ def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int
     return visit, result
 
 
-@_walk_check
-def check_observer_invariants(n_max: int = 7) -> WalkCheck:
+@_check
+def check_observer_invariants(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
             failure, complete, _ = yield n, k, _prefix_visitor
             if failure:
-                return Check("observer_invariants", False, failure)
+                raise _Failed(failure)
             runs += complete
-    return Check("observer_invariants", True, f"{runs} exhaustive runs up to n={n_max}")
+    return f"{runs} exhaustive runs up to n={n_max}"
 
 
-def check_subset_counting(n_max: int = 10) -> Check:
+@_check
+def check_subset_counting(n_max: int = 10) -> str:
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
@@ -319,16 +327,13 @@ def check_subset_counting(n_max: int = 10) -> Check:
                         by_h.get(h, 0) == tabs.V[m, h] for h in range((n - m) // k + 1)
                     )
                 if not ok:
-                    return Check(
-                        "subset_counting", False,
-                        f"table mismatch at (n={n}, k={k}, m={m}): subsets {total}",
-                    )
+                    raise _Failed(f"table mismatch at (n={n}, k={k}, m={m}): subsets {total}")
                 cases += 1
-    return Check("subset_counting", True, f"{cases} (n,k,m) table rows match subset counts")
+    return f"{cases} (n,k,m) table rows match subset counts"
 
 
-@_walk_check
-def check_max_given_components(n_max: int = 7) -> WalkCheck:
+@_check
+def check_max_given_components(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     cases = 0
     for n in range(2, n_max + 1):
@@ -336,16 +341,13 @@ def check_max_given_components(n_max: int = 7) -> WalkCheck:
             _, _, tally = yield n, k, _prefix_visitor
             for (m, c), (tot, mx) in tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
-                    return Check(
-                        "max_given_components", False,
-                        f"(n={n}, k={k}, m={m}, c={c}): {mx}/{tot} != {c}/{m}",
-                    )
+                    raise _Failed(f"(n={n}, k={k}, m={m}, c={c}): {mx}/{tot} != {c}/{m}")
                 cases += 1
-    return Check("max_given_components", True, f"{cases} (m, c) cells match (h+1)/m")
+    return f"{cases} (m, c) cells match (h+1)/m"
 
 
-@_walk_check
-def check_conditional_success_vs_states(n_max: int = 6) -> WalkCheck:
+@_check
+def check_conditional_success_vs_states(n_max: int = 6) -> Walks:
     n_max = min(n_max, 6, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
@@ -354,21 +356,17 @@ def check_conditional_success_vs_states(n_max: int = 6) -> WalkCheck:
             try:
                 stats = _class_stats(PathPower(n, k), classes)
             except RuntimeError as exc:  # the class audit failed
-                return Check("conditional_success_vs_states", False, f"(n={n}, k={k}): {exc}")
+                raise _Failed(f"(n={n}, k={k}): {exc}")
             for st in stats:
                 if not st.last_is_max:
                     continue
                 expect = conditional_success(n, k, st.t, st.component_count, st.pending_inner)
                 if st.stop_value != expect:
-                    return Check(
-                        "conditional_success_vs_states", False,
-                        f"(n={n}, k={k}, t={st.t}): counted {st.stop_value}, formula {expect}",
+                    raise _Failed(
+                        f"(n={n}, k={k}, t={st.t}): counted {st.stop_value}, formula {expect}"
                     )
                 cases += 1
-    return Check(
-        "conditional_success_vs_states", True,
-        f"{cases} maximal-last information classes match the closed form",
-    )
+    return f"{cases} maximal-last information classes match the closed form"
 
 
 def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
@@ -407,21 +405,21 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
     return visit, lambda: (failure, runs)
 
 
-@_walk_check
-def check_continuous_discrete(n_max: int = 7) -> WalkCheck:
+@_check
+def check_continuous_discrete(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
             failure, compared = yield n, k, _continuous_tally
             if failure:
-                return Check("continuous_discrete", False, failure)
+                raise _Failed(failure)
             runs += compared
-    return Check("continuous_discrete", True, f"{runs} orderings agree up to n={n_max}")
+    return f"{runs} orderings agree up to n={n_max}"
 
 
-@_walk_check
-def check_strategy_dominance(n_max: int = 7) -> WalkCheck:
+@_check
+def check_strategy_dominance(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
@@ -432,19 +430,13 @@ def check_strategy_dominance(n_max: int = 7) -> WalkCheck:
             wins = yield n, k, _threshold_visitor
             for r in range(n + 1):
                 if Fraction(wins[r], total) > best:
-                    return Check(
-                        "strategy_dominance", False,
-                        f"threshold r={r} beats the slack rule at (n={n}, k={k})",
-                    )
+                    raise _Failed(f"threshold r={r} beats the slack rule at (n={n}, k={k})")
                 cases += 1
             for p in p_grid:
                 if _rejection_mixture(wins, p) > best:
-                    return Check(
-                        "strategy_dominance", False,
-                        f"rejection rule p={p} beats the slack rule at (n={n}, k={k})",
-                    )
+                    raise _Failed(f"rejection rule p={p} beats the slack rule at (n={n}, k={k})")
                 cases += 1
-    return Check("strategy_dominance", True, f"{cases} competing strategies dominated")
+    return f"{cases} competing strategies dominated"
 
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
@@ -461,12 +453,12 @@ def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -
     checks = _run_walks([
         check_formula_vs_oracle.walk(n_max),
         *(() if skip_dp else (check_dp_vs_formula.walk(n_max),)),
-        check_degenerate_half_cases(),
-        check_golden_trace(),
+        check_degenerate_half_cases.walk(),
+        check_golden_trace.walk(),
         check_frozen_exact_values.walk(),
-        check_bounds_sandwich(bounds_max_n),
+        check_bounds_sandwich.walk(bounds_max_n),
         check_observer_invariants.walk(n_max),
-        check_subset_counting(),
+        check_subset_counting.walk(),
         check_max_given_components.walk(n_max),
         check_conditional_success_vs_states.walk(n_max),
         check_continuous_discrete.walk(n_max),

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import importlib
 import inspect
 import itertools
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +242,18 @@ def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
     assert code == 0 and json.loads(out)["config"]["trials"] == 10000
 
 
+def test_simulate_rejects_a_huge_n_before_any_pool(capsys, monkeypatch):
+    # Two CPUs and two spans would start a pool; an n past an index must fail first.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    pools = []
+    monkeypatch.setattr(importlib.import_module("stopflow.simulate"), "ProcessPoolExecutor",
+                        lambda *a, **kw: pools.append(kw) or pytest.fail("pool started"))
+    code, out, err = run_cli(capsys, "simulate", "--n", str(10 ** 400), "--k", "2",
+                             "--strategy", "tau_n", "--trials", "4", "--threads", "2")
+    assert (code, out, pools) == (1, "", [])
+    assert err == "stopflow: error: --n is too large: Python int too large to convert to C ssize_t\n"
+
+
 def test_simulate_threads_below_one_is_usage_error(capsys):
     for threads in ("0", "-3"):
         code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",
@@ -313,25 +328,40 @@ def test_verify_checks_cap_n_max_themselves():
 
 
 def test_walk_checks_keep_their_signatures_and_expose_their_generator():
-    # One generator per exhaustive check: a call returns its Check on walks of
-    # its own, and verify_all shares the walks through .walk.
-    defaults = {
-        check_formula_vs_oracle: 8, check_dp_vs_formula: 7, check_frozen_exact_values: None,
-        check_observer_invariants: 7, check_max_given_components: 7,
-        check_conditional_success_vs_states: 6, check_continuous_discrete: 7,
-        check_strategy_dominance: 7,
+    # One protocol: a call returns its Check on walks of its own, and
+    # verify_all shares the walks through every check's .walk generator.
+    signatures = {
+        check_formula_vs_oracle: "(n_max: 'int' = 8)",
+        check_dp_vs_formula: "(n_max: 'int' = 7)",
+        check_degenerate_half_cases: "(n_max: 'int' = 8)",
+        check_golden_trace: "()",
+        check_frozen_exact_values: "()",
+        check_bounds_sandwich: "(max_n: 'int' = 200)",
+        check_observer_invariants: "(n_max: 'int' = 7)",
+        check_subset_counting: "(n_max: 'int' = 10)",
+        check_max_given_components: "(n_max: 'int' = 7)",
+        check_conditional_success_vs_states: "(n_max: 'int' = 6)",
+        check_continuous_discrete: "(n_max: 'int' = 7)",
+        check_strategy_dominance: "(n_max: 'int' = 7)",
     }
-    for check, default in defaults.items():
-        params = "" if default is None else f"n_max: 'int' = {default}"
-        assert str(inspect.signature(check)) == f"({params}) -> 'Check'", check.__name__
-        walk = check.walk() if default is None else check.walk(4)
+    for check, params in signatures.items():
+        assert str(inspect.signature(check)) == f"{params} -> 'Check'", check.__name__
+        walk = check.walk()
         assert inspect.isgenerator(walk)
         walk.close()
     assert check_frozen_exact_values() == Check(
         "frozen_exact_values", True, "2 goldens oracle-confirmed")
-    for check in (check_degenerate_half_cases, check_golden_trace, check_bounds_sandwich,
-                  check_subset_counting):
-        assert not hasattr(check, "walk")
+
+
+def test_verify_all_names_the_benchmark_checks():
+    # The benchmark's oracle_verify workload accepts exactly these names; a
+    # check added or renamed here must be added there in the same change.
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    assign = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["VERIFY_CHECKS"])
+    expected = ast.literal_eval(assign.value)
+    names = tuple(c.name for c in verify_all(4, bounds_max_n=30).checks)
+    assert names == expected
 
 
 def solo_checks(n_max, skip_dp=False):
@@ -551,6 +581,23 @@ def test_frozen_exact_values_names_a_wrong_golden(monkeypatch):
         report = verify_all(n_max)
         assert not report.passed
         assert failed in report.checks
+
+
+@pytest.mark.parametrize("patch, failed", [
+    (lambda mp: mp.setattr(verify_module, "GOLDEN_TRACE_STOP", 5), Check(
+        "golden_trace", False,
+        "stop record StopRecord(stop_index=6, chosen_position=1, win=True)")),
+    (lambda mp: mp.setattr(verify_module, "GOLDEN_TRACE_PENDING_INNER", (0,) * 9), Check(
+        "golden_trace", False, "pending-inner sequence (0, 0, 1, 2, 1, 1, 2, 1, 0)")),
+    (lambda mp: mp.setitem(verify_module.GOLDEN_EXACT_VALUES, (5, 2), Fraction(9, 19)), Check(
+        "frozen_exact_values", False, "(n=5, k=2): formula 9/20, oracle 9/20, expected 9/19")),
+], ids=["trace-stop", "trace-pending-inner", "exact-value"])
+def test_a_failing_check_reads_the_same_alone_and_in_verify_all(monkeypatch, patch, failed):
+    patch(monkeypatch)
+    assert getattr(verify_module, f"check_{failed.name}")() == failed
+    report = verify_all(4, bounds_max_n=30)
+    assert not report.passed
+    assert [c for c in report.checks if not c.passed] == [failed]
 
 
 def test_verify_rejects_ranges_that_check_nothing(capsys):
@@ -935,21 +982,29 @@ PINNED_ERRORS = {
         "stopflow: error: --n is too large: Python int too large to convert to C ssize_t\n",
     ("scaling", "n", "-3..3"): "stopflow: usage error: scaling needs n >= 2: --n starts at -3\n",
 }
+# simulate --n 10**400 under its other strategies, which draw no list to overflow.
+OTHER_STRATEGIES = {"first_max": {}, "tau_p_star": {"p": "0.5"},
+                    "classical_threshold": {"r": "3"}}
 HOSTILE_CASES = [
-    (mode, flag, value)
+    (mode, flag, value, None)
     for mode, flags in SANE_FLAGS.items()
     for flag in [f for f in flags if f != "strategy"] + list(OWNED_FLAGS) * (mode == "simulate")
     for value in HOSTILE_VALUES
     if (mode, flag, value) not in SLOW_IN_RANGE
-] + [("scaling", "n", "-3..3")]
+] + [("scaling", "n", "-3..3", None)] + [
+    ("simulate", "n", str(10 ** 400), strategy) for strategy in OTHER_STRATEGIES
+]
 
 
-@pytest.mark.parametrize("mode, flag, value", HOSTILE_CASES,
-                         ids=[f"{m}-{f}-{v[:5]}" for m, f, v in HOSTILE_CASES])
-def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, capsys):
+@pytest.mark.parametrize("mode, flag, value, strategy", HOSTILE_CASES,
+                         ids=[f"{m}-{f}-{v[:5]}" + (f"-{s}" if s else "")
+                              for m, f, v, s in HOSTILE_CASES])
+def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, strategy, capsys):
     flags = dict(SANE_FLAGS[mode])
     if flag in OWNED_FLAGS:
         flags["strategy"] = OWNED_FLAGS[flag]
+    if strategy:
+        flags.update(strategy=strategy, **OTHER_STRATEGIES[strategy])
     flags[flag] = value
     # The equals form keeps "-1" a value; main must return, not raise.
     code, _, err = run_cli(capsys, mode, *(f"--{f}={v}" for f, v in flags.items()))
