@@ -19,11 +19,10 @@ from .exact import (
     upper_bound,
     v_mh,
 )
-from .graph import PathPower
+from .graph import PathPower, ResourceGuardError
 from .observer import ComponentView, ObservationEvent, Observer
 from .oracle import (
     ContinuousArrival,
-    ResourceGuardError,
     brute_force_win_probability,
     canonical_info_state,
     continuous_win_indicator,

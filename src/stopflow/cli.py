@@ -25,9 +25,8 @@ from typing import Iterable
 
 from . import __version__
 from .exact import _check_epsilon, bound_report, exact_tables, success_probabilities_exact, upper_bound
-from .graph import PathPower
+from .graph import PathPower, ResourceGuardError, _check_guard
 from .observer import Observer
-from .oracle import ResourceGuardError
 from .simulate import _MASK64, simulate
 from .strategies import KINDS, Strategy, _wants_stop, default_threshold, stop_time
 from .verify import BOUNDS_GUARD, verify_all
@@ -152,6 +151,7 @@ def _csv_row(record: dict, header: str) -> str:
 
 def cmd_exact(args) -> CommandResult:
     n, k = _n_k(args)
+    _check_guard(n, BOUNDS_GUARD, "exact")
     tabs = exact_tables(n, k)
     prob = tabs.probability
     prob_decimal = fraction_decimal(prob)
@@ -189,10 +189,7 @@ def cmd_simulate(args) -> CommandResult:
     seed = _resolve_seed(args)
     strategy = _resolve_strategy(args, n)
 
-    try:
-        rep = simulate(n, k, strategy, trials, seed, threads=threads)
-    except OverflowError as exc:  # an order of n positions past an index
-        raise ValueError(f"--n is too large: {exc}") from None
+    rep = simulate(n, k, strategy, trials, seed, threads=threads)
     report = dataclasses.asdict(rep)
     config = {"n": n, "k": k, "strategy": strategy.describe(), "trials": trials,
               "seed": seed, "threads": threads}
@@ -223,9 +220,7 @@ def cmd_scaling(args) -> CommandResult:
         _check_epsilon(epsilon)
     # On each grid's last value, before any row; a k past the cap gives only skipped rows.
     for what, grid in (("n", n_grid), ("k", k_grid)):
-        if grid[-1] > BOUNDS_GUARD:
-            raise ResourceGuardError(
-                f"scaling is guarded at {what} <= {BOUNDS_GUARD} (got {what}={grid[-1]})")
+        _check_guard(grid[-1], BOUNDS_GUARD, "scaling", name=what)
     if k_grid[0] >= n_grid[-1]:  # every row would be skipped
         raise UsageError(
             f"scaling needs some k < n: --k starts at {k_grid[0]}, --n ends at {n_grid[-1]}")

@@ -5,9 +5,10 @@ to a lower one at distance at most k, so position 1 is the unique sink.
 The graph is held implicitly as (n, k): all structure is position
 arithmetic, so predicates are O(1) and nothing is stored.
 
-It owns the package's two input rules, which callers call directly:
-``_check_nk``, the graph exists (1 <= k < n), and ``_check_below_degenerate``,
-the bounds and the continuous model need 1 <= k < n-2.
+It owns the package's input rules, which callers call directly:
+``_check_nk``, the graph exists (1 <= k < n); ``_check_below_degenerate``,
+the bounds and the continuous model need 1 <= k < n-2; and ``_check_guard``,
+the only code that raises ``ResourceGuardError`` for a size past its cap.
 """
 from __future__ import annotations
 
@@ -23,6 +24,19 @@ def _check_below_degenerate(n: int, k: int, what: str) -> None:
     _check_nk(n, k)
     if k >= n - 2:
         raise ValueError(f"{what} needs 1 <= k < n-2, got k={k}, n={n}")
+
+
+class ResourceGuardError(Exception):
+    """Raised when a request's size passes the cap that bounds its cost."""
+
+
+def _check_guard(value: int, limit: int, what: str, force: bool | None = None,
+                 name: str = "n") -> None:
+    # force=None: the caller takes no force, so the message offers none.
+    if value > limit and not force:
+        advice = "" if force is None else "; pass force=True to override"
+        raise ResourceGuardError(
+            f"{what} is guarded at {name} <= {limit} (got {name}={value}){advice}")
 
 
 @dataclass(frozen=True)

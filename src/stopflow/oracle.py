@@ -17,23 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .graph import PathPower, _check_below_degenerate
+# ResourceGuardError is imported so that stopflow.oracle.ResourceGuardError still names it.
+from .graph import PathPower, ResourceGuardError, _check_below_degenerate, _check_guard
 from .observer import ObservationEvent, Observer, component_runs
 from .strategies import Strategy, _skip_count, _wants_stop
 
 ENUMERATION_GUARD = 9
 DP_GUARD = 7
-
-
-class ResourceGuardError(Exception):
-    """Raised when a brute-force request exceeds the desk-scale guard."""
-
-
-def _check_guard(n: int, limit: int, what: str, force: bool | None = None) -> None:
-    # force=None: the caller takes no force, so the message offers none.
-    if n > limit and not force:
-        advice = "" if force is None else "; pass force=True to override"
-        raise ResourceGuardError(f"{what} is guarded at n <= {limit} (got n={n}){advice}")
 
 
 # ---------------------------------------------------------------------------

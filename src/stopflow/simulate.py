@@ -42,18 +42,21 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .graph import PathPower, _check_below_degenerate, _check_nk
+from .graph import PathPower, _check_below_degenerate, _check_guard, _check_nk
 from .strategies import (
     StopRecord, Strategy, _skip_count, numerator, rank_uniforms, run_strategy, uniform_words,
 )
 
 _MASK64 = (1 << 64) - 1
+
+# The largest n whose 2n uniform words one getrandbits call can draw: its bit
+# count, 64 * n, is a C int on CPython.
+SIMULATE_GUARD = (2**31 - 1) // 64
 
 
 def splitmix64(x: int) -> int:
@@ -269,7 +272,8 @@ def simulate(
     """Estimate the win probability of a strategy over uniform arrivals.
 
     A strategy of None is the continuous-arrival model (each vertex arrives
-    at an independent uniform time), which needs 1 <= k < n-2.
+    at an independent uniform time), which needs 1 <= k < n-2.  An n past
+    ``SIMULATE_GUARD`` raises ``ResourceGuardError`` before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -280,8 +284,7 @@ def simulate(
         _check_below_degenerate(n, k, "continuous model")
     else:
         _check_nk(n, k)
-    if n > sys.maxsize:  # no trial could index an order of n positions
-        raise OverflowError("Python int too large to convert to C ssize_t")
+    _check_guard(n, SIMULATE_GUARD, "simulate")
     started = time.perf_counter()
     chunk = -(-trials // threads)
     spans = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]

@@ -9,9 +9,10 @@ prefix walk through visitors.  Every check runs as its ``.walk`` generator
 through one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
 walking each (n, k) once for all of them.  ``observer_invariants`` and
 ``max_given_components`` judge each prefix by its last events and share one
-visitor.  Desk-scale guards apply: ``verify_all`` checks ``n_max`` (at most
-the oracle guard) and passes it to every check, which caps it at its own
-limit; the bounds sandwich checks its own range.
+visitor.  Desk-scale guards apply: ``verify_all`` checks only that ``n_max``
+is at least 4 and passes it to every check, which caps it at its own limit
+or, as ``formula_vs_oracle`` does, raises the guard before any walk; the
+bounds sandwich checks its own range.
 """
 from __future__ import annotations
 
@@ -31,16 +32,14 @@ from .exact import (
     success_probabilities_exact,
     success_probability_exact,
 )
-from .graph import PathPower
+from .graph import PathPower, _check_guard
 from .observer import Observer
 from .oracle import (
     DP_GUARD,
     ENUMERATION_GUARD,
     ContinuousArrival,
-    ResourceGuardError,
     _aggregates,
     _backward_induction,
-    _check_guard,
     _class_stats,
     _completions,
     _info_class_visitor,
@@ -62,7 +61,9 @@ GOLDEN_TRACE_STOP = 6
 
 # The bounds sandwich and ``stopflow scaling`` make one row pass per k up to
 # their largest n, a cost that still grows without bound: about 1.3 s at 1000
-# and 15 s at 2000 for the sandwich.
+# and 15 s at 2000 for the sandwich.  ``stopflow exact`` is capped at the same
+# n, which bounds n only: its composition tables still grow fast in k, about
+# 6 s at (1000, 2), 32 s at (500, 3) and 10 s at (45, 22).
 BOUNDS_GUARD = 1000
 
 # Caps four exhaustive checks whatever n_max they get, so that the output of
@@ -158,7 +159,7 @@ def _check(body: Callable[..., str | Walks]) -> Callable[..., Check]:
 
 @_check
 def check_formula_vs_oracle(n_max: int = 8) -> Walks:
-    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration")
+    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration", name="n_max")
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -229,10 +230,7 @@ def check_bounds_sandwich(max_n: int = 200) -> str:
     # Below n = 6 the k = 3 grid is empty, and the check would pass vacuously.
     if max_n < 6:
         raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {max_n}")
-    if max_n > BOUNDS_GUARD:
-        raise ResourceGuardError(
-            f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} (got {max_n})"
-        )
+    _check_guard(max_n, BOUNDS_GUARD, "the bounds sandwich", name="bounds_max_n")
     cases = 0
     for k in (1, 2, 3):
         for n, exact in success_probabilities_exact(bounds_grid(k, max_n), k).items():
@@ -440,15 +438,11 @@ def check_strategy_dominance(n_max: int = 7) -> Walks:
 
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
-    # Below n_max = 4 continuous_discrete has no case and would pass vacuously;
+    # Below n_max = 4 continuous_discrete has no case and would pass vacuously.
+    # check_formula_vs_oracle, started first, guards n_max before any walk, and
     # check_bounds_sandwich checks bounds_max_n itself.
     if n_max < 4:
         raise ValueError(f"verification needs n_max >= 4, got {n_max}")
-    if n_max > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"verification enumerates all arrival orders and is guarded at "
-            f"n_max <= {ENUMERATION_GUARD} (got {n_max})"
-        )
     # The exhaustive checks share one walk per (n, k).
     checks = _run_walks([
         check_formula_vs_oracle.walk(n_max),

@@ -107,6 +107,24 @@ def test_exact_usage_errors(capsys):
     assert code == 1
 
 
+def test_exact_guards_its_n_before_any_table(monkeypatch, capsys):
+    # The same cap as scaling: past it, exit 3 before exact_tables starts.
+    tables = []
+
+    def reached(n, k):
+        tables.append(n)
+        raise ValueError("reached exact_tables")
+
+    monkeypatch.setattr(cli_module, "exact_tables", reached)
+    for n, k in ((BOUNDS_GUARD + 1, 1), (10 ** 400, 2)):
+        code, out, err = run_cli(capsys, "exact", "--n", str(n), "--k", str(k))
+        assert (code, out, tables) == (3, "", [])
+        assert err == (f"stopflow: resource guard: exact is guarded at "
+                       f"n <= {BOUNDS_GUARD} (got n={n})\n")
+    code, _, _ = run_cli(capsys, "exact", "--n", str(BOUNDS_GUARD), "--k", "1")
+    assert (code, tables) == (1, [BOUNDS_GUARD])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -243,15 +261,38 @@ def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
 
 
 def test_simulate_rejects_a_huge_n_before_any_pool(capsys, monkeypatch):
-    # Two CPUs and two spans would start a pool; an n past an index must fail first.
+    # Two CPUs and two spans would start a pool; an n past the guard must fail first,
+    # under every strategy, also one whose order would fit an index but not memory.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     pools = []
-    monkeypatch.setattr(importlib.import_module("stopflow.simulate"), "ProcessPoolExecutor",
+    simulate_module = importlib.import_module("stopflow.simulate")
+    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor",
                         lambda *a, **kw: pools.append(kw) or pytest.fail("pool started"))
-    code, out, err = run_cli(capsys, "simulate", "--n", str(10 ** 400), "--k", "2",
-                             "--strategy", "tau_n", "--trials", "4", "--threads", "2")
-    assert (code, out, pools) == (1, "", [])
-    assert err == "stopflow: error: --n is too large: Python int too large to convert to C ssize_t\n"
+    monkeypatch.setattr(simulate_module, "_count_wins",
+                        lambda *a: pytest.fail("trial started"))
+    strategies = {"tau_n": {}, **OTHER_STRATEGIES}
+    for n, (strategy, extra) in itertools.product((10 ** 400, 10 ** 12), strategies.items()):
+        code, out, err = run_cli(capsys, "simulate", "--n", str(n), "--k", "2",
+                                 "--strategy", strategy, *(f"--{f}={v}" for f, v in extra.items()),
+                                 "--trials", "4", "--threads", "2")
+        assert (code, out, pools) == (3, "", []), (n, strategy)
+        assert err == (f"stopflow: resource guard: simulate is guarded at "
+                       f"n <= {simulate_module.SIMULATE_GUARD} (got n={n})\n")
+
+
+def test_simulate_guards_the_largest_n_one_draw_can_serve(capsys, monkeypatch):
+    # tau_p_star draws a trial's uniforms as getrandbits(64 * n), whose bit count
+    # is a C int: past the guard it must fail before the first shuffle, not after.
+    simulate_module = importlib.import_module("stopflow.simulate")
+    guard = simulate_module.SIMULATE_GUARD
+    assert guard == 33_554_431 and 64 * guard <= 2 ** 31 - 1 < 64 * (guard + 1)
+    monkeypatch.setattr(simulate_module, "_count_wins",
+                        lambda *a: pytest.fail("trial started"))
+    code, out, err = run_cli(capsys, "simulate", "--n", "40000000", "--k", "2",
+                             "--strategy", "tau_p_star", "--p", "0.5", "--trials", "1")
+    assert (code, out) == (3, "")
+    assert err == ("stopflow: resource guard: simulate is guarded at n <= 33554431 "
+                   "(got n=40000000)\n")
 
 
 def test_simulate_threads_below_one_is_usage_error(capsys):
@@ -493,7 +534,7 @@ def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
         return original(g, *visits)
 
     monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
-    with pytest.raises(ResourceGuardError, match=r"guarded at n <= 9 \(got n=10\)") as err:
+    with pytest.raises(ResourceGuardError, match=r"guarded at n_max <= 9 \(got n_max=10\)") as err:
         check_formula_vs_oracle(10)
     assert walks == Counter()
     assert "force" not in str(err.value)  # the check takes no force to offer
@@ -509,7 +550,7 @@ def test_bounds_sandwich_owns_its_range(monkeypatch):
         check_bounds_sandwich(BOUNDS_GUARD + 1)
     assert str(guard.value) == (
         f"the bounds sandwich is guarded at bounds_max_n <= {BOUNDS_GUARD} "
-        f"(got {BOUNDS_GUARD + 1})"
+        f"(got bounds_max_n={BOUNDS_GUARD + 1})"
     )
     with pytest.raises(ValueError) as empty:
         check_bounds_sandwich(5)
@@ -614,9 +655,12 @@ def test_verify_rejects_ranges_that_check_nothing(capsys):
 
 
 def test_verify_resource_guard(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n-max", "12")
-    assert code == 3
-    assert "resource guard" in err
+    # verify_all keeps no guard of its own: check_formula_vs_oracle raises it.
+    with pytest.raises(ResourceGuardError) as guard:
+        check_formula_vs_oracle(12)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "12")
+    assert (code, out) == (3, "")
+    assert err == f"stopflow: resource guard: {guard.value}\n"
 
 
 def test_verify_guards_the_bounds_sandwich(capsys):
@@ -624,7 +668,7 @@ def test_verify_guards_the_bounds_sandwich(capsys):
     code, out, err = run_cli(capsys, "verify", "--bounds-n", "1001")
     assert code == 3 and out == ""
     assert err == ("stopflow: resource guard: the bounds sandwich is guarded at "
-                   "bounds_max_n <= 1000 (got 1001)\n")
+                   "bounds_max_n <= 1000 (got bounds_max_n=1001)\n")
     code, out, err = run_cli(capsys, "verify", "--bounds-n", "5")
     assert code == 1 and out == ""
     assert err == "stopflow: error: the bounds sandwich needs bounds_max_n >= 6, got 5\n"
@@ -965,24 +1009,29 @@ SANE_FLAGS = {
 OWNED_FLAGS = {"p": "tau_p_star", "r": "classical_threshold"}
 HOSTILE_VALUES = (str(10 ** 400), "-1", "nan", "x")
 # Left out, because the run would take long or take memory, not fail:
-# - exact at a large n (or a large n and k together): exact has no cost
-#   guard yet (ROADMAP item 2), so --n 10**400 would start a sum over every
-#   m up to n;
-# - a large in-range simulate --n or --trials (--trials 10**400 here): it
-#   runs that many trials, or draws orders of that length;
+# - a large in-range simulate --trials (10**400 here): it runs that many
+#   trials (exact and simulate exit 3 on an n past their guards instead);
 # - scaling grids of allocating size, such as --n 1..10**10: the guard now
 #   reads only a grid's last value, but builds that made the grid a list
 #   first would allocate it, so the table stays safe to run on them.
-SLOW_IN_RANGE = {("exact", "n", str(10 ** 400)), ("simulate", "trials", str(10 ** 400))}
-# Cases whose whole error text is pinned: each names the flag at fault.
+SLOW_IN_RANGE = {("simulate", "trials", str(10 ** 400))}
+# Cases whose exit code and whole error text are pinned: each names the flag or the guard.
 PINNED_ERRORS = {
     ("bounds", "n", str(10 ** 400)):
-        "stopflow: error: --n is too large: int too large to convert to float\n",
+        (1, "stopflow: error: --n is too large: int too large to convert to float\n"),
+    ("exact", "n", str(10 ** 400)):
+        (3, f"stopflow: resource guard: exact is guarded at n <= 1000 (got n={10 ** 400})\n"),
     ("simulate", "n", str(10 ** 400)):
-        "stopflow: error: --n is too large: Python int too large to convert to C ssize_t\n",
-    ("scaling", "n", "-3..3"): "stopflow: usage error: scaling needs n >= 2: --n starts at -3\n",
+        (3, f"stopflow: resource guard: simulate is guarded at n <= 33554431 "
+            f"(got n={10 ** 400})\n"),
+    ("simulate", "n", str(10 ** 12)):
+        (3, f"stopflow: resource guard: simulate is guarded at n <= 33554431 "
+            f"(got n={10 ** 12})\n"),
+    ("scaling", "n", "-3..3"):
+        (1, "stopflow: usage error: scaling needs n >= 2: --n starts at -3\n"),
 }
-# simulate --n 10**400 under its other strategies, which draw no list to overflow.
+# simulate --n 10**400 under its other strategies, and --n 10**12, an n whose
+# order would fit an index but not memory, under the two that build one.
 OTHER_STRATEGIES = {"first_max": {}, "tau_p_star": {"p": "0.5"},
                     "classical_threshold": {"r": "3"}}
 HOSTILE_CASES = [
@@ -993,11 +1042,12 @@ HOSTILE_CASES = [
     if (mode, flag, value) not in SLOW_IN_RANGE
 ] + [("scaling", "n", "-3..3", None)] + [
     ("simulate", "n", str(10 ** 400), strategy) for strategy in OTHER_STRATEGIES
-]
+] + [("simulate", "n", str(10 ** 12), None), ("simulate", "n", str(10 ** 12), "classical_threshold")]
 
 
 @pytest.mark.parametrize("mode, flag, value, strategy", HOSTILE_CASES,
-                         ids=[f"{m}-{f}-{v[:5]}" + (f"-{s}" if s else "")
+                         # 10**400 is named by its first five digits, 10**12 in full
+                         ids=[f"{m}-{f}-{v if len(v) <= 20 else v[:5]}" + (f"-{s}" if s else "")
                               for m, f, v, s in HOSTILE_CASES])
 def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, strategy, capsys):
     flags = dict(SANE_FLAGS[mode])
@@ -1012,4 +1062,4 @@ def test_hostile_flag_values_end_in_a_documented_exit_code(mode, flag, value, st
     assert "Traceback" not in err
     assert code == 0 or err.startswith("stopflow: ")
     if (mode, flag, value) in PINNED_ERRORS:
-        assert (code, err) == (1, PINNED_ERRORS[mode, flag, value])
+        assert (code, err) == PINNED_ERRORS[mode, flag, value]

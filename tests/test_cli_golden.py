@@ -100,8 +100,12 @@ CASES = {
         ["scaling", "--config", "run.cfg"],
         {"run.cfg": "k=2\nn=5..9:2\nformat=csv\nout=scaling.csv\n"}, "scaling.csv"),
     "error_exact_bad_k": (["exact", "--n", "5", "--k", "9"], {}, None),
+    "error_exact_resource_guard": (["exact", "--n", "1001", "--k", "1"], {}, None),
     "error_simulate_unknown_strategy": (
         ["simulate", "--n", "5", "--k", "2", "--strategy", "bogus"], {}, None),
+    "error_simulate_resource_guard": (
+        ["simulate", "--n", "40000000", "--k", "2", "--strategy", "tau_p_star", "--p", "0.5"],
+        {}, None),
     "error_verify_resource_guard": (["verify", "--n-max", "12"], {}, None),
     "error_bounds_degenerate": (["bounds", "--n", "4", "--k", "2"], {}, None),
     "error_bounds_huge_n": (["bounds", "--n", str(10 ** 400), "--k", "2"], {}, None),

@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import stopflow
 from stopflow import PathPower, bound_report, simulate
+from stopflow import oracle as oracle_module
 from stopflow.oracle import ContinuousArrival, continuous_win_indicator
 
 
@@ -143,3 +148,26 @@ def test_a_power_outside_the_graph_fails_before_the_k_below_n_minus_2_rule():
     for call in (lambda: simulate(5, 9, None, 10, master_seed=0), lambda: bound_report(5, 9)):
         with pytest.raises(ValueError, match=r"^need 1 <= k < n, got k=9, n=5$"):
             call()
+
+
+def guard_calls(tree: ast.AST) -> list[int]:
+    """Lines of every ResourceGuardError(...) call under ``tree``, by any name path."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceGuardError"]
+
+
+def test_only_check_guard_raises_a_resource_guard():
+    # One owner for the guard rule: every guard in the package is built inside
+    # graph._check_guard, so every guard message reads the same.
+    sites, owned = [], []
+    for path in sorted(Path(stopflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, line) for line in guard_calls(tree)]
+        owned += [(path.name, line) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_check_guard"
+                  for line in guard_calls(func)]
+    assert sites == owned and [name for name, _ in owned] == ["graph.py"]
+
+
+def test_the_guard_error_has_one_class_under_every_public_name():
+    assert stopflow.ResourceGuardError is oracle_module.ResourceGuardError
