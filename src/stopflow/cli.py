@@ -24,8 +24,9 @@ from itertools import chain
 from typing import Iterable
 
 from . import __version__
-from .exact import _check_epsilon, bound_report, exact_tables, success_probabilities_exact, upper_bound
-from .graph import PathPower, ResourceGuardError, _check_guard
+from .exact import (COMPOSITION_GUARD, _check_epsilon, bound_report, composition_count, exact_tables,
+                    success_probabilities_exact, upper_bound)
+from .graph import PathPower, ResourceGuardError, _check_guard, _check_nk
 from .observer import Observer
 from .simulate import _MASK64, simulate
 from .strategies import KINDS, Strategy, _wants_stop, default_threshold, stop_time
@@ -152,6 +153,8 @@ def _csv_row(record: dict, header: str) -> str:
 def cmd_exact(args) -> CommandResult:
     n, k = _n_k(args)
     _check_guard(n, BOUNDS_GUARD, "exact")
+    _check_nk(n, k)
+    _check_guard(composition_count(n, k), COMPOSITION_GUARD, "exact", name="compositions")
     tabs = exact_tables(n, k)
     prob = tabs.probability
     prob_decimal = fraction_decimal(prob)
@@ -474,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ResourceGuardError as exc:
         print(f"stopflow: resource guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("stopflow: resource guard: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:
         print(f"stopflow: error: {exc}", file=sys.stderr)

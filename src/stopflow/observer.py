@@ -19,7 +19,7 @@ positions never cross that boundary.
 """
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +80,7 @@ class Observer:
 
     def __init__(self, g: PathPower):
         self.g = g
+        self._n, self._k = g.n, g.k  # read on every arrival, one lookup each
         self.t = 0
         self.component_count = 0
         self.pending_inner = 0
@@ -90,8 +91,8 @@ class Observer:
     def slack(self) -> int:
         # Degenerate pre-arrival state: no components yet, report n - t.
         if not self.component_count:
-            return self.g.n - self.t
-        return (self.g.n - self.t) - self.g.k * (self.component_count - 1) - self.pending_inner
+            return self._n - self.t
+        return (self._n - self.t) - self._k * (self.component_count - 1) - self.pending_inner
 
     def components(self) -> tuple[ComponentView, ...]:
         return tuple(
@@ -109,19 +110,17 @@ class Observer:
 
     def observe(self, pos: int) -> ObservationEvent:
         """Ingest the arrival of ``pos`` and report the resulting event."""
-        n = self.g.n
-        k = self.g.k
+        n, k = self._n, self._k
         if not 1 <= pos <= n:
             raise ValueError(f"position {pos} out of range 1..{n}")
         arrived = self._arrived
-        idx = bisect.bisect_left(arrived, pos)
-        if idx < len(arrived) and arrived[idx] == pos:
-            raise ValueError(f"position {pos} arrived twice")
-
+        idx = bisect_left(arrived, pos)
         # Sorted neighbours; a missing one is a sentinel beyond reach, so
         # every gap that touches it is wider than k.
         below = arrived[idx - 1] if idx else -k
         above = arrived[idx] if idx < len(arrived) else n + k + 1
+        if above == pos:
+            raise ValueError(f"position {pos} arrived twice")
         arrived.insert(idx, pos)
         # Undo restores the list before any later arrival, so idx still holds pos.
         t, count, inner = self.t, self.component_count, self.pending_inner
@@ -145,7 +144,7 @@ class Observer:
         self.t, self.component_count, self.pending_inner = t, count, inner
 
         # Maximal iff no outgoing edge, i.e. nothing arrived in [pos-k, pos-1].
-        # With a component present the slack is the module formula.
-        return ObservationEvent(
-            t, pos - below > k, count, inner, (n - t) - k * (count - 1) - inner
-        )
+        # With a component present the slack is the module formula.  _make
+        # skips the Python-level __new__ that a call to the class goes through.
+        return ObservationEvent._make(
+            (t, pos - below > k, count, inner, (n - t) - k * (count - 1) - inner))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 # ResourceGuardError is imported so that stopflow.oracle.ResourceGuardError still names it.
 from .graph import PathPower, ResourceGuardError, _check_below_degenerate, _check_guard
-from .observer import ObservationEvent, Observer, component_runs
+from .observer import ObservationEvent, Observer
 from .strategies import Strategy, _skip_count, _wants_stop
 
 ENUMERATION_GUARD = 9
@@ -51,10 +51,10 @@ def _walk(obs: Observer, free: list[int], path: list[int], events: list[Observat
         pos = free.pop(i)
         path.append(pos)
         events.append(obs.observe(pos))
-        live = []  # a loop, not a comprehension: cheaper per prefix on one visitor
+        live = visits  # copied only when a visitor mutes an extension
         for visit in visits:
-            if not visit(path, events):
-                live.append(visit)
+            if visit(path, events) and free:
+                live = [other for other in live if other is not visit]
         if live and free:
             _walk(obs, free, path, events, live)
         obs.undo()
@@ -108,7 +108,9 @@ def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]
         # takes the final arrival, which wins exactly when the sink comes last.
         if path[-1] == 1:
             t_sink = len(path)
-            prev = next((e.t for e in reversed(events[:-1]) if e.is_max), 0)
+            prev = t_sink - 1
+            while prev and not events[prev - 1].is_max:  # the prev-th arrival's event
+                prev -= 1
             for m in range(prev, t_sink):
                 wins[m] += weight[t_sink]
             wins[n] += t_sink == n
@@ -121,10 +123,10 @@ def _rejection_mixture(wins: list[int], p: Fraction) -> Fraction:
     """Exact win probability of "reject M ~ Binomial(n, p), take the first
     maximal", mixing the per-M counts ``wins`` of ``_threshold_visitor``."""
     n = len(wins) - 1
-    total = math.factorial(n)
-    return sum(
-        math.comb(n, m_) * p**m_ * (1 - p) ** (n - m_) * Fraction(wins[m_], total)
-        for m_ in range(n + 1)
+    a, b = p.numerator, p.denominator  # p = a / b: one Fraction over b^n n!
+    return Fraction(
+        sum(math.comb(n, m_) * a**m_ * (b - a) ** (n - m_) * wins[m_] for m_ in range(n + 1)),
+        b**n * math.factorial(n),
     )
 
 
@@ -171,7 +173,12 @@ def canonical_info_state(g: PathPower, prefix: Sequence[int]) -> InfoState:
         obs = Observer(g)
         for pos in prefix:  # raises at the first bad arrival
             obs.observe(pos)
-    low = {p: run[0] for run in component_runs(ordered, g.k) for p in run}
+    # Position -> lowest position of its component, which a sorted position
+    # joins when it lies within k of the one before.
+    low: dict[int, int] = {}
+    for p in ordered:
+        low[p] = low[prev] if low and p - prev <= g.k else p
+        prev = p
     # Grouped in arrival order: each component's members come by arrival
     # index, and dict insertion order lists the components by first arrival.
     comps: dict[int, list[tuple[int, int]]] = {}
@@ -227,22 +234,24 @@ def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     index: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
     path_ids = [-1] * (g.n + 1)  # [t]: class of the t-prefix
     base = 2 * k + 1
+    # [pos][q]: the digit of an earlier arrival q for a newest arrival pos.
+    rows = [[d + k if -k <= d <= k else k for d in range(pos, pos - g.n - 1, -1)]
+            for pos in range(g.n + 1)]
 
     def visit(path: list[int], events: list[ObservationEvent]) -> None:
         t = len(path)
         pos = path[-1]
         parent = key = path_ids[t - 1]
+        row = rows[pos]
         for q in path[:-1]:
-            d = pos - q
-            key = key * base + (d + k if -k <= d <= k else k)
+            key = key * base + row[q]
         level = index[t]
         sink = pos == 1
         c = level.get(key)
         if c is None:
             c = level[key] = len(classes) // _WIDTH
-            e = events[-1]
-            classes.extend((t, 1, int(sink), parent, e.component_count, e.pending_inner,
-                            e.is_max, bytes(path)))
+            _, is_max, comps, pending, _ = events[-1]
+            classes.extend((t, 1, int(sink), parent, comps, pending, is_max, bytes(path)))
         else:
             at = c * _WIDTH
             classes[at + _MEMBERS] += 1
@@ -264,7 +273,8 @@ def _backward_induction(n: int, classes: list) -> Fraction:
     ts, sink_last, parents = (classes[slot::_WIDTH] for slot in (_T, _SINK_LAST, _PARENT))
     won = [0] * (len(ts) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
     for c in range(len(ts) - 1, -1, -1):
-        won[parents[c]] += max(sink_last[c] * weight[ts[c]], won[c])
+        stop, go = sink_last[c] * weight[ts[c]], won[c]
+        won[parents[c]] += stop if stop > go else go  # max(), without its call
     return Fraction(won[-1], weight[0])
 
 
@@ -292,9 +302,9 @@ def _class_stats(g: PathPower, classes: list) -> list[InfoClassStat]:
     for at in range(0, len(classes), _WIDTH):
         t, members, sink_last, _, comps, pending, is_max, prefix = classes[at:at + _WIDTH]
         state = canonical_info_state(g, prefix)
-        if state in seen:
-            raise RuntimeError(f"two information classes share the canonical state {state}")
         seen.add(state)
+        if len(seen) == len(stats):  # one hash of the state, not two
+            raise RuntimeError(f"two information classes share the canonical state {state}")
         stats.append(InfoClassStat(t, state, members, sink_last, comps, pending, is_max))
     stats.sort(key=lambda st: st.t)
     return stats

@@ -62,8 +62,7 @@ GOLDEN_TRACE_STOP = 6
 # The bounds sandwich and ``stopflow scaling`` make one row pass per k up to
 # their largest n, a cost that still grows without bound: about 1.3 s at 1000
 # and 15 s at 2000 for the sandwich.  ``stopflow exact`` is capped at the same
-# n, which bounds n only: its composition tables still grow fast in k, about
-# 6 s at (1000, 2), 32 s at (500, 3) and 10 s at (45, 22).
+# n, which bounds n only; ``exact.COMPOSITION_GUARD`` bounds its tables in k.
 BOUNDS_GUARD = 1000
 
 # Caps four exhaustive checks whatever n_max they get, so that the output of
@@ -265,17 +264,17 @@ def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int
         # The predecessor suffices: once met, the condition must persist.
         nonlocal failure
         e = events[-1]
+        t, is_max, c, _, slack = e
         met = len(events) > 1 and events[-2].condition_met
-        what = ("negative slack" if e.slack < 0
+        what = ("negative slack" if slack < 0
                 else "condition not persistent" if met and not e.condition_met
-                else "maximal arrival after exhaustion" if met and e.is_max
+                else "maximal arrival after exhaustion" if met and is_max
                 else "")
         if what and not failure:
-            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={e.t}"
-        t = e.t
-        orders[t][e.component_count] += weight[t]
-        if e.is_max:
-            maximal[t][e.component_count] += weight[t]
+            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={t}"
+        orders[t][c] += weight[t]
+        if is_max:
+            maximal[t][c] += weight[t]
 
     def result():
         tally = {(t, c): [orders[t][c], maximal[t][c]]
@@ -380,6 +379,7 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
     n, k = g.n, g.k
     weight = _completions(n)
     tau_n = Strategy.tau_n()
+    stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
     runs = 0
     failure = ""
 
@@ -391,11 +391,18 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
             return bool(failure)
         t = len(path)
         discrete = stop_time(tau_n, events, 0, n) == t
-        order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
-        times = [0.0] * n
-        for i, pos in enumerate(order, start=1):
-            times[pos - 1] = (i - 0.5) / n
+        # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
+        # (i - 0.5) / n: the path's first, then the unarrived positions upward.
+        times = [None] * n
+        for i, pos in enumerate(path):
+            times[pos - 1] = stamps[i]
+        i = t
+        for j in range(n):
+            if times[j] is None:
+                times[j] = stamps[i]
+                i += 1
         if continuous_win_indicator(g, ContinuousArrival(tuple(times))) != discrete and not failure:
+            order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
             failure = f"disagreement at (n={n}, k={k}), order {order}"
         runs += weight[t]
         return True

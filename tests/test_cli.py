@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from stopflow import Observer, PathPower, Strategy, __version__, run_strategy
+from stopflow import ObservationEvent, Observer, PathPower, Strategy, __version__, run_strategy
 from stopflow import cli as cli_module
 from stopflow import oracle as oracle_module
 from stopflow import verify as verify_module
 from stopflow.cli import fraction_decimal, main, parse_grid
-from stopflow.exact import success_probability_exact
+from stopflow.exact import COMPOSITION_GUARD, composition_count, success_probability_exact
 from stopflow.oracle import ResourceGuardError
 from stopflow.verify import (
     BOUNDS_GUARD,
@@ -125,9 +125,44 @@ def test_exact_guards_its_n_before_any_table(monkeypatch, capsys):
     assert (code, tables) == (1, [BOUNDS_GUARD])
 
 
+def test_exact_guards_its_composition_count_before_any_table(monkeypatch, capsys):
+    # Within the n cap the tables still grow fast in k: exit 3 on their
+    # composition count, after the n cap and the k check, before any table.
+    tables = []
+
+    def reached(n, k):
+        tables.append((n, k))
+        raise ValueError("reached exact_tables")
+
+    monkeypatch.setattr(cli_module, "exact_tables", reached)
+    for n, k, count in ((60, 30, 4_072_719), (BOUNDS_GUARD, 20, composition_count(BOUNDS_GUARD, 20))):
+        code, out, err = run_cli(capsys, "exact", "--n", str(n), "--k", str(k))
+        assert (code, out, tables) == (3, "", [])
+        assert err == (f"stopflow: resource guard: exact is guarded at compositions <= "
+                       f"{COMPOSITION_GUARD} (got compositions={count})\n")
+    code, _, err = run_cli(capsys, "exact", "--n", "60", "--k", "60")
+    assert (code, err) == (1, "stopflow: error: need 1 <= k < n, got k=60, n=60\n")
+    code, _, _ = run_cli(capsys, "exact", "--n", "45", "--k", "22")  # 304,799 compositions
+    assert (code, tables) == (1, [(45, 22)])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+def test_running_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
+    # The tail readers hold O(n) lists per trial, so a large in-range n can
+    # exhaust memory; main reports it as a resource guard.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "simulate", exhausted)
+    code, out, err = run_cli(capsys, "simulate", "--n", "33554431", "--k", "2",
+                             "--strategy", "tau_n", "--trials", "1")
+    assert (code, out) == (3, "")
+    assert err == "stopflow: resource guard: out of memory\n"
+    assert "Traceback" not in err
+
 
 def test_simulate_csv_reruns_are_byte_identical(tmp_path, capsys):
     out = tmp_path / "report.csv"
@@ -509,6 +544,40 @@ def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
     report = verify_all(7)
     assert not report.passed
     assert Check("continuous_discrete", False, detail) in report.checks
+
+
+def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypatch):
+    # The certification is brute force: verify_all(7) observes every prefix
+    # of its walks on the shipped Observer and asks the shipped indicator
+    # about every prefix that ends on the sink.  A speed-up that skips a
+    # prefix, or inlines the indicator, changes these counts.
+    calls = {"observe": 0, "indicator": 0, "not an ObservationEvent": 0}
+    observe = Observer.observe
+    indicator = verify_module.continuous_win_indicator
+    walk = oracle_module.walk_prefixes
+
+    def counted_observe(self, pos):
+        calls["observe"] += 1
+        return observe(self, pos)
+
+    def counted_indicator(g, arr):
+        calls["indicator"] += 1
+        return indicator(g, arr)
+
+    def typed(visit):
+        def seen(path, events):
+            # Each event was the last at the prefix that added it, and a
+            # visitor sees every prefix of a prefix it sees.
+            calls["not an ObservationEvent"] += type(events[-1]) is not ObservationEvent
+            return visit(path, events)
+        return seen
+
+    monkeypatch.setattr(Observer, "observe", counted_observe)
+    monkeypatch.setattr(verify_module, "continuous_win_indicator", counted_indicator)
+    monkeypatch.setattr(oracle_module, "walk_prefixes",
+                        lambda g, *visits: walk(g, *map(typed, visits)))
+    assert verify_all(7).passed
+    assert calls == {"observe": 93_515, "indicator": 8_952, "not an ObservationEvent": 0}
 
 
 def test_verify_all_walks_each_n_k_once(monkeypatch):

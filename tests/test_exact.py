@@ -22,7 +22,8 @@ from stopflow import (
     upper_bound,
     v_mh,
 )
-from stopflow.exact import asymptotic_upper_constant, min_condition_time
+from stopflow import exact as exact_module
+from stopflow.exact import asymptotic_upper_constant, composition_count, min_condition_time
 from stopflow.oracle import canonical_info_state
 from stopflow.verify import bounds_grid
 
@@ -64,6 +65,26 @@ def test_compositions_properties(r, parts):
         if sum((i + 1) * a for i, a in enumerate(tup)) == r
     ]
     assert set(seen) == set(brute)
+
+
+def test_composition_count_is_what_exact_tables_enumerates(monkeypatch):
+    yielded = 0
+
+    def counted(r, parts):
+        nonlocal yielded
+        for tup in compositions(r, parts):
+            yielded += 1
+            yield tup
+
+    monkeypatch.setattr(exact_module, "compositions", counted)
+    grid = [(n, k) for n in range(2, 15) for k in range(1, n)] + [(30, 8), (20, 5), (12, 3)]
+    for n, k in grid:
+        yielded = 0
+        exact_tables.__wrapped__(n, k)  # past the cache, so every composition is drawn
+        assert composition_count(n, k) == yielded, (n, k)
+    # The sizes the guard of ``stopflow exact`` is set from.
+    assert [composition_count(n, k) for n, k in ((46, 5), (45, 22), (500, 3), (60, 30))] == [
+        12_520, 304_799, 1_494_297, 4_072_719]
 
 
 # ---------------------------------------------------------------------------

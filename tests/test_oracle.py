@@ -522,6 +522,31 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
             assert compared == math.factorial(n)
 
 
+def test_continuous_tally_times_are_those_of_the_sink_prefix_order(monkeypatch):
+    # Each indicator call gets the times of the order (*path, *sorted(unarrived))
+    # at (i - 0.5) / n, for the prefixes that end on the sink, which the walk
+    # reaches in lexicographic order; one unarrived position out of order fails.
+    from stopflow import verify
+
+    indicator = verify.continuous_win_indicator
+    seen = []
+
+    def recorded(g, arr):
+        seen.append((g.n, g.k, arr.times))
+        return indicator(g, arr)
+
+    monkeypatch.setattr(verify, "continuous_win_indicator", recorded)
+    assert verify.check_continuous_discrete(6).passed
+    expect = []
+    for n in range(4, 7):
+        for k in range(1, n - 2):
+            heads = (head for t in range(n) for head in itertools.permutations(range(2, n + 1), t))
+            for path in sorted((*head, 1) for head in heads):
+                rest = sorted(set(range(1, n + 1)).difference(path))
+                expect.append((n, k, rank_times((*path, *rest)).times))
+    assert seen == expect
+
+
 def test_prefix_tally_matches_a_replay_of_every_order():
     # The slow reference: replay each of the n! orders and count, at every t,
     # the cell (t, component count) and whether the t-th arrival is maximal.
