@@ -301,8 +301,8 @@ def test_simulate_rejects_a_huge_n_before_any_pool(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     pools = []
     simulate_module = importlib.import_module("stopflow.simulate")
-    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor",
-                        lambda *a, **kw: pools.append(kw) or pytest.fail("pool started"))
+    monkeypatch.setattr(simulate_module, "_process_pool",
+                        lambda workers: pools.append(workers) or pytest.fail("pool started"))
     monkeypatch.setattr(simulate_module, "_count_wins",
                         lambda *a: pytest.fail("trial started"))
     strategies = {"tau_n": {}, **OTHER_STRATEGIES}

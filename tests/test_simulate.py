@@ -300,8 +300,8 @@ def serial_pool(monkeypatch):
     made = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
+        def __init__(self, workers):
+            made.append(workers)
 
         def __enter__(self):
             return self
@@ -312,7 +312,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate_module, "_process_pool", SerialPool)
     return made
 
 
