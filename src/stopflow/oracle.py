@@ -1,24 +1,28 @@
 """Independent ground truth at desk scale.
 
 Everything here certifies the rest of the package by brute force: one walk
-over all arrival prefixes on one observer, exact mixing over the rejection
-count of the randomized rule, backward induction over information classes
-(the optimal value over all stopping rules that see only the labeled
-induced graph), and the continuous-arrival win test.  Each walk-based
-aggregate is a visitor and its result, so one walk can feed several.  A
-class is an observation history, keyed by its parent class and the arcs of
-the newest arrival; ``canonical_info_state`` is the audit's encoding of a
-class, and the audit checks that the two determine each other.
+over all arrival prefixes on one observer, a pass over arrived sets that
+counts the threshold rules' wins, exact mixing over the rejection count of
+the randomized rule, backward induction over information classes (the
+optimal value over all stopping rules that see only the labeled induced
+graph), and the continuous-arrival win test.  Each walk-based aggregate is
+a visitor and its result, so one walk can feed several; the threshold
+counts need no walk, since whether such a rule wins reads only the set of
+arrivals before the sink and which of them came last.  A class is an
+observation history, keyed by its parent class and the arcs of the newest
+arrival; ``canonical_info_state`` is the audit's encoding of a class, and
+the audit checks that the two determine each other.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 # ResourceGuardError is imported so that stopflow.oracle.ResourceGuardError still names it.
-from .graph import PathPower, ResourceGuardError, _check_below_degenerate, _check_guard
+from .graph import PathPower, ResourceGuardError, _check_below_degenerate, _check_guard, _check_nk
 from .observer import ObservationEvent, Observer
 from .strategies import Strategy, _skip_count, _wants_stop
 
@@ -94,34 +98,48 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
     return stop, lambda: won
 
 
-def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]:
-    """Visitor and result: wins[M] = number of arrival orders won by "reject
-    M, take the first maximal"."""
-    n = g.n
+def _threshold_counts(n: int, k: int) -> list[int]:
+    """wins[M] = number of arrival orders won by "reject M, take the first
+    maximal", for M = 0..n, counted over arrived sets instead of orders.
+
+    The sink is always maximal, so the rule wins iff the sink's arrival is
+    the first maximal one after the rejection phase: M in [L, |S|] for the
+    set S of the arrivals before it and the time L of the last maximal one
+    among them (0 if none).  An arrival v is maximal iff no earlier one lies
+    in [v - k, v - 1], a fact of the set before it.  So c[S][L], the number
+    of orders of S whose last maximal arrival comes at L, adds up over the
+    sets S - {v}, and each S stands for the (n - |S| - 1)! orders of the
+    rest after the sink.  M = n never fires and takes the final arrival,
+    which wins exactly when the sink comes last.
+    """
     weight = _completions(n)
+    # Bit i stands for the non-sink position i + 2; below[i]: the bits of the
+    # positions within k below it.
+    below = [(1 << i) - (1 << max(i - k, 0)) for i in range(n - 1)]
+    counts = [[1]]  # [S]: c[S] for the bit mask S; the empty set's one order has L = 0
+    for s in range(1, 1 << n - 1):
+        size = s.bit_count()
+        c = [0] * (size + 1)
+        for i, mask in enumerate(below):
+            if s >> i & 1:
+                if s & mask:  # v = i + 2 is not maximal: its L is that of S - {v}
+                    for last, x in enumerate(counts[s ^ 1 << i]):
+                        c[last] += x
+                else:  # each of the (|S| - 1)! orders of S - {v}
+                    c[size] += weight[n - size + 1]
+        counts.append(c)
     wins = [0] * (n + 1)
-
-    def visit(path: list[int], events: list[ObservationEvent]) -> bool | None:
-        # The sink is always maximal, so the rule wins iff the first maximal
-        # arrival after the rejection phase is the sink: M in [prev, t_sink)
-        # for the last maximal time prev before it.  M = n never fires and
-        # takes the final arrival, which wins exactly when the sink comes last.
-        if path[-1] == 1:
-            t_sink = len(path)
-            prev = t_sink - 1
-            while prev and not events[prev - 1].is_max:  # the prev-th arrival's event
-                prev -= 1
-            for m in range(prev, t_sink):
-                wins[m] += weight[t_sink]
-            wins[n] += t_sink == n
-            return True
-
-    return visit, lambda: wins
+    for c in counts:  # weight[len(c)] = (n - |S| - 1)!
+        for m, up_to_m in enumerate(itertools.accumulate(c)):
+            wins[m] += up_to_m * weight[len(c)]
+    wins[n] += weight[1]
+    return wins
 
 
 def _rejection_mixture(wins: list[int], p: Fraction) -> Fraction:
     """Exact win probability of "reject M ~ Binomial(n, p), take the first
-    maximal", mixing the per-M counts ``wins`` of ``_threshold_visitor``."""
+    maximal", mixing the per-M counts ``wins`` of the set pass
+    ``_threshold_counts``."""
     n = len(wins) - 1
     a, b = p.numerator, p.denominator  # p = a / b: one Fraction over b^n n!
     return Fraction(
@@ -135,16 +153,19 @@ def brute_force_win_probability(
 ) -> Fraction:
     """Exact win probability of a strategy under uniform arrival orders.
 
-    Every outcome is fixed by a prefix: the slack rule's once it stops, a
-    threshold rule's once the sink arrives.  The prefix walk credits all
-    completions of such a prefix at once instead of replaying each of the
-    n! orders.  For the randomized rejection rule the count M is integrated
-    out exactly with Binomial(n, p) weights instead of sampling.
+    The slack rule's outcome is fixed by the prefix at which it stops, and
+    the prefix walk credits all completions of such a prefix at once
+    instead of replaying each of the n! orders.  A threshold rule's is fixed
+    by the set of arrivals before the sink and the time of the last maximal
+    one, which ``_threshold_counts`` counts over sets.  For the randomized
+    rejection rule the count M is integrated out exactly with
+    Binomial(n, p) weights instead of sampling.
     """
     _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
     if s.kind == "tau_n":
         return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], math.factorial(n))
-    wins = _aggregates(PathPower(n, k), _threshold_visitor)[0]
+    _check_nk(n, k)
+    wins = _threshold_counts(n, k)
     if s.kind == "tau_p_star":
         return _rejection_mixture(wins, Fraction(s.p))
     # a fixed threshold; first_max is classical_threshold(0)
@@ -294,20 +315,19 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     return _backward_induction(n, _info_classes(PathPower(n, k)))
 
 
-def _class_stats(g: PathPower, classes: list) -> list[InfoClassStat]:
-    """``info_class_audit`` of the classes ``_info_class_visitor`` listed on ``g``."""
-    stats = []
+def _audited_states(g: PathPower, classes: list) -> list[InfoState]:
+    """``canonical_info_state`` of the first member of each class
+    ``_info_class_visitor`` listed on ``g``, in creation order; two classes
+    with one state raise ``RuntimeError``."""
+    states = []
     seen: set[InfoState] = set()
-    # The state fixes the counts and maximality, so the first member's are every member's.
-    for at in range(0, len(classes), _WIDTH):
-        t, members, sink_last, _, comps, pending, is_max, prefix = classes[at:at + _WIDTH]
+    for prefix in classes[_PREFIX::_WIDTH]:
         state = canonical_info_state(g, prefix)
         seen.add(state)
-        if len(seen) == len(stats):  # one hash of the state, not two
+        if len(seen) == len(states):  # one hash of the state, not two
             raise RuntimeError(f"two information classes share the canonical state {state}")
-        stats.append(InfoClassStat(t, state, members, sink_last, comps, pending, is_max))
-    stats.sort(key=lambda st: st.t)
-    return stats
+        states.append(state)
+    return states
 
 
 def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassStat]:
@@ -320,7 +340,14 @@ def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassSt
     """
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
     g = PathPower(n, k)
-    return _class_stats(g, _info_classes(g))
+    classes = _info_classes(g)
+    # The state fixes the counts and maximality, so the first member's are every member's.
+    rows = (classes[at:at + _WIDTH] for at in range(0, len(classes), _WIDTH))
+    stats = [InfoClassStat(t, state, members, sink_last, comps, pending, is_max)
+             for (t, members, sink_last, _, comps, pending, is_max, _), state
+             in zip(rows, _audited_states(g, classes))]
+    stats.sort(key=lambda st: st.t)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +362,10 @@ class ContinuousArrival:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(not 0.0 <= a <= 1.0 for a in self.times):
-            raise ValueError("arrival times must lie in [0, 1]")
+        # A plain loop: no generator to build, and 3.11+ compares floats inline.
+        for a in self.times:
+            if not 0.0 <= a <= 1.0:
+                raise ValueError("arrival times must lie in [0, 1]")
 
     @property
     def p(self) -> float:

@@ -9,10 +9,12 @@ prefix walk through visitors.  Every check runs as its ``.walk`` generator
 through one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
 walking each (n, k) once for all of them.  ``observer_invariants`` and
 ``max_given_components`` judge each prefix by its last events and share one
-visitor.  Desk-scale guards apply: ``verify_all`` checks only that ``n_max``
-is at least 4 and passes it to every check, which caps it at its own limit
-or, as ``formula_vs_oracle`` does, raises the guard before any walk; the
-bounds sandwich checks its own range.
+visitor.  ``strategy_dominance`` walks nothing: it reads the threshold
+rules' wins off the oracle's pass over arrived sets.  Desk-scale guards
+apply: ``verify_all`` checks only that ``n_max`` is at least 4 and passes it
+to every check, which caps it at its own limit or, as ``formula_vs_oracle``
+does, raises the guard before any walk; the bounds sandwich checks its own
+range.
 """
 from __future__ import annotations
 
@@ -38,14 +40,15 @@ from .oracle import (
     DP_GUARD,
     ENUMERATION_GUARD,
     ContinuousArrival,
+    _WIDTH,
     _aggregates,
+    _audited_states,
     _backward_induction,
-    _class_stats,
     _completions,
     _info_class_visitor,
     _rejection_mixture,
     _slack_rule_visitor,
-    _threshold_visitor,
+    _threshold_counts,
     continuous_win_indicator,
 )
 from .strategies import Strategy, run_strategy, stop_time
@@ -65,8 +68,10 @@ GOLDEN_TRACE_STOP = 6
 # n, which bounds n only; ``exact.COMPOSITION_GUARD`` bounds its tables in k.
 BOUNDS_GUARD = 1000
 
-# Caps four exhaustive checks whatever n_max they get, so that the output of
-# verify --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
+# Caps four checks whatever n_max they get, so that the output of verify
+# --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
+# strategy_dominance keeps it only for that: it reads the oracle's set pass,
+# which costs milliseconds at any n the enumeration guard allows.
 WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
@@ -351,17 +356,17 @@ def check_conditional_success_vs_states(n_max: int = 6) -> Walks:
         for k in range(1, n):
             classes = yield n, k, _info_class_visitor
             try:
-                stats = _class_stats(PathPower(n, k), classes)
+                _audited_states(PathPower(n, k), classes)
             except RuntimeError as exc:  # the class audit failed
                 raise _Failed(f"(n={n}, k={k}): {exc}")
-            for st in stats:
-                if not st.last_is_max:
+            for at in range(0, len(classes), _WIDTH):
+                t, members, sink_last, _, comps, pending, is_max, _ = classes[at:at + _WIDTH]
+                if not is_max:
                     continue
-                expect = conditional_success(n, k, st.t, st.component_count, st.pending_inner)
-                if st.stop_value != expect:
-                    raise _Failed(
-                        f"(n={n}, k={k}, t={st.t}): counted {st.stop_value}, formula {expect}"
-                    )
+                counted = Fraction(sink_last, members)
+                expect = conditional_success(n, k, t, comps, pending)
+                if counted != expect:
+                    raise _Failed(f"(n={n}, k={k}, t={t}): counted {counted}, formula {expect}")
                 cases += 1
     return f"{cases} maximal-last information classes match the closed form"
 
@@ -424,7 +429,7 @@ def check_continuous_discrete(n_max: int = 7) -> Walks:
 
 
 @_check
-def check_strategy_dominance(n_max: int = 7) -> Walks:
+def check_strategy_dominance(n_max: int = 7) -> str:
     n_max = min(n_max, WALK_N_CAP)
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
@@ -432,7 +437,7 @@ def check_strategy_dominance(n_max: int = 7) -> Walks:
         for k in range(1, n):
             best = success_probability_exact(n, k)
             total = math.factorial(n)
-            wins = yield n, k, _threshold_visitor
+            wins = _threshold_counts(n, k)
             for r in range(n + 1):
                 if Fraction(wins[r], total) > best:
                     raise _Failed(f"threshold r={r} beats the slack rule at (n={n}, k={k})")

@@ -594,6 +594,31 @@ def test_verify_all_walks_each_n_k_once(monkeypatch):
     assert walks and set(walks.values()) == {1}, walks
 
 
+def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
+    # The threshold rules' wins come from the oracle's pass over arrived sets,
+    # so at n = 7 the shared walk feeds only these visitors; one added back to
+    # the walk shows up here.
+    original = verify_module._aggregates
+    built = {}
+
+    def recorded(g, *makes):
+        built[g.n, g.k] = {make.__name__ for make in makes}
+        return original(g, *makes)
+
+    monkeypatch.setattr(verify_module, "_aggregates", recorded)
+    assert verify_all(7).passed
+    for k in range(1, 7):
+        expected = {"_slack_rule_visitor", "_info_class_visitor", "_prefix_visitor"}
+        if k < 7 - 2:  # the continuous model needs k < n - 2
+            expected.add("_continuous_tally")
+        assert built[7, k] == expected, k
+    walk = check_strategy_dominance.walk(7)
+    with pytest.raises(StopIteration) as done:
+        next(walk)
+    assert done.value.value == Check(
+        "strategy_dominance", True, "350 competing strategies dominated")
+
+
 def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
     walks = Counter()
     original = oracle_module.walk_prefixes

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -22,8 +23,8 @@ from stopflow import (
 )
 from stopflow import oracle
 from stopflow.exact import conditional_success
-from stopflow.observer import Observer, component_runs
-from stopflow.oracle import _info_classes, walk_prefixes
+from stopflow.observer import ObservationEvent, Observer, component_runs
+from stopflow.oracle import _completions, _info_classes, _threshold_counts, walk_prefixes
 
 
 def test_brute_force_golden_values():
@@ -152,6 +153,42 @@ def test_threshold_counts_match_reference_runner():
             for r in range(n + 1):
                 s = Strategy.classical_threshold(r)
                 assert brute_force_win_probability(n, k, s) == replayed_win_probability(n, k, s)
+
+
+def _threshold_visitor(g: PathPower) -> tuple[Callable, Callable[[], list[int]]]:
+    """Visitor and result: wins[M] = number of arrival orders won by "reject
+    M, take the first maximal"."""
+    n = g.n
+    weight = _completions(n)
+    wins = [0] * (n + 1)
+
+    def visit(path: list[int], events: list[ObservationEvent]) -> bool | None:
+        # The sink is always maximal, so the rule wins iff the first maximal
+        # arrival after the rejection phase is the sink: M in [prev, t_sink)
+        # for the last maximal time prev before it.  M = n never fires and
+        # takes the final arrival, which wins exactly when the sink comes last.
+        if path[-1] == 1:
+            t_sink = len(path)
+            prev = t_sink - 1
+            while prev and not events[prev - 1].is_max:  # the prev-th arrival's event
+                prev -= 1
+            for m in range(prev, t_sink):
+                wins[m] += weight[t_sink]
+            wins[n] += t_sink == n
+            return True
+
+    return visit, lambda: wins
+
+
+def test_threshold_set_pass_matches_the_walk_reference():
+    # The walk reference reads maximality off the shipped Observer, prefix by
+    # prefix; the set pass reads it off the arrived set.
+    for n in range(2, 9):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            visit, result = _threshold_visitor(g)
+            walk_prefixes(g, visit)
+            assert _threshold_counts(n, k) == result(), (n, k)
 
 
 def test_slack_rule_walk_matches_reference_runner():
@@ -453,6 +490,26 @@ def test_continuous_indicator_rejects_dense_powers():
         continuous_win_indicator(PathPower(5, 3), ContinuousArrival((0.1,) * 5))
     with pytest.raises(ValueError):
         continuous_win_indicator(PathPower(4, 2), ContinuousArrival((0.1,) * 4))
+
+
+@pytest.mark.parametrize("times, ok", [
+    ((0.0, 1.0), True),
+    ((-0.0, 0.5), True),  # -0.0 == 0.0
+    ((1.0,) * 3, True),
+    ((Fraction(1, 2), 0.25), True),  # compared as 0.0 <= a <= 1.0 is
+    ((math.nan, 0.5), False),
+    ((0.5, math.nan), False),
+    ((-5e-324, 0.5), False),
+    ((0.5, 1.0000000000000002), False),
+    ((0.5, math.inf), False),
+    ((-math.inf,), False),
+])
+def test_continuous_arrival_accepts_exactly_the_unit_interval(times, ok):
+    if ok:
+        assert ContinuousArrival(times).times == times
+    else:
+        with pytest.raises(ValueError, match=r"^arrival times must lie in \[0, 1\]$"):
+            ContinuousArrival(times)
 
 
 def test_continuous_arrival_validation():
