@@ -20,7 +20,11 @@ n-grid: ``scaling`` and ``bounds_sandwich`` make one pass per k, and
 the sets by composition enumeration, splitting ``W[m] = sum_h V[m, h]`` where
 the h-th slice holds the sets with exactly h+1 components; it gives the per-m
 breakdown of ``stopflow exact`` and is the slow reference the first path is
-tested against.  Only the Gamma-function bounds use floating point.
+tested against.  A slice is nonempty iff h >= n-1-k(m-1): the other n-m-kh
+missing positions must fit into the remaining m-1-h gaps, at most k-1 each.
+Since m >= min_condition_time gives (n-m)//k <= m-1, every h from there up
+to (n-m)//k has a set, so the tables visit and store only nonzero slices.
+Only the Gamma-function bounds use floating point.
 """
 from __future__ import annotations
 
@@ -72,6 +76,11 @@ def min_condition_time(n: int, k: int) -> int:
     return -((n + k) // -(k + 1))
 
 
+def _h_min(n: int, k: int, m: int) -> int:
+    """Fewest k-wide gaps in an m-set: the other m-1-h gaps hold k-1 at most."""
+    return max(0, n - 1 - k * (m - 1))
+
+
 def v_mh(n: int, k: int, m: int, h: int) -> int:
     """Count of m-element arrival sets qualifying with exactly h+1 components.
 
@@ -94,10 +103,11 @@ def v_mh(n: int, k: int, m: int, h: int) -> int:
 
 
 # Caps composition_count for ``stopflow exact``.  Measured with CPython 3.11
-# on one core of a 2-vCPU Xeon, a composition costs 6 to 33 us, more as k
-# grows: (46, 5) has 12,520 and takes 0.07 s, (300, 3) 327,047 and 5.4 s,
-# (40, 20) 117,400 and 3.8 s.  So a run under the cap ends within about 13 s;
-# (60, 30), with 4,072,719, ran past 60 s.
+# on one core of a 2-vCPU Xeon, a composition costs 4 to 24 us, more as k
+# grows: (46, 5) has 11,225 and takes 0.05 s, (300, 3) 258,825 and 2.2 s,
+# (40, 20) 117,400 and 2.3 s.  Earlier timings on the same host ran up to
+# 33 us, so a run under the cap ends within about 10 to 13 s; (60, 30), with
+# 4,072,719, ran past 60 s.
 COMPOSITION_GUARD = 400_000
 
 
@@ -105,8 +115,9 @@ def composition_count(n: int, k: int) -> int:
     """How many compositions ``exact_tables(n, k)`` enumerates, in O(n k).
 
     Each (m, h) enumerates the partitions of n - m - k h into parts at most
-    k - 1, so the count is the sum over s = n - m of runs[s], the sum of
-    those partition counts at s, s - k, s - 2k, ...
+    k - 1, and h runs down to h_min = max(0, n - 1 - k (m - 1)), so the
+    count is the sum over s = n - m of runs[s - k h_min], the sum of those
+    partition counts at s - k h_min, s - k (h_min + 1), ... down to 0.
     """
     _check_nk(n, k)
     top = n - min_condition_time(n, k)
@@ -116,12 +127,19 @@ def composition_count(n: int, k: int) -> int:
             runs[s] += runs[s - part]
     for s in range(k, top + 1):
         runs[s] += runs[s - k]
-    return sum(runs)
+    return sum(runs[n - m - k * _h_min(n, k, m)] for m in range(n - top, n + 1))
 
 
 @dataclass(frozen=True)
 class ExactTables:
-    """The full counting tables behind one exact probability."""
+    """The full counting tables behind one exact probability.
+
+    ``V`` holds exactly the nonzero slices: for each m from min_condition_time
+    to n, the h from max(0, n-1-k(m-1)) to (n-m)//k.  Below that h the n-m-kh
+    other missing positions cannot fit into the m-1-h other gaps, at most k-1
+    each; every h in the range fits, as (n-m)//k <= m-1 there.  A missing
+    (m, h) reads as 0.
+    """
 
     n: int
     k: int
@@ -138,7 +156,7 @@ def exact_tables(n: int, k: int) -> ExactTables:
     probability = Fraction(0)
     for m in range(min_condition_time(n, k), n + 1):
         w_m = 0
-        for h in range((n - m) // k + 1):
+        for h in range(_h_min(n, k, m), (n - m) // k + 1):
             v = v_mh(n, k, m, h)
             V[m, h] = v
             w_m += v

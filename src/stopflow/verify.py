@@ -312,10 +312,10 @@ def check_subset_counting(n_max: int = 10) -> str:
             for m in range(1, n + 1):
                 by_h: dict[int, int] = {}
                 total = 0
-                for subset in itertools.combinations(range(1, n + 1), m):
-                    if subset[0] != 1 or subset[-1] != n:
-                        continue
-                    # Holding 1 and n, its missing runs are the positive gaps.
+                # Only sets holding 1 and n qualify (none at m = 1, as n >= 3);
+                # their missing runs are the positive gaps.
+                for inner in itertools.combinations(range(2, n), m - 2) if m > 1 else ():
+                    subset = (1, *inner, n)
                     gaps = [b - a - 1 for a, b in zip(subset, subset[1:])]
                     if max(gaps) > k:
                         continue
@@ -326,7 +326,7 @@ def check_subset_counting(n_max: int = 10) -> str:
                     ok = total == 0
                 else:
                     ok = total == tabs.W[m] and all(
-                        by_h.get(h, 0) == tabs.V[m, h] for h in range((n - m) // k + 1)
+                        by_h.get(h, 0) == tabs.V.get((m, h), 0) for h in range((n - m) // k + 1)
                     )
                 if not ok:
                     raise _Failed(f"table mismatch at (n={n}, k={k}, m={m}): subsets {total}")

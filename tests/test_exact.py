@@ -84,7 +84,22 @@ def test_composition_count_is_what_exact_tables_enumerates(monkeypatch):
         assert composition_count(n, k) == yielded, (n, k)
     # The sizes the guard of ``stopflow exact`` is set from.
     assert [composition_count(n, k) for n, k in ((46, 5), (45, 22), (500, 3), (60, 30))] == [
-        12_520, 304_799, 1_494_297, 4_072_719]
+        11_225, 304_799, 1_181_838, 4_072_719]
+
+
+def test_exact_tables_calls_v_mh_only_on_the_slices_it_stores(monkeypatch):
+    returned = []
+
+    def counted(*args):
+        returned.append(v_mh(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(exact_module, "v_mh", counted)
+    for n in range(2, 15):
+        for k in range(1, n):
+            returned.clear()
+            tabs = exact_tables.__wrapped__(n, k)
+            assert len(returned) == len(tabs.V) and all(returned), (n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +144,15 @@ def test_tables_match_subset_enumeration():
     for n in range(3, 9):
         for k in range(1, n):
             tabs = exact_tables(n, k)
+            assert all(v > 0 for v in tabs.V.values())
+            positive = set()
             for m in range(min_condition_time(n, k), n + 1):
                 by_h = subset_counts(n, k, m)
                 assert tabs.W[m] == sum(by_h.values())
                 for h in range((n - m) // k + 1):
-                    assert tabs.V[m, h] == by_h.get(h, 0)
+                    assert tabs.V.get((m, h), 0) == by_h.get(h, 0)
+                positive |= {(m, h) for h, count in by_h.items() if count}
+            assert set(tabs.V) == positive
 
 
 def test_no_qualifying_subsets_below_range():
