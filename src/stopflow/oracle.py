@@ -27,6 +27,10 @@ from .observer import ObservationEvent, Observer
 from .strategies import Strategy, _skip_count, _wants_stop
 
 ENUMERATION_GUARD = 9
+# The threshold set pass keeps one list per subset of the n - 1 non-sink
+# positions; n = 16 took about 0.3 s on a two-vCPU host, and each n past it
+# at least doubles time and memory.
+SET_GUARD = 16
 DP_GUARD = 7
 
 
@@ -159,11 +163,13 @@ def brute_force_win_probability(
     by the set of arrivals before the sink and the time of the last maximal
     one, which ``_threshold_counts`` counts over sets.  For the randomized
     rejection rule the count M is integrated out exactly with
-    Binomial(n, p) weights instead of sampling.
+    Binomial(n, p) weights instead of sampling.  The walk is guarded at
+    n <= ``ENUMERATION_GUARD`` and the set pass at n <= ``SET_GUARD``.
     """
-    _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
     if s.kind == "tau_n":
+        _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
         return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], math.factorial(n))
+    _check_guard(n, SET_GUARD, "threshold set pass", force)
     _check_nk(n, k)
     wins = _threshold_counts(n, k)
     if s.kind == "tau_p_star":

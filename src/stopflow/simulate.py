@@ -9,15 +9,21 @@ one worker imports the process pool (``_process_pool``), so a one-worker run
 and every other subcommand never load its 35 stdlib modules: about 2.6 MB of
 resident memory and 20-30 ms of a cold ``import stopflow.cli`` on a two-vCPU host.
 
-A trial costs little beyond its stream.  Each call (or pool worker)
-reseeds one ``random.Random`` per trial with ``.seed()``, the same state
-as a fresh ``Random(seed)``.  The tail readers below copy the draw loop of
-``random.shuffle`` with ``_randbelow_with_getrandbits`` inlined, looping
-over blocks of bounds with one bit length.  The uniforms of a trial (coin
-flips, arrival times) come from one ``strategies.uniform_words`` call, the
-words n ``random()`` calls would read; they are ranked against a threshold
-by top byte, with one ``bytes.translate``, and only ties on that byte are
-decoded to exact 53-bit numerators.  So the stream is consumed exactly as
+A trial costs little beyond its stream.  Each call (or pool worker) makes
+one generator and one starting list for its tail reader (``_tail_start``).
+The generator starts from the constant 0, not from OS entropy, which costs
+twice as much and is never read: trial 0 reseeds before any draw.  A trial
+then pays for its seed (``trial_seed``), a reseed through the C ``seed``
+under ``Random.seed`` (about 6 µs, the same state as a fresh
+``Random(seed)``), a copy of the list (under 1 µs at n = 400, a fifth of
+building it), and the draws it reads.  The tail readers below copy the
+draw loop of ``random.shuffle`` with ``_randbelow_with_getrandbits``
+inlined, looping over blocks of bounds with one bit length.  The uniforms
+of a trial (coin flips, arrival times) come from one
+``strategies.uniform_words`` call, the words n ``random()`` calls would
+read; they are ranked against a threshold by top byte, with one
+``bytes.translate``, and only ties on that byte are decoded to exact
+53-bit numerators.  So the stream is consumed exactly as
 ``random.shuffle`` and ``random()`` would.
 
 A ``tau_n`` trial reads only the part of its shuffle that decides it.
@@ -37,8 +43,9 @@ None of this is an API contract: tests pin the sink's index against
 ``random.shuffle`` (every n <= 300, and across block edges up to 4097),
 each tail reader's win and generator state against a full shuffle and the
 forward rule (block edges up to 4097) and its win against ``run_trial``,
-the decoded words against ``random()`` (every n <= 300), and the reseeded
-generator against one fresh generator per trial.
+the per-call list against a fresh one per trial, the decoded words against
+``random()`` (every n <= 300), and the reseeded generator against one fresh
+generator per trial.
 """
 from __future__ import annotations
 
@@ -96,7 +103,7 @@ class SimulationReport:
     wall_time: float
 
 
-def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
+def _tau_n_win(n: int, k: int, rng: random.Random, start: list[int]) -> bool:
     """One ``tau_n`` trial, read from the shuffle's tail.
 
     ``tau_n`` wins iff, when the sink arrives, position n has arrived and no
@@ -108,9 +115,10 @@ def _tau_n_win(n: int, k: int, rng: random.Random) -> bool:
     the length of the missing run that ends at v, kept at both ends of each
     run; ``run[n + 1] = k`` makes a missing n lose.  The stream is the shuffle's,
     read down to the deciding draw; each reader keeps its own copy of the
-    loop because a shared generator of draws slows them.
+    loop because a shared generator of draws slows them.  ``start`` is
+    ``_tail_start``'s list 1..n, which the trial copies and leaves as it was.
     """
-    perm = list(range(1, n + 1))
+    perm = start.copy()
     run = [0] * (n + 2)
     run[n + 1] = k
     getrandbits = rng.getrandbits
@@ -161,7 +169,8 @@ def _sink_index(n: int, rng: random.Random, whole: bool = True) -> int:
     return sink
 
 
-def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool:
+def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random,
+                             start: list[int]) -> bool:
     """One ``classical_threshold(r)`` trial, read from the shuffle's tail.
 
     The rule rejects arrivals 0..r-1, takes the first maximal one after
@@ -175,13 +184,14 @@ def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool
     the walk and no maximal value is fixed after it.  Values are stored plus k, and ``run[v]`` is the length of the
     run of fixed values that ends at v, kept at both ends of each run as in
     ``_tau_n_win``; ``run[k] = k`` stands for k values below 1 fixed from
-    the start, so v arrived maximal iff ``run[v - 1] >= k``.
+    the start, so v arrived maximal iff ``run[v - 1] >= k``.  ``start`` is
+    ``_tail_start``'s list k+1..n+k, which a walk copies and leaves as it was.
     """
     if r == 0:
         return not _sink_index(n, rng, whole=False)
     r = min(r, n - 1)
     sink = k + 1
-    perm = list(range(sink, n + sink))
+    perm = start.copy()
     run = [0] * (n + k + 2)
     run[k] = k
     seen = False  # the sink is fixed
@@ -206,7 +216,8 @@ def _classical_threshold_win(n: int, k: int, r: int, rng: random.Random) -> bool
     return seen
 
 
-def _tau_p_star_win(n: int, k: int, s: Strategy, seed: int, rng: random.Random) -> bool:
+def _tau_p_star_win(n: int, k: int, s: Strategy, seed: int, rng: random.Random,
+                    start: list[int]) -> bool:
     """One ``tau_p_star`` trial on the stream ``rng.seed(seed)`` set.
 
     The rejection count M is drawn after the whole shuffle, so find the
@@ -219,7 +230,7 @@ def _tau_p_star_win(n: int, k: int, s: Strategy, seed: int, rng: random.Random) 
     if m > sink:
         return False
     rng.seed(seed)
-    return _classical_threshold_win(n, k, m, rng)
+    return _classical_threshold_win(n, k, m, rng, start)
 
 
 def run_trial(g: PathPower, s: Strategy, rng: random.Random) -> StopRecord:
@@ -245,21 +256,37 @@ def _continuous_win(n: int, gap: bytes, rng: random.Random) -> bool:
     return numerator(raw, n - 1) < p and rank_uniforms(raw, 1, n - 1, p + 1).find(gap) < 0
 
 
+def _tail_start(n: int, k: int, s: Strategy | None) -> list[int]:
+    """The list each trial of ``s`` copies to read its shuffle's tail: 1..n
+    for ``tau_n``, the values plus k for the threshold walks, and none for
+    ``first_max`` and the continuous model, which keep no list."""
+    if s is None or s.kind == "first_max":
+        return []
+    lo = 1 if s.kind == "tau_n" else k + 1
+    return list(range(lo, n + lo))
+
+
 def _count_wins(n: int, k: int, s: Strategy | None, master_seed: int, span: range) -> int:
     gap = b"\x01" * (k + 1)
-    rng = random.Random()
+    start = _tail_start(n, k, s)
+    # Trial 0 reseeds before any draw, so the generator starts from a
+    # constant instead of OS entropy, which costs twice as much.
+    rng = random.Random(0)
+    # The C seed under Random.seed, which only type-checks its argument and
+    # clears gauss_next (no reader uses it): the same state, for less.
+    reseed = super(random.Random, rng).seed
     wins = 0
     for i in span:
         seed = trial_seed(master_seed, i)
-        rng.seed(seed)
+        reseed(seed)
         if s is None:
             wins += _continuous_win(n, gap, rng)
         elif s.kind == "tau_n":
-            wins += _tau_n_win(n, k, rng)
+            wins += _tau_n_win(n, k, rng, start)
         elif s.kind == "tau_p_star":
-            wins += _tau_p_star_win(n, k, s, seed, rng)
+            wins += _tau_p_star_win(n, k, s, seed, rng, start)
         else:  # a fixed threshold; first_max is classical_threshold(0)
-            wins += _classical_threshold_win(n, k, _skip_count(s, n, None), rng)
+            wins += _classical_threshold_win(n, k, _skip_count(s, n, None), rng, start)
     return wins
 
 

@@ -51,7 +51,7 @@ from .oracle import (
     _threshold_counts,
     continuous_win_indicator,
 )
-from .strategies import Strategy, run_strategy, stop_time
+from .strategies import Strategy, _wants_stop, run_strategy
 
 # Golden observation trace: n=9, k=2, this arrival order must produce the
 # pending-inner sequence below, and the slack rule must stop at t=6 on the
@@ -380,11 +380,14 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
     indicator reads only which times are later than the sink's, and the
     slack rule wins iff it first stops there.  So each such prefix stands
     for its (n - t)! completions, and its first one names a disagreement.
+    The visitor keeps ``strategies.stop_time``'s rule as the walk descends,
+    so it must see every prefix of the walk in order.
     """
     n, k = g.n, g.k
     weight = _completions(n)
     tau_n = Strategy.tau_n()
     stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
+    fired = [False] * n  # [t]: the slack rule stopped at or before the t-th arrival of the path
     runs = 0
     failure = ""
 
@@ -392,10 +395,12 @@ def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, i
         # Not muted at an earlier stop of the slack rule: that subtree's
         # orders are losses, and the indicator must say so on each.
         nonlocal runs, failure
-        if path[-1] != 1:
-            return bool(failure)
         t = len(path)
-        discrete = stop_time(tau_n, events, 0, n) == t
+        wants = _wants_stop(tau_n, events[-1], 0)
+        if path[-1] != 1:
+            fired[t] = fired[t - 1] or wants
+            return bool(failure)
+        discrete = not fired[t - 1] and (wants or t == n)
         # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
         # (i - 0.5) / n: the path's first, then the unarrived positions upward.
         times = [None] * n

@@ -232,6 +232,53 @@ def test_grid_matches_k1_binomial_form():
     assert success_probabilities_exact(ns, 1) == {n: k1_binomial_form(n) for n in ns}
 
 
+# Linear recurrences with polynomial coefficients, sum_j c_j(n) p_{n+j} = 0,
+# a reference that shares nothing with the row pass but its first values.
+# Each c_j is listed by its coefficients in n, constant term first.  They
+# were guessed from the row pass's first values and solved exactly over Q;
+# each holds from the first n the row pass defines, n = k + 1.
+RECURRENCES = {
+    # 3(n+2) p_{n+2} = (2n+3) p_{n+1} + (n+1) p_n
+    1: [(1, 1), (3, 2), (-6, -3)],
+    # 3(n+1)(n+2) p_n + 2n(n+2) p_{n+1} + (3n^2+7n-4) p_{n+2}
+    #     - 4(6n^2+29n+31) p_{n+3} + 16(n+2)(n+4) p_{n+4} = 0
+    2: [(6, 9, 3), (0, 4, 2), (-4, 7, 3), (-124, -116, -24), (128, 96, 16)],
+}
+
+
+def recurrence_coefficients(k, n):
+    """[j]: c_j(n) of the recurrence for k."""
+    return [sum(c * n**i for i, c in enumerate(poly)) for poly in RECURRENCES[k]]
+
+
+def recurrence_values(k, top):
+    """p_n for n = k+1..top, run forward from the recurrence's first values."""
+    order = len(RECURRENCES[k]) - 1
+    p = {n: success_probability_exact(n, k) for n in range(k + 1, k + 1 + order)}
+    for n in range(k + 1, top - order + 1):
+        *lower, lead = recurrence_coefficients(k, n)
+        p[n + order] = -sum(c * p[n + j] for j, c in enumerate(lower)) / lead
+    return p
+
+
+@pytest.mark.parametrize("k", sorted(RECURRENCES))
+def test_row_pass_satisfies_the_recurrence(k):
+    p = success_probabilities_exact(range(k + 1, 601), k)
+    order = len(RECURRENCES[k]) - 1
+    for n in range(k + 1, 601 - order):
+        terms = recurrence_coefficients(k, n)
+        assert sum(c * p[n + j] for j, c in enumerate(terms)) == 0, (k, n)
+
+
+def test_recurrences_reach_the_closed_forms():
+    p1 = recurrence_values(1, 300)
+    for n in (2, 3, 4, 17, 100, 300):
+        assert p1[n] == k1_binomial_form(n), n
+    p2 = recurrence_values(2, 300)
+    for n in (3, 6, 7, 8, 41, 150, 300):
+        assert p2[n] == success_probability_k2(n), n
+
+
 def test_grid_values_do_not_depend_on_the_grid():
     full = success_probabilities_exact(range(4, 41), 3)
     for ns in ([40, 12, 7], [40, 12, 7][::-1], range(40, 3, -1), [9, 9, 30, 9], [17]):

@@ -25,6 +25,7 @@ from stopflow import oracle
 from stopflow.exact import conditional_success
 from stopflow.observer import ObservationEvent, Observer, component_runs
 from stopflow.oracle import _completions, _info_classes, _threshold_counts, walk_prefixes
+from stopflow.strategies import stop_time
 
 
 def test_brute_force_golden_values():
@@ -53,6 +54,19 @@ def test_brute_force_first_max_is_classical_threshold_zero():
 def test_brute_force_resource_guard():
     with pytest.raises(ResourceGuardError):
         brute_force_win_probability(10, 2, Strategy.tau_n())
+
+
+def test_threshold_family_has_the_set_pass_guard():
+    # The threshold rules count over the 2^(n-1) arrived sets, not over
+    # orders: they run past the walk's guard up to SET_GUARD, where the
+    # message names the set pass.  M = 0 takes the first arrival and M = n
+    # the last, so each wins 1/n.
+    for s in (Strategy.tau_p_star(0.0), Strategy.tau_p_star(1.0)):
+        assert brute_force_win_probability(10, 2, s) == Fraction(1, 10)
+    assert brute_force_win_probability(16, 2, Strategy.first_max()) == Fraction(1, 16)
+    with pytest.raises(ResourceGuardError, match=re.escape(
+            "threshold set pass is guarded at n <= 16 (got n=17); pass force=True")):
+        brute_force_win_probability(17, 2, Strategy.first_max())
 
 
 def replayed_win_probability(n, k, s):
@@ -569,6 +583,9 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
                     monkeypatch.setattr(verify, "continuous_win_indicator",
                                         lambda g_, arr: indicator(g_, arr) != flip)
                     tally, result = verify._continuous_tally(g)
+                    # The visitor keeps the slack rule as the walk descends:
+                    # it sees the prefixes before the sink, none muted.
+                    assert not any(tally(path[:t], events[:t]) for t in range(1, len(path)))
                     assert tally(path, events) is True
                     assert result() == (failure, len(orders)), (n, k, path)
                 monkeypatch.undo()
@@ -602,6 +619,38 @@ def test_continuous_tally_times_are_those_of_the_sink_prefix_order(monkeypatch):
                 rest = sorted(set(range(1, n + 1)).difference(path))
                 expect.append((n, k, rank_times((*path, *rest)).times))
     assert seen == expect
+
+
+def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
+    # On real events the slack rule cannot fire before the sink arrives, so
+    # the walk never raises the visitor's per-depth flag.  With a firing
+    # planted at each arrival of a sink prefix, its verdict is still
+    # stop_time's: a win iff the rule first stops at the sink.
+    from stopflow import verify
+
+    monkeypatch.setattr(verify, "continuous_win_indicator", lambda g, arr: True)
+    tau_n = Strategy.tau_n()
+    for n, k in [(5, 1), (6, 2)]:
+        g = PathPower(n, k)
+        verdicts = set()
+
+        def visit(path, events, n=n, g=g, verdicts=verdicts):
+            if path[-1] != 1:
+                return None
+            t = len(path)
+            for fire in (None, *range(t)):
+                planted = [e._replace(slack=0, is_max=True) if i == fire else e
+                           for i, e in enumerate(events)]
+                tally, result = verify._continuous_tally(g)
+                for u in range(1, t + 1):
+                    tally(path[:u], planted[:u])
+                won = stop_time(tau_n, planted, 0, n) == t
+                assert (result()[0] == "") == won, (n, k, path, fire)
+                verdicts.add(won)
+            return True
+
+        walk_prefixes(g, visit)
+        assert verdicts == {False, True}, (n, k)
 
 
 def test_prefix_tally_matches_a_replay_of_every_order():

@@ -2,18 +2,25 @@
 
 ``perfbench/tracer.py`` wraps the functions it lists in ``SPANS`` by name,
 and the benchmark's setup reads ``exact_tables.cache_clear``.  Without this
-test a removed name shows only when the benchmark runs.
+test a removed name shows only when the benchmark runs.  The Monte Carlo
+workloads also run here, at their smallest, with the benchmark's own checks.
 """
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import stopflow.cli  # the tracer wraps cli.main too
 import stopflow.exact
 import stopflow.oracle
 import stopflow.verify
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -50,3 +57,16 @@ def test_verify_shares_its_walks_inside_the_tracer(monkeypatch):
         assert walks and set(walks.values()) == {1}, walks
         check = verify.check_formula_vs_oracle(4)
     assert isinstance(check, verify.Check) and check.passed
+
+
+@pytest.mark.parametrize("workload", ["mc_slack", "mc_blind"])
+def test_monte_carlo_workloads_run_correctly(workload):
+    # The run checks every call's output, and reruns calls on the same seed
+    # and with --threads 2, which must give the same wins.  It writes only
+    # under perfbench/out/, which git ignores.
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0.5", "--trace", "0", "--tiny"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stdout

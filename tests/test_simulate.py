@@ -21,9 +21,10 @@ from stopflow import (
 )
 from stopflow.oracle import walk_prefixes
 from stopflow.simulate import (
-    _classical_threshold_win, _sink_index, _tau_n_win, _tau_p_star_win,
-    run_trial,
+    _classical_threshold_win, _count_wins, _sink_index, _tail_start, _tau_n_win,
+    _tau_p_star_win, run_trial,
 )
+from stopflow.strategies import _skip_count
 
 # The package's ``simulate`` attribute is the function; this is the module.
 simulate_module = importlib.import_module("stopflow.simulate")
@@ -48,20 +49,21 @@ def test_trial_seed_derivation():
     assert len(seeds) == 1000
 
 
+def read_tail(n, k, s, seed, rng, start):
+    """One trial of ``s`` through its tail reader, on ``rng`` seeded with ``seed``."""
+    if s.kind == "tau_n":
+        return _tau_n_win(n, k, rng, start)
+    if s.kind == "tau_p_star":
+        return _tau_p_star_win(n, k, s, seed, rng, start)
+    return _classical_threshold_win(n, k, _skip_count(s, n, None), rng, start)
+
+
 def assert_matches_reference_runner(g, s, seed):
     # run_trial plays the same stream forward through the Observer-based
     # reference: random.shuffle first, then strategy randomness.  The tail
     # readers give only their win.
     ref = run_trial(g, s, random.Random(seed)).win
-    rng = random.Random(seed)
-    if s.kind == "tau_n":
-        assert _tau_n_win(g.n, g.k, rng) == ref
-    elif s.kind == "first_max":
-        assert _classical_threshold_win(g.n, g.k, 0, rng) == ref
-    elif s.kind == "classical_threshold":
-        assert _classical_threshold_win(g.n, g.k, s.r, rng) == ref
-    else:
-        assert _tau_p_star_win(g.n, g.k, s, seed, rng) == ref
+    assert read_tail(g.n, g.k, s, seed, random.Random(seed), _tail_start(g.n, g.k, s)) == ref
 
 
 def test_run_trial_matches_reference_runner():
@@ -153,7 +155,7 @@ def test_tau_n_tail_reads_the_shuffle_stream_down_to_the_deciding_draw(n):
         for i in range(3):
             seed = trial_seed(n * k, i)
             tail = random.Random(seed)
-            won = _tau_n_win(n, k, tail)
+            won = _tau_n_win(n, k, tail, list(range(1, n + 1)))
             perm = list(range(1, n + 1))
             random.Random(seed).shuffle(perm)
             sink = perm.index(1)
@@ -198,7 +200,7 @@ def test_threshold_tails_read_the_shuffle_stream_down_to_the_deciding_draw(n):
             for r in (0, 1, int(n / math.e), n - 1, n):
                 chosen = next((t for t in range(r, n) if maximal[t]), n - 1)
                 tail = random.Random(seed)
-                won = _classical_threshold_win(n, k, r, tail)
+                won = _classical_threshold_win(n, k, r, tail, list(range(k + 1, n + k + 1)))
                 assert won == (perm[chosen] == 1), (n, k, r, seed)
                 # Walking back from the last arrival to index r (at most
                 # n-1), the reader decides at the first maximal arrival
@@ -222,6 +224,59 @@ def test_reseeded_generator_matches_a_fresh_one_per_trial(s):
         g = PathPower(n, k)
         fresh = sum(run_trial(g, s, random.Random(trial_seed(seed, i))).win for i in range(300))
         assert simulate(n, k, s, 300, master_seed=seed).wins == fresh
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 40, 127, 128, 129, 511, 512, 513,
+                               1023, 1024, 1025, 4095, 4096, 4097])
+def test_tail_readers_copy_the_per_call_list(n):
+    # _count_wins builds each reader's starting list once per call, and every
+    # trial reads a copy: its win and generator state are those of a fresh
+    # list, and the shared list is unchanged after each trial, so no trial
+    # sees what an earlier one did to it.  The n straddle the draw blocks.
+    strategies = [Strategy.tau_n(), Strategy.classical_threshold(max(1, int(n / math.e))),
+                  Strategy.classical_threshold(n - 1), Strategy.tau_p_star(0.3),
+                  Strategy.tau_p_star(0.9)]
+    for k in sorted({1, 2, n // 2, n - 1} - {0}):
+        for s in strategies:
+            lo = 1 if s.kind == "tau_n" else k + 1
+            fresh = list(range(lo, n + lo))
+            start = _tail_start(n, k, s)
+            assert start == fresh, (n, k, s)
+            for i in range(4):
+                seed = trial_seed(n * k, i)
+                shared, alone = random.Random(seed), random.Random(seed)
+                won = read_tail(n, k, s, seed, shared, start)
+                assert won == read_tail(n, k, s, seed, alone, list(range(lo, n + lo))), (n, k, s, i)
+                assert shared.getstate() == alone.getstate(), (n, k, s, i)
+                assert start == fresh, (n, k, s, i)
+
+
+@pytest.mark.parametrize("s", [
+    Strategy.tau_n(),
+    Strategy.first_max(),
+    Strategy.classical_threshold(7),
+    Strategy.tau_p_star(0.6),
+    None,
+])
+def test_count_wins_is_the_sum_of_its_one_trial_spans(s):
+    # A span's trials share one generator and one starting list; each still
+    # wins as it does alone in a call of its own.
+    for n, k, seed in [(20, 2, 5), (60, 3, 2**64 - 1), (129, 64, 77)]:
+        span = range(3, 153)
+        alone = sum(_count_wins(n, k, s, seed, range(i, i + 1)) for i in span)
+        assert _count_wins(n, k, s, seed, span) == alone, (n, k, s)
+
+
+def test_each_trial_starts_at_its_fresh_generator_state(monkeypatch):
+    # _count_wins starts its generator from a constant and reseeds it through
+    # the C seed under Random.seed; each trial must still start from the
+    # state of Random(trial_seed(seed, i)).
+    states = []
+    monkeypatch.setattr(simulate_module, "_tau_n_win",
+                        lambda n, k, rng, start: states.append(rng.getstate()) or False)
+    seed = 2**64 - 3
+    assert _count_wins(9, 2, Strategy.tau_n(), seed, range(5, 40)) == 0
+    assert states == [random.Random(trial_seed(seed, i)).getstate() for i in range(5, 40)]
 
 
 # Wins pinned by the frozen seed contract (trial i on seed XOR splitmix64(i),
