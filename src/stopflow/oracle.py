@@ -45,7 +45,8 @@ def walk_prefixes(g: PathPower, *visits: Callable[..., bool | None]) -> None:
     muted for the extensions of that prefix only, having credited its
     (n - t)! completions at once; it is called again on the next sibling.
     The walk descends while at least one visitor is live, so each visitor
-    sees exactly the prefixes it would see walked alone.
+    sees exactly the prefixes it would see walked alone: all of them, each
+    after its parent, if it never mutes, as ``verify``'s event visitor does.
     """
     _walk(Observer(g), list(g.positions()), [], [], visits)
 

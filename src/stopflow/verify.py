@@ -6,15 +6,16 @@ Every check is one function under its public name, decorated by ``_check``:
 its body returns the passing detail or raises ``_Failed`` with the failing
 one, and an exhaustive check's body is a generator that reads the oracle's
 prefix walk through visitors.  Every check runs as its ``.walk`` generator
-through one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
-walking each (n, k) once for all of them.  ``observer_invariants`` and
-``max_given_components`` judge each prefix by its last events and share one
-visitor.  ``strategy_dominance`` walks nothing: it reads the threshold
-rules' wins off the oracle's pass over arrived sets.  Desk-scale guards
-apply: ``verify_all`` checks only that ``n_max`` is at least 4 and passes it
-to every check, which caps it at its own limit or, as ``formula_vs_oracle``
-does, raises the guard before any walk; the bounds sandwich checks its own
-range.
+through one driver, ``_run_walks``: a call alone, ``verify_all`` all at
+once, walking each (n, k) once for all of them.  Up to ``WALK_N_CAP`` one
+visitor judges each prefix by its last events for the observer invariants,
+the (t, c) tally, the continuous check and the slack rule's wins; past it
+``formula_vs_oracle`` walks alone, pruned.  ``strategy_dominance`` walks
+nothing: it reads the threshold rules' wins off the oracle's pass over
+arrived sets.  Desk-scale guards apply: ``verify_all`` checks only that
+``n_max`` is at least 4 and passes it to every check, which caps it at its
+own limit or, as ``formula_vs_oracle`` does, raises the guard before any
+walk; the bounds sandwich checks its own range.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator, NamedTuple
 
 from .exact import (
     bound_report,
@@ -71,7 +72,8 @@ BOUNDS_GUARD = 1000
 # Caps four checks whatever n_max they get, so that the output of verify
 # --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
 # strategy_dominance keeps it only for that: it reads the oracle's set pass,
-# which costs milliseconds at any n the enumeration guard allows.
+# which costs milliseconds at any n the enumeration guard allows.  Past it
+# formula_vs_oracle walks pruned (a full n = 8 walk: +0.8 s on two vCPUs).
 WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
@@ -161,6 +163,87 @@ def _check(body: Callable[..., str | Walks]) -> Callable[..., Check]:
     return check
 
 
+class _Events(NamedTuple):  # the result of ``_event_visitor``
+    failure: str  # the first invariant failure in walk order, "" if none
+    complete: int  # complete arrival orders
+    tally: dict  # (t, component count) -> [orders, orders with a maximal t-th arrival]
+    won: int  # orders the slack rule wins
+    disagreement: str  # the first order the continuous indicator judges otherwise, "" if none
+    compared: int  # orders put to the continuous indicator
+
+
+def _event_visitor(g: PathPower) -> tuple[Callable, Callable[[], _Events]]:
+    """Visitor and result for what each prefix's last events decide, a prefix
+    standing for its (n - t)! completions: the observer invariants, the
+    (t, c) tally in increasing (t, c), and at the sink the slack rule's
+    verdict and, if k < n - 2, the continuous indicator's, both fixed there.
+    It keeps ``strategies.stop_time``'s rule along the path, so it never
+    mutes and must see every prefix in walk order."""
+    n, k = g.n, g.k
+    weight = _completions(n)
+    tau_n = Strategy.tau_n()
+    stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
+    # [t][c]: orders, and orders with a maximal t-th arrival, at t arrivals in c components
+    orders = [[0] * (n + 1) for _ in range(n + 1)]
+    maximal = [[0] * (n + 1) for _ in range(n + 1)]
+    met = [False] * (n + 1)  # [t]: the condition holds after the t-th arrival of the path
+    fired = [False] * (n + 1)  # [t]: the slack rule stopped at or before that arrival
+    sunk = [False] * (n + 1)  # [t]: the sink is among the path's first t arrivals
+    failure, disagreement, won, compared = "", "", 0, 0
+
+    def visit(path, events):
+        nonlocal failure, disagreement, won, compared
+        e = events[-1]
+        t, is_max, c, _, slack = e
+        met[t] = now = e.condition_met
+        # The predecessor suffices: once met, the condition must persist.
+        what = ("negative slack" if slack < 0
+                else "condition not persistent" if met[t - 1] and not now
+                else "maximal arrival after exhaustion" if met[t - 1] and is_max
+                else "")
+        if what and not failure:
+            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={t}"
+        w = weight[t]
+        orders[t][c] += w
+        if is_max:
+            maximal[t][c] += w
+        sunk[t] = sunk[t - 1] or path[-1] == 1
+        if sunk[t - 1]:  # both verdicts were fixed when the sink arrived
+            return
+        wants = _wants_stop(tau_n, e, 0)
+        fired[t] = fired[t - 1] or wants
+        if not sunk[t]:
+            return
+        discrete = not fired[t - 1] and (wants or t == n)
+        if discrete:
+            won += w
+        if k >= n - 2:  # outside the continuous model
+            return
+        # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
+        # (i - 0.5) / n: the path's first, then the unarrived positions upward.
+        times = [None] * n
+        for i, pos in enumerate(path):
+            times[pos - 1] = stamps[i]
+        i = t
+        for j in range(n):
+            if times[j] is None:
+                times[j] = stamps[i]
+                i += 1
+        arrival = ContinuousArrival(tuple(times))
+        if continuous_win_indicator(g, arrival) != discrete and not disagreement:
+            order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
+            disagreement = f"disagreement at (n={n}, k={k}), order {order}"
+        compared += w
+
+    def result():
+        tally = {(t, c): [orders[t][c], maximal[t][c]]
+                 for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
+        # A complete order is a prefix of length n, of weight 0! = 1.
+        return _Events(failure, sum(orders[n]), tally, won, disagreement, compared)
+
+    return visit, result
+
+
 @_check
 def check_formula_vs_oracle(n_max: int = 8) -> Walks:
     _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration", name="n_max")
@@ -168,7 +251,11 @@ def check_formula_vs_oracle(n_max: int = 8) -> Walks:
     for n in range(2, n_max + 1):
         for k in range(1, n):
             f = success_probability_exact(n, k)
-            o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
+            if n <= WALK_N_CAP:  # read off the full walk the capped checks share
+                won = (yield n, k, _event_visitor).won
+            else:
+                won = yield n, k, _slack_rule_visitor
+            o = Fraction(won, math.factorial(n))
             if f != o:
                 raise _Failed(f"mismatch at (n={n}, k={k}): formula {f} vs oracle {o}")
             cases += 1
@@ -217,7 +304,7 @@ def check_golden_trace() -> str:
 def check_frozen_exact_values() -> Walks:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
-        o = Fraction((yield n, k, _slack_rule_visitor), math.factorial(n))
+        o = Fraction((yield n, k, _event_visitor).won, math.factorial(n))
         if not f == o == expect:
             raise _Failed(f"(n={n}, k={k}): formula {f}, oracle {o}, expected {expect}")
     return f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed"
@@ -252,54 +339,16 @@ def check_bounds_sandwich(max_n: int = 200) -> str:
     return f"{cases} grid points sandwiched, k in 1..3, n <= {max_n}"
 
 
-def _prefix_visitor(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int, dict]]]:
-    """Visitor and result for the facts judged on each prefix's last events:
-    the first invariant failure ("" if none), the number of complete arrival
-    orders, and (t, component count) -> [orders, orders with a maximal t-th
-    arrival] in increasing (t, component count), where a prefix stands for
-    its (n - t)! completions."""
-    n, k = g.n, g.k
-    weight = _completions(n)
-    failure = ""
-    # [t][c]: orders, and orders with a maximal t-th arrival, at t arrivals in c components
-    orders = [[0] * (n + 1) for _ in range(n + 1)]
-    maximal = [[0] * (n + 1) for _ in range(n + 1)]
-
-    def visit(path, events):
-        # The predecessor suffices: once met, the condition must persist.
-        nonlocal failure
-        e = events[-1]
-        t, is_max, c, _, slack = e
-        met = len(events) > 1 and events[-2].condition_met
-        what = ("negative slack" if slack < 0
-                else "condition not persistent" if met and not e.condition_met
-                else "maximal arrival after exhaustion" if met and is_max
-                else "")
-        if what and not failure:
-            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={t}"
-        orders[t][c] += weight[t]
-        if is_max:
-            maximal[t][c] += weight[t]
-
-    def result():
-        tally = {(t, c): [orders[t][c], maximal[t][c]]
-                 for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
-        # A complete order is a prefix of length n, of weight 0! = 1.
-        return failure, sum(orders[n]), tally
-
-    return visit, result
-
-
 @_check
 def check_observer_invariants(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            failure, complete, _ = yield n, k, _prefix_visitor
-            if failure:
-                raise _Failed(failure)
-            runs += complete
+            events = yield n, k, _event_visitor
+            if events.failure:
+                raise _Failed(events.failure)
+            runs += events.complete
     return f"{runs} exhaustive runs up to n={n_max}"
 
 
@@ -340,8 +389,7 @@ def check_max_given_components(n_max: int = 7) -> Walks:
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            _, _, tally = yield n, k, _prefix_visitor
-            for (m, c), (tot, mx) in tally.items():
+            for (m, c), (tot, mx) in (yield n, k, _event_visitor).tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     raise _Failed(f"(n={n}, k={k}, m={m}, c={c}): {mx}/{tot} != {c}/{m}")
                 cases += 1
@@ -371,65 +419,16 @@ def check_conditional_success_vs_states(n_max: int = 6) -> Walks:
     return f"{cases} maximal-last information classes match the closed form"
 
 
-def _continuous_tally(g: PathPower) -> tuple[Callable, Callable[[], tuple[str, int]]]:
-    """Visitor and result: the first order on which the continuous indicator
-    and the slack rule disagree ("" if none) and the number of orders
-    compared.
-
-    Both verdicts are fixed by the prefix that ends on the sink: the
-    indicator reads only which times are later than the sink's, and the
-    slack rule wins iff it first stops there.  So each such prefix stands
-    for its (n - t)! completions, and its first one names a disagreement.
-    The visitor keeps ``strategies.stop_time``'s rule as the walk descends,
-    so it must see every prefix of the walk in order.
-    """
-    n, k = g.n, g.k
-    weight = _completions(n)
-    tau_n = Strategy.tau_n()
-    stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
-    fired = [False] * n  # [t]: the slack rule stopped at or before the t-th arrival of the path
-    runs = 0
-    failure = ""
-
-    def visit(path, events):
-        # Not muted at an earlier stop of the slack rule: that subtree's
-        # orders are losses, and the indicator must say so on each.
-        nonlocal runs, failure
-        t = len(path)
-        wants = _wants_stop(tau_n, events[-1], 0)
-        if path[-1] != 1:
-            fired[t] = fired[t - 1] or wants
-            return bool(failure)
-        discrete = not fired[t - 1] and (wants or t == n)
-        # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
-        # (i - 0.5) / n: the path's first, then the unarrived positions upward.
-        times = [None] * n
-        for i, pos in enumerate(path):
-            times[pos - 1] = stamps[i]
-        i = t
-        for j in range(n):
-            if times[j] is None:
-                times[j] = stamps[i]
-                i += 1
-        if continuous_win_indicator(g, ContinuousArrival(tuple(times))) != discrete and not failure:
-            order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
-            failure = f"disagreement at (n={n}, k={k}), order {order}"
-        runs += weight[t]
-        return True
-
-    return visit, lambda: (failure, runs)
-
-
 @_check
 def check_continuous_discrete(n_max: int = 7) -> Walks:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
-            failure, compared = yield n, k, _continuous_tally
-            if failure:
-                raise _Failed(failure)
-            runs += compared
+            events = yield n, k, _event_visitor
+            if events.disagreement:
+                raise _Failed(events.disagreement)
+            runs += events.compared
     return f"{runs} orderings agree up to n={n_max}"
 
 

@@ -596,8 +596,10 @@ def test_verify_all_walks_each_n_k_once(monkeypatch):
 
 def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     # The threshold rules' wins come from the oracle's pass over arrived sets,
-    # so at n = 7 the shared walk feeds only these visitors; one added back to
-    # the walk shows up here.
+    # and one event visitor serves every check judged on a prefix's last
+    # events, so at n = 7 the shared walk feeds only these visitors; one added
+    # back to the walk shows up here.  Past the walk cap formula_vs_oracle
+    # walks alone and keeps the pruned slack-rule visitor.
     original = verify_module._aggregates
     built = {}
 
@@ -608,10 +610,10 @@ def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     monkeypatch.setattr(verify_module, "_aggregates", recorded)
     assert verify_all(7).passed
     for k in range(1, 7):
-        expected = {"_slack_rule_visitor", "_info_class_visitor", "_prefix_visitor"}
-        if k < 7 - 2:  # the continuous model needs k < n - 2
-            expected.add("_continuous_tally")
-        assert built[7, k] == expected, k
+        assert built[7, k] == {"_event_visitor", "_info_class_visitor"}, k
+    assert verify_all(8).passed
+    for k in range(1, 8):
+        assert built[8, k] == {"_slack_rule_visitor"}, k
     walk = check_strategy_dominance.walk(7)
     with pytest.raises(StopIteration) as done:
         next(walk)

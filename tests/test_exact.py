@@ -279,6 +279,65 @@ def test_recurrences_reach_the_closed_forms():
         assert p2[n] == success_probability_k2(n), n
 
 
+# Each recurrence's characteristic polynomial, sum_j (leading coefficient of
+# c_j in n) x^j, by its factors, constant term first: (x-1)(3x+1) for k = 1
+# and (x-1)^2 (16x^2+8x+3) for k = 2.
+CHARACTERISTIC_FACTORS = {1: [(-1, 1), (1, 3)], 2: [(-1, 1), (-1, 1), (3, 8, 16)]}
+
+
+def poly_product(*factors):
+    """The product of polynomials given by coefficients, constant term first."""
+    out = [Fraction(1)]
+    for factor in factors:
+        longer = [Fraction(0)] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                longer[i + j] += a * b
+        out = longer
+    return out
+
+
+def monic(poly):
+    """``poly`` over its leading coefficient, trailing zeros dropped; [] if it is 0."""
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return [Fraction(c) / poly[-1] for c in poly]
+
+
+def indicial_polynomial(k, s):
+    """E_s(a): the coefficient of n^(a + d - s) in sum_j c_j(n) (n + j)^a, as a
+    polynomial in a, for c_j of degree d.  With (n + j)^a = n^a sum_m
+    binom(a, m) j^m n^(-m), it is sum_m binom(a, m) sum_j [n^(d-s+m)] c_j j^m."""
+    d = len(RECURRENCES[k][0]) - 1
+    out = [Fraction(0)] * (s + 1)
+    binom = [Fraction(1)]  # binom(a, m) as a polynomial in a
+    for m in range(s + 1):
+        weight = sum(poly[d - s + m] * j**m for j, poly in enumerate(RECURRENCES[k]))
+        for i, c in enumerate(binom):
+            out[i] += weight * c
+        binom = [c / (m + 1) for c in poly_product(binom, (-m, 1))]
+    return out
+
+
+@pytest.mark.parametrize("k", sorted(RECURRENCES))
+def test_recurrence_characteristic_polynomial(k):
+    assert {len(poly) for poly in RECURRENCES[k]} == {k + 1}  # every c_j of degree k
+    chi = [poly[-1] for poly in RECURRENCES[k]]
+    assert monic(chi) == monic(poly_product(*CHARACTERISTIC_FACTORS[k]))
+
+
+@pytest.mark.parametrize("k", sorted(RECURRENCES))
+def test_recurrence_indicial_roots_at_one(k):
+    # x = 1 is a k-fold characteristic root, so for p_n ~ n^a the first k
+    # orders of sum_j c_j(n) p_{n+j} vanish for every a, and the next one
+    # vanishes exactly at the indicial roots a = -j/(k+1), j = 1..k.
+    for s in range(k):
+        assert monic(indicial_polynomial(k, s)) == [], (k, s)
+    roots = [Fraction(-j, k + 1) for j in range(1, k + 1)]
+    assert monic(indicial_polynomial(k, k)) == poly_product(*((-r, 1) for r in roots))
+
+
 def test_grid_values_do_not_depend_on_the_grid():
     full = success_probabilities_exact(range(4, 41), 3)
     for ns in ([40, 12, 7], [40, 12, 7][::-1], range(40, 3, -1), [9, 9, 30, 9], [17]):

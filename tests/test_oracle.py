@@ -558,8 +558,9 @@ def rank_times(order):
 
 def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
     # Both sides are fixed by the prefix that ends on the sink, so verify's
-    # visitor judges that prefix once, on its first completion, and credits
-    # all of its completions.
+    # event visitor judges that prefix once, on its first completion, and
+    # credits all of its completions, to the comparison and to the slack
+    # rule's wins.
     from stopflow import verify
 
     indicator = verify.continuous_win_indicator
@@ -577,17 +578,21 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
                 cont = {continuous_win_indicator(g, rank_times(order)) for order in orders}
                 disc = {run_strategy(Strategy.tau_n(), g, order).win for order in orders}
                 assert len(cont) == len(disc) == 1, (n, k, path)
+                [won] = disc
                 # Agreement on the true indicator, a named disagreement on its negation.
                 named = f"disagreement at (n={n}, k={k}), order {orders[0]}"
                 for flip, failure in ((False, ""), (True, named)):
                     monkeypatch.setattr(verify, "continuous_win_indicator",
                                         lambda g_, arr: indicator(g_, arr) != flip)
-                    tally, result = verify._continuous_tally(g)
+                    tally, result = verify._event_visitor(g)
                     # The visitor keeps the slack rule as the walk descends:
-                    # it sees the prefixes before the sink, none muted.
+                    # it sees the prefixes before the sink, and mutes none.
                     assert not any(tally(path[:t], events[:t]) for t in range(1, len(path)))
-                    assert tally(path, events) is True
-                    assert result() == (failure, len(orders)), (n, k, path)
+                    assert tally(path, events) is None
+                    seen = result()
+                    assert seen.disagreement == failure, (n, k, path)
+                    assert seen.compared == len(orders), (n, k, path)
+                    assert seen.won == len(orders) * won, (n, k, path)
                 monkeypatch.undo()
                 compared += len(orders)
                 return True
@@ -641,11 +646,12 @@ def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
             for fire in (None, *range(t)):
                 planted = [e._replace(slack=0, is_max=True) if i == fire else e
                            for i, e in enumerate(events)]
-                tally, result = verify._continuous_tally(g)
+                tally, result = verify._event_visitor(g)
                 for u in range(1, t + 1):
                     tally(path[:u], planted[:u])
                 won = stop_time(tau_n, planted, 0, n) == t
-                assert (result()[0] == "") == won, (n, k, path, fire)
+                assert (result().disagreement == "") == won, (n, k, path, fire)
+                assert result().won == won * math.factorial(n - t), (n, k, path, fire)
                 verdicts.add(won)
             return True
 
@@ -669,7 +675,22 @@ def test_prefix_tally_matches_a_replay_of_every_order():
                     cell = expect.setdefault((e.t, e.component_count), [0, 0])
                     cell[0] += 1
                     cell[1] += e.is_max
-            failure, complete, tally = oracle._aggregates(g, verify._prefix_visitor)[0]
-            assert (failure, complete) == ("", math.factorial(n)), (n, k)
-            assert tally == expect, (n, k)
-            assert list(tally) == sorted(tally), (n, k)
+            events = oracle._aggregates(g, verify._event_visitor)[0]
+            assert (events.failure, events.complete) == ("", math.factorial(n)), (n, k)
+            assert events.tally == expect, (n, k)
+            assert list(events.tally) == sorted(events.tally), (n, k)
+
+
+def test_event_visitor_wins_match_the_pruned_walk_and_the_formula():
+    # Up to verify's walk cap the slack rule's wins come from the full walk's
+    # event visitor, past it from the oracle's pruned visitor: the two must
+    # count the same orders, which the closed form counts too.
+    from stopflow import verify
+
+    for n in range(2, verify.WALK_N_CAP + 1):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            [events] = oracle._aggregates(g, verify._event_visitor)
+            [pruned] = oracle._aggregates(g, oracle._slack_rule_visitor)
+            expect = math.factorial(n) * success_probability_exact(n, k)
+            assert events.won == pruned == expect, (n, k)

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps the functions it lists in ``SPANS`` by name,
 and the benchmark's setup reads ``exact_tables.cache_clear``.  Without this
 test a removed name shows only when the benchmark runs.  The Monte Carlo
-workloads also run here, at their smallest, with the benchmark's own checks.
+workloads, ``verify`` and ``exact`` also run here, at their smallest, with the
+benchmark's own checks.
 """
 import importlib.util
 import json
@@ -59,14 +60,27 @@ def test_verify_shares_its_walks_inside_the_tracer(monkeypatch):
     assert isinstance(check, verify.Check) and check.passed
 
 
-@pytest.mark.parametrize("workload", ["mc_slack", "mc_blind"])
-def test_monte_carlo_workloads_run_correctly(workload):
-    # The run checks every call's output, and reruns calls on the same seed
-    # and with --threads 2, which must give the same wins.  It writes only
-    # under perfbench/out/, which git ignores.
+def run_tiny(workload):
+    """Run the workload once, tiny and untraced, and assert that its checks
+    passed; the run writes only under perfbench/out/, which git ignores."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "0.5", "--trace", "0", "--tiny"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), done.stdout
+
+
+@pytest.mark.parametrize("workload", ["mc_slack", "mc_blind"])
+def test_monte_carlo_workloads_run_correctly(workload):
+    # The run checks every call's output, and reruns calls on the same seed
+    # and with --threads 2, which must give the same wins.
+    run_tiny(workload)
+
+
+@pytest.mark.parametrize("workload", ["oracle_verify", "exact_sweep"])
+def test_verify_and_exact_workloads_run_correctly(workload):
+    # The run checks verify's check names and details, and exact's values
+    # against the benchmark's own reference, so a renamed check or a changed
+    # output fails here before the benchmark runs.
+    run_tiny(workload)
