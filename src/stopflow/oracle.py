@@ -8,7 +8,10 @@ optimal value over all stopping rules that see only the labeled induced
 graph), and the continuous-arrival win test.  Each walk-based aggregate is
 a visitor and its result, so one walk can feed several; the threshold
 counts need no walk, since whether such a rule wins reads only the set of
-arrivals before the sink and which of them came last.  A class is an
+arrivals before the sink and which of them came last.  The selector cannot
+recall a vertex, so once the sink has arrived and been passed no stop can
+win: the walks that only score wins, the slack rule's count and the
+induction's class table, stop at the sink's arrival.  A class is an
 observation history, keyed by its parent class and the arcs of the newest
 arrival; ``canonical_info_state`` is the audit's encoding of a class, and
 the audit checks that the two determine each other.
@@ -92,13 +95,17 @@ def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
     won = 0
     tau_n = Strategy.tau_n()
 
-    def stop(path: list[int], events: list[ObservationEvent]) -> bool | None:
-        # strategies.stop_time's rule, incrementally: the first firing, else t = n
+    def stop(path: list[int], events: list[ObservationEvent]) -> bool:
+        # strategies.stop_time's rule, incrementally: the first firing, else
+        # t = n.  The sink's arrival settles the order too: a stop there wins,
+        # and a rule that passes the sink can no longer win.
         nonlocal won
         e = events[-1]
-        if _wants_stop(tau_n, e, 0) or e.t == n:
-            won += weight[e.t] * (path[-1] == 1)
+        fires = e.t == n or _wants_stop(tau_n, e, 0)
+        if path[-1] == 1:
+            won += weight[e.t] * fires
             return True
+        return fires
 
     return stop, lambda: won
 
@@ -158,14 +165,15 @@ def brute_force_win_probability(
 ) -> Fraction:
     """Exact win probability of a strategy under uniform arrival orders.
 
-    The slack rule's outcome is fixed by the prefix at which it stops, and
-    the prefix walk credits all completions of such a prefix at once
-    instead of replaying each of the n! orders.  A threshold rule's is fixed
-    by the set of arrivals before the sink and the time of the last maximal
-    one, which ``_threshold_counts`` counts over sets.  For the randomized
-    rejection rule the count M is integrated out exactly with
-    Binomial(n, p) weights instead of sampling.  The walk is guarded at
-    n <= ``ENUMERATION_GUARD`` and the set pass at n <= ``SET_GUARD``.
+    The slack rule's outcome is fixed by the prefix at which it stops or
+    the sink arrives, whichever comes first, and the prefix walk credits all
+    completions of such a prefix at once instead of replaying each of the n!
+    orders.  A threshold rule's is fixed by the set of arrivals before the
+    sink and the time of the last maximal one, which ``_threshold_counts``
+    counts over sets.  For the randomized rejection rule the count M is
+    integrated out exactly with Binomial(n, p) weights instead of sampling.
+    The walk is guarded at n <= ``ENUMERATION_GUARD`` and the set pass at
+    n <= ``SET_GUARD``.
     """
     if s.kind == "tau_n":
         _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
@@ -295,8 +303,32 @@ def _info_classes(g: PathPower) -> list:
     return _aggregates(g, _info_class_visitor)[0]
 
 
+def _pre_sink_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
+    """``_info_class_visitor``, muted below each prefix that ends on the sink.
+
+    Its table holds the classes with a member where the sink has not yet
+    arrived or arrived last, and counts only those members.  The selector
+    cannot tell whether the sink has passed, so the members past it stay in
+    the full table, which the audit reads.
+    """
+    visit, result = _info_class_visitor(g)
+
+    def pre_sink(path: list[int], events: list[ObservationEvent]) -> bool:
+        visit(path, events)
+        return path[-1] == 1
+
+    return pre_sink, result
+
+
 def _backward_induction(n: int, classes: list) -> Fraction:
-    """``dp_optimal_value`` over the classes ``_info_class_visitor`` listed."""
+    """``dp_optimal_value`` over the classes ``_info_class_visitor`` or
+    ``_pre_sink_class_visitor`` listed: both give the same value.
+
+    A member past the sink wins nothing however play goes on, so it adds
+    nothing to its class's stop value, and a class whose members have all
+    passed the sink has best 0, as has every class below it.  Dropping
+    those members and classes changes no surviving class's best.
+    """
     weight = _completions(n)
     ts, sink_last, parents = (classes[slot::_WIDTH] for slot in (_T, _SINK_LAST, _PARENT))
     won = [0] * (len(ts) + 1)  # [c]: summed bests of class c's children; [-1]: of t = 1
@@ -317,9 +349,12 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     classes in reverse creation order: a class's best is the number of
     completions of its members that optimal play wins, the larger of
     stopping (sink_last * (n-t)!) and the sum of its children's bests.
+    Once the sink has passed no stop can win, so the walk stops at the
+    sink: at each t it visits only the t-prefixes without the sink and
+    those that end on it.
     """
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
-    return _backward_induction(n, _info_classes(PathPower(n, k)))
+    return _backward_induction(n, _aggregates(PathPower(n, k), _pre_sink_class_visitor)[0])
 
 
 def _audited_states(g: PathPower, classes: list) -> list[InfoState]:

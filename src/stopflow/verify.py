@@ -10,12 +10,15 @@ through one driver, ``_run_walks``: a call alone, ``verify_all`` all at
 once, walking each (n, k) once for all of them.  Up to ``WALK_N_CAP`` one
 visitor judges each prefix by its last events for the observer invariants,
 the (t, c) tally, the continuous check and the slack rule's wins; past it
-``formula_vs_oracle`` walks alone, pruned.  ``strategy_dominance`` walks
-nothing: it reads the threshold rules' wins off the oracle's pass over
-arrived sets.  Desk-scale guards apply: ``verify_all`` checks only that
-``n_max`` is at least 4 and passes it to every check, which caps it at its
-own limit or, as ``formula_vs_oracle`` does, raises the guard before any
-walk; the bounds sandwich checks its own range.
+``formula_vs_oracle`` walks alone, pruned at the rule's stop or the sink's
+arrival.  ``dp_vs_formula`` reads the class table pruned at the sink;
+``conditional_success_vs_states`` reads the full one, as the audit does.
+``strategy_dominance`` walks nothing: it reads the threshold rules' wins off
+the oracle's pass over arrived sets.  Desk-scale guards apply:
+``verify_all`` checks only that ``n_max`` is at least 4 and passes it to
+every check, which caps it at its own limit or, as ``formula_vs_oracle``
+does, raises the guard before any walk; the bounds sandwich checks its own
+range.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from .oracle import (
     _backward_induction,
     _completions,
     _info_class_visitor,
+    _pre_sink_class_visitor,
     _rejection_mixture,
     _slack_rule_visitor,
     _threshold_counts,
@@ -73,7 +77,8 @@ BOUNDS_GUARD = 1000
 # --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
 # strategy_dominance keeps it only for that: it reads the oracle's set pass,
 # which costs milliseconds at any n the enumeration guard allows.  Past it
-# formula_vs_oracle walks pruned (a full n = 8 walk: +0.8 s on two vCPUs).
+# formula_vs_oracle walks pruned at the rule's stop or the sink: about 0.4 s
+# for every k at n = 8 on two vCPUs, where a full walk takes about 1.7 s.
 WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
@@ -268,7 +273,7 @@ def check_dp_vs_formula(n_max: int = 7) -> Walks:
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            d = _backward_induction(n, (yield n, k, _info_class_visitor))
+            d = _backward_induction(n, (yield n, k, _pre_sink_class_visitor))
             f = success_probability_exact(n, k)
             if d != f:
                 raise _Failed(f"mismatch at (n={n}, k={k}): DP {d} vs formula {f}")

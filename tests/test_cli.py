@@ -598,8 +598,9 @@ def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     # The threshold rules' wins come from the oracle's pass over arrived sets,
     # and one event visitor serves every check judged on a prefix's last
     # events, so at n = 7 the shared walk feeds only these visitors; one added
-    # back to the walk shows up here.  Past the walk cap formula_vs_oracle
-    # walks alone and keeps the pruned slack-rule visitor.
+    # back to the walk shows up here.  The DP check reads the class table
+    # muted past the sink.  Past the walk cap formula_vs_oracle walks alone
+    # and keeps the slack-rule visitor, pruned at its stop or the sink.
     original = verify_module._aggregates
     built = {}
 
@@ -610,7 +611,7 @@ def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     monkeypatch.setattr(verify_module, "_aggregates", recorded)
     assert verify_all(7).passed
     for k in range(1, 7):
-        assert built[7, k] == {"_event_visitor", "_info_class_visitor"}, k
+        assert built[7, k] == {"_event_visitor", "_pre_sink_class_visitor"}, k
     assert verify_all(8).passed
     for k in range(1, 8):
         assert built[8, k] == {"_slack_rule_visitor"}, k

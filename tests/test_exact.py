@@ -450,6 +450,17 @@ def test_upper_bound_matches_beta_integral():
         assert abs(upper_bound(n, k) - expected) <= 1e-12 * expected
 
 
+def test_upper_bound_keeps_its_precision_at_huge_n():
+    # A difference of two lgamma values near m ln m lost all precision by
+    # n = 1e16 (k = 1) and returned 1.0; it was off by 2e-7 from n = 1e9.
+    for n in (10 ** e for e in range(6, 24)):
+        for k in range(1, 5):
+            m = (n - 2) // (k + 1)
+            with mpmath.workdps(30):
+                expected = m * mpmath.beta(1 + mpmath.mpf(1) / (k + 1), m)
+                assert abs(upper_bound(n, k) / expected - 1) <= 1e-12, (n, k)
+
+
 def test_asymptotic_constant():
     expected = float(mpmath.gamma(mpmath.mpf(4) / 3) * mpmath.cbrt(3))
     c = asymptotic_upper_constant()

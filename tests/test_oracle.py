@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
@@ -411,9 +412,87 @@ def reference_dp_value(n, k):
 
 
 def test_dp_matches_the_canonical_state_reference():
+    # dp_optimal_value inducts on the pre-sink table; the full table, which
+    # keeps the members past the sink, gives the same value.
     for n in range(3, 8):
         for k in range(1, n):
-            assert dp_optimal_value(n, k) == reference_dp_value(n, k), (n, k)
+            full = oracle._backward_induction(n, _info_classes(PathPower(n, k)))
+            assert dp_optimal_value(n, k) == full == reference_dp_value(n, k), (n, k)
+
+
+def test_dp_certifies_the_formula_at_n8_under_force():
+    for k in range(1, 8):
+        assert dp_optimal_value(8, k, force=True) == success_probability_exact(8, k), k
+
+
+def test_pre_sink_classes_are_the_classes_not_past_the_sink():
+    # A class is named by its canonical state, which the tests above show
+    # determines the history.  The pre-sink table lists exactly the classes
+    # holding a prefix that has not passed the sink, counts those prefixes as
+    # members, and keeps the full table's sink-last count and parent.
+    def table(g, classes):
+        """(t, state) -> [members, sink_last, the parent's (t, state)]."""
+        keys = [(len(first), canonical_info_state(g, first))
+                for first in classes[oracle._PREFIX::oracle._WIDTH]]
+        rows = zip(*(classes[slot::oracle._WIDTH]
+                     for slot in (oracle._MEMBERS, oracle._SINK_LAST, oracle._PARENT)))
+        return {key: [members, sink_last, keys[parent] if parent >= 0 else None]
+                for key, (members, sink_last, parent) in zip(keys, rows)}
+
+    for n in range(2, 8):
+        prefixes = [prefix for prefix in all_prefixes(n) if 1 not in prefix[:-1]]
+        for k in range(1, n):
+            g = PathPower(n, k)
+            expect = {}
+            for prefix in prefixes:
+                t = len(prefix)
+                parent = (t - 1, canonical_info_state(g, prefix[:-1])) if t > 1 else None
+                rec = expect.setdefault((t, canonical_info_state(g, prefix)), [0, 0, parent])
+                rec[0] += 1
+                rec[1] += prefix[-1] == 1
+            pre = table(g, oracle._aggregates(g, oracle._pre_sink_class_visitor)[0])
+            full = table(g, _info_classes(g))
+            assert pre == expect, (n, k)
+            assert all(full[key][1:] == rec[1:] for key, rec in pre.items()), (n, k)
+
+
+def test_dp_walk_stops_at_the_sink(monkeypatch):
+    # At each t the induction observes the t-prefixes without the sink,
+    # P(n-1, t), and those ending on it, P(n-1, t-1): 3,913 of the 13,699
+    # prefixes at n = 7.
+    observed = Counter()
+    observe = Observer.observe
+
+    def counted(self, pos):
+        e = observe(self, pos)
+        observed[e.t] += 1
+        return e
+
+    monkeypatch.setattr(Observer, "observe", counted)
+    for n in range(2, 8):
+        for k in range(1, n):
+            observed.clear()
+            dp_optimal_value(n, k)
+            assert observed == {t: math.perm(n - 1, t) + math.perm(n - 1, t - 1)
+                                for t in range(1, n + 1)}, (n, k)
+            if n == 7:
+                assert sum(observed.values()) == 3_913
+
+
+def test_slack_rule_walk_stops_at_the_sink():
+    # A rule that passes the sink can no longer win, so the count stops there.
+    for n in range(2, 8):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            stop, _ = oracle._slack_rule_visitor(g)
+            seen = []
+
+            def visit(path, events):
+                seen.append(tuple(path))
+                return stop(path, events)
+
+            walk_prefixes(g, visit)
+            assert seen and all(1 not in path[:-1] for path in seen), (n, k)
 
 
 def test_classes_are_the_observation_histories():
