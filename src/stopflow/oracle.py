@@ -1,20 +1,20 @@
 """Independent ground truth at desk scale.
 
-Everything here certifies the rest of the package by brute force: one walk
-over all arrival prefixes on one observer, a pass over arrived sets that
-counts the threshold rules' wins, exact mixing over the rejection count of
-the randomized rule, backward induction over information classes (the
-optimal value over all stopping rules that see only the labeled induced
-graph), and the continuous-arrival win test.  Each walk-based aggregate is
-a visitor and its result, so one walk can feed several; the threshold
-counts need no walk, since whether such a rule wins reads only the set of
-arrivals before the sink and which of them came last.  The selector cannot
-recall a vertex, so once the sink has arrived and been passed no stop can
-win: the walks that only score wins, the slack rule's count and the
-induction's class table, stop at the sink's arrival.  A class is an
-observation history, keyed by its parent class and the arcs of the newest
-arrival; ``canonical_info_state`` is the audit's encoding of a class, and
-the audit checks that the two determine each other.
+Everything here certifies the rest of the package by brute force.  The
+observer reads only the set that has arrived, so one pass over arrived sets
+on one observer, ``set_transitions``, gives the event of each transition
+S - {v} -> S for every order through it: the slack rule's count reads it,
+as do ``verify``'s order-free checks.  The threshold rules' wins need only
+the set before the sink and which of its arrivals came last, and a second
+pass over sets counts them; exact mixing over the rejection count
+integrates the randomized rule.  Only backward induction over information
+classes (the optimal value over all stopping rules that see only the
+labeled induced graph) walks the arrival prefixes, on one walk that takes
+any number of visitors, and stops at the sink's arrival: the selector
+cannot recall a vertex, so once the sink has passed no stop can win.  A
+class is an observation history, keyed by its parent class and the arcs of
+the newest arrival; ``canonical_info_state`` is the audit's encoding of a
+class, and the audit checks that the two determine each other.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def walk_prefixes(g: PathPower, *visits: Callable[..., bool | None]) -> None:
     (n - t)! completions at once; it is called again on the next sibling.
     The walk descends while at least one visitor is live, so each visitor
     sees exactly the prefixes it would see walked alone: all of them, each
-    after its parent, if it never mutes, as ``verify``'s event visitor does.
+    after its parent, if it never mutes, as the full class table does.
     """
     _walk(Observer(g), list(g.positions()), [], [], visits)
 
@@ -88,26 +88,61 @@ def _completions(n: int) -> list[int]:
     return [math.factorial(n - t) for t in range(n + 1)]
 
 
-def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
-    """Visitor and result: the number of arrival orders the slack rule wins."""
-    n = g.n
-    weight = _completions(n)
-    won = 0
+# ---------------------------------------------------------------------------
+# One pass over arrived sets
+# ---------------------------------------------------------------------------
+
+def set_transitions(g: PathPower) -> list[dict[int, ObservationEvent]]:
+    """[T]: {v: the event of v's arrival after the set T - {v}}, for every set
+    T of arrived positions as a bit mask, bit v - 1 standing for v.
+
+    The observer reads only the set that has arrived, so the event of a
+    transition S - {v} -> S is the same on every order through it.  One
+    depth-first pass by sorted insertion on one ``Observer`` observes each
+    transition once: n 2^(n-1) observes against the prefix walk's
+    sum of n!/(n - t)!.  A reader takes the masks in increasing order, so
+    every S - {v} comes before S.
+    """
+    table: list[dict[int, ObservationEvent]] = [{} for _ in range(1 << g.n)]
+    _insert(Observer(g), g.n, 0, 0, table)
+    return table
+
+
+def _insert(obs: Observer, n: int, s: int, top: int,
+            table: list[dict[int, ObservationEvent]]) -> None:
+    # Module level, as ``_walk``.  The observer holds the set s, whose largest
+    # position is top; it keeps an arrival above top to descend into that set.
+    for v in range(1, n + 1):
+        bit = 1 << v - 1
+        if not s & bit:
+            table[s | bit][v] = obs.observe(v)
+            if v > top:
+                _insert(obs, n, s | bit, v, table)
+            obs.undo()
+
+
+def _slack_rule_wins(n: int, transitions: list[dict[int, ObservationEvent]]) -> list[int]:
+    """[s]: how many arrival orders the slack rule wins with the set S before
+    the sink, S a mask of the non-sink positions (bit i for i + 2).
+
+    ``strategies.stop_time``'s rule wins iff it first fires at the sink's
+    arrival, or never fires and the sink comes last.  The orders of S on
+    which it has not yet fired number unfired[s], the sum of unfired over
+    the S - {v} whose transition by v does not fire it, and each stands for
+    the (n - |S| - 1)! orders of the rest after the sink.
+    """
     tau_n = Strategy.tau_n()
-
-    def stop(path: list[int], events: list[ObservationEvent]) -> bool:
-        # strategies.stop_time's rule, incrementally: the first firing, else
-        # t = n.  The sink's arrival settles the order too: a stop there wins,
-        # and a rule that passes the sink can no longer win.
-        nonlocal won
-        e = events[-1]
-        fires = e.t == n or _wants_stop(tau_n, e, 0)
-        if path[-1] == 1:
-            won += weight[e.t] * fires
-            return True
-        return fires
-
-    return stop, lambda: won
+    weight = _completions(n)
+    unfired = [1]
+    won = []
+    for s in range(1 << n - 1):
+        if s:
+            unfired.append(sum(unfired[s ^ 1 << v - 2] for v, e in transitions[s << 1].items()
+                               if not _wants_stop(tau_n, e, 0)))
+        t = s.bit_count() + 1  # the time of the sink's arrival
+        fires = t == n or _wants_stop(tau_n, transitions[s << 1 | 1][1], 0)
+        won.append(unfired[s] * weight[t] if fires else 0)
+    return won
 
 
 def _threshold_counts(n: int, k: int) -> list[int]:
@@ -165,19 +200,20 @@ def brute_force_win_probability(
 ) -> Fraction:
     """Exact win probability of a strategy under uniform arrival orders.
 
-    The slack rule's outcome is fixed by the prefix at which it stops or
-    the sink arrives, whichever comes first, and the prefix walk credits all
-    completions of such a prefix at once instead of replaying each of the n!
-    orders.  A threshold rule's is fixed by the set of arrivals before the
-    sink and the time of the last maximal one, which ``_threshold_counts``
-    counts over sets.  For the randomized rejection rule the count M is
-    integrated out exactly with Binomial(n, p) weights instead of sampling.
-    The walk is guarded at n <= ``ENUMERATION_GUARD`` and the set pass at
+    No order is replayed.  The slack rule's outcome is fixed once the sink
+    arrives, and whether it has fired before then is a sum over the set
+    transitions of ``set_transitions`` (``_slack_rule_wins``).  A threshold
+    rule's is fixed by the set of arrivals before the sink and the time of
+    the last maximal one, which ``_threshold_counts`` counts over sets.  For
+    the randomized rejection rule the count M is integrated out exactly with
+    Binomial(n, p) weights instead of sampling.  The slack rule is guarded
+    at n <= ``ENUMERATION_GUARD`` and the threshold family at
     n <= ``SET_GUARD``.
     """
     if s.kind == "tau_n":
         _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
-        return Fraction(_aggregates(PathPower(n, k), _slack_rule_visitor)[0], math.factorial(n))
+        won = _slack_rule_wins(n, set_transitions(PathPower(n, k)))
+        return Fraction(sum(won), math.factorial(n))
     _check_guard(n, SET_GUARD, "threshold set pass", force)
     _check_nk(n, k)
     wins = _threshold_counts(n, k)

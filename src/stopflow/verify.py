@@ -4,17 +4,18 @@ Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
 Every check is one function under its public name, decorated by ``_check``:
 its body returns the passing detail or raises ``_Failed`` with the failing
-one, and an exhaustive check's body is a generator that reads the oracle's
-prefix walk through visitors.  Every check runs as its ``.walk`` generator
-through one driver, ``_run_walks``: a call alone, ``verify_all`` all at
-once, walking each (n, k) once for all of them.  Up to ``WALK_N_CAP`` one
-visitor judges each prefix by its last events for the observer invariants,
-the (t, c) tally, the continuous check and the slack rule's wins; past it
-``formula_vs_oracle`` walks alone, pruned at the rule's stop or the sink's
-arrival.  ``dp_vs_formula`` reads the class table pruned at the sink;
-``conditional_success_vs_states`` reads the full one, as the audit does.
-``strategy_dominance`` walks nothing: it reads the threshold rules' wins off
-the oracle's pass over arrived sets.  Desk-scale guards apply:
+one, and an exhaustive check's body is a generator that asks for the
+oracle's aggregates.  Every check runs as its ``.walk`` generator through
+one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
+computing each aggregate once per (n, k) for all of them.  The observer
+invariants, the (t, c) tally, the continuous check and the slack rule's
+wins read one function of a set transition each, so ``_set_events`` serves
+them from the oracle's pass over arrived sets, which observes each
+transition once.  Only the class tables need arrival order, and they share
+one prefix walk: ``dp_vs_formula`` reads the table pruned at the sink,
+``conditional_success_vs_states`` the full one, as the audit does.
+``strategy_dominance`` walks nothing either: it reads the threshold rules'
+wins off the oracle's threshold set pass.  Desk-scale guards apply:
 ``verify_all`` checks only that ``n_max`` is at least 4 and passes it to
 every check, which caps it at its own limit or, as ``formula_vs_oracle``
 does, raises the guard before any walk; the bounds sandwich checks its own
@@ -39,7 +40,7 @@ from .exact import (
     success_probability_exact,
 )
 from .graph import PathPower, _check_guard
-from .observer import Observer
+from .observer import Observer, component_runs
 from .oracle import (
     DP_GUARD,
     ENUMERATION_GUARD,
@@ -52,11 +53,12 @@ from .oracle import (
     _info_class_visitor,
     _pre_sink_class_visitor,
     _rejection_mixture,
-    _slack_rule_visitor,
+    _slack_rule_wins,
     _threshold_counts,
     continuous_win_indicator,
+    set_transitions,
 )
-from .strategies import Strategy, _wants_stop, run_strategy
+from .strategies import Strategy, run_strategy
 
 # Golden observation trace: n=9, k=2, this arrival order must produce the
 # pending-inner sequence below, and the slack rule must stop at t=6 on the
@@ -73,12 +75,10 @@ GOLDEN_TRACE_STOP = 6
 # n, which bounds n only; ``exact.COMPOSITION_GUARD`` bounds its tables in k.
 BOUNDS_GUARD = 1000
 
-# Caps four checks whatever n_max they get, so that the output of verify
-# --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
-# strategy_dominance keeps it only for that: it reads the oracle's set pass,
-# which costs milliseconds at any n the enumeration guard allows.  Past it
-# formula_vs_oracle walks pruned at the rule's stop or the sink: about 0.4 s
-# for every k at n = 8 on two vCPUs, where a full walk takes about 1.7 s.
+# Caps four checks whatever n_max they get, only so that the output of
+# verify --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
+# Each reads the oracle's passes over arrived sets, which cost milliseconds
+# at n = 8 for every k, as formula_vs_oracle's does uncapped.
 WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
@@ -105,17 +105,24 @@ if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported co
     WalkCheck = Generator[tuple[int, int, Callable], object, Check]
 
 
+# The visitors of the checks that need arrival order, the class tables; every
+# other check reads the oracle's set pass.
+_WALKED = (_info_class_visitor, _pre_sink_class_visitor)
+
+
 class _Failed(Exception):
     """Raised by a check's body with its failing detail."""
 
 
 def _run_walks(checks: list[WalkCheck]) -> list[Check]:
-    """Run checks on one prefix walk per (n, k); return their Checks in order.
+    """Run checks on at most one prefix walk per (n, k); return their Checks in order.
 
-    A check is a generator: it yields (n, k, make) for each walk it needs, in
-    increasing (n, k), is sent the result of the visitor ``make(g)`` builds,
-    and returns its Check.  Checks that ask for one ``make`` at one (n, k)
-    share its visitor.  Results are dropped after their (n, k).
+    A check is a generator: it yields (n, k, make) for each aggregate it
+    needs, in increasing (n, k), is sent the aggregate, and returns its
+    Check.  A ``make`` in ``_WALKED`` builds a visitor, and those asked for
+    at one (n, k) share one walk; any other ``make(g)`` is the aggregate
+    itself.  Checks that ask for one ``make`` at one (n, k) share its
+    result.  Results are dropped after their (n, k).
     """
     done: list[Check | None] = [None] * len(checks)
     wants: dict[int, tuple[int, int, Callable]] = {}  # check index -> its next walk
@@ -132,7 +139,10 @@ def _run_walks(checks: list[WalkCheck]) -> list[Check]:
         n, k = min(want[:2] for want in wants.values())
         here = [i for i, want in wants.items() if want[:2] == (n, k)]
         makes = list(dict.fromkeys(wants[i][2] for i in here))
-        results = dict(zip(makes, _aggregates(PathPower(n, k), *makes)))
+        g = PathPower(n, k)
+        walked = [make for make in makes if make in _WALKED]
+        results = dict(zip(walked, _aggregates(g, *walked))) if walked else {}
+        results.update((make, make(g)) for make in makes if make not in results)
         for i in here:
             send(i, results[wants.pop(i)[2]])
         del results
@@ -168,85 +178,85 @@ def _check(body: Callable[..., str | Walks]) -> Callable[..., Check]:
     return check
 
 
-class _Events(NamedTuple):  # the result of ``_event_visitor``
-    failure: str  # the first invariant failure in walk order, "" if none
+class _Events(NamedTuple):  # the result of ``_set_events``
+    failure: str  # the observer-invariant failure at the smallest prefix, "" if none
     complete: int  # complete arrival orders
     tally: dict  # (t, component count) -> [orders, orders with a maximal t-th arrival]
     won: int  # orders the slack rule wins
-    disagreement: str  # the first order the continuous indicator judges otherwise, "" if none
+    disagreement: str  # the smallest order the continuous indicator judges otherwise, "" if none
     compared: int  # orders put to the continuous indicator
 
 
-def _event_visitor(g: PathPower) -> tuple[Callable, Callable[[], _Events]]:
-    """Visitor and result for what each prefix's last events decide, a prefix
-    standing for its (n - t)! completions: the observer invariants, the
-    (t, c) tally in increasing (t, c), and at the sink the slack rule's
-    verdict and, if k < n - 2, the continuous indicator's, both fixed there.
-    It keeps ``strategies.stop_time``'s rule along the path, so it never
-    mutes and must see every prefix in walk order."""
+def _set_events(g: PathPower) -> _Events:
+    """What the oracle's set pass decides for every order at once.
+
+    A transition S - {v} -> S into a t-set stands for the (t - 1)! (n - t)!
+    orders through it, and its event is theirs.  It is judged by the
+    observer invariants, with the condition of S - {v}, and its totals must
+    equal those that ``component_runs`` recounts for S; a failure names the
+    smallest prefix (*sorted(S - {v}), v) that fails.  The slack rule's
+    verdict is fixed at the sink's arrival, and if k < n - 2 the continuous
+    indicator reads only the set S before it, so it is asked once per S, on
+    the order (*sorted(S), 1, *sorted(rest)): every order of S must win
+    where it says win and lose where it says lose.
+    """
     n, k = g.n, g.k
+    transitions = set_transitions(g)
     weight = _completions(n)
-    tau_n = Strategy.tau_n()
-    stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
     # [t][c]: orders, and orders with a maximal t-th arrival, at t arrivals in c components
     orders = [[0] * (n + 1) for _ in range(n + 1)]
     maximal = [[0] * (n + 1) for _ in range(n + 1)]
-    met = [False] * (n + 1)  # [t]: the condition holds after the t-th arrival of the path
-    fired = [False] * (n + 1)  # [t]: the slack rule stopped at or before that arrival
-    sunk = [False] * (n + 1)  # [t]: the sink is among the path's first t arrivals
-    failure, disagreement, won, compared = "", "", 0, 0
+    # [S]: (t, components, pending inner, slack) recounted; the empty set's slack is n
+    totals = [(0, 0, 0, n)]
+    failures = []
+    for s in range(1, 1 << n):
+        members = [v for v in range(1, n + 1) if s >> v - 1 & 1]
+        runs = component_runs(members, k)
+        t, c = len(members), len(runs)
+        inner = sum(run[-1] - run[0] + 1 - len(run) for run in runs)
+        totals.append((t, c, inner, (n - t) - k * (c - 1) - inner))
+        w = math.factorial(t - 1) * weight[t]  # the orders through one transition into S
+        for v, e in transitions[s].items():
+            _, is_max, comps, _, slack = e
+            # The predecessor suffices: once met, the condition must persist.
+            met = totals[s ^ 1 << v - 1][3] == 0
+            what = ("negative slack" if slack < 0
+                    else "condition not persistent" if met and not e.condition_met
+                    else "maximal arrival after exhaustion" if met and is_max
+                    else "totals differ from a recount of the set" if (e.t, *e[2:]) != totals[s]
+                    else "")
+            if what:
+                failures.append(((*(u for u in members if u != v), v), what))
+            orders[t][comps] += w
+            if is_max:
+                maximal[t][comps] += w
+    failure = ""
+    if failures:
+        prefix, what = min(failures)
+        failure = f"{what} at (n={n}, k={k}), prefix {prefix}, t={len(prefix)}"
 
-    def visit(path, events):
-        nonlocal failure, disagreement, won, compared
-        e = events[-1]
-        t, is_max, c, _, slack = e
-        met[t] = now = e.condition_met
-        # The predecessor suffices: once met, the condition must persist.
-        what = ("negative slack" if slack < 0
-                else "condition not persistent" if met[t - 1] and not now
-                else "maximal arrival after exhaustion" if met[t - 1] and is_max
-                else "")
-        if what and not failure:
-            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={t}"
-        w = weight[t]
-        orders[t][c] += w
-        if is_max:
-            maximal[t][c] += w
-        sunk[t] = sunk[t - 1] or path[-1] == 1
-        if sunk[t - 1]:  # both verdicts were fixed when the sink arrived
-            return
-        wants = _wants_stop(tau_n, e, 0)
-        fired[t] = fired[t - 1] or wants
-        if not sunk[t]:
-            return
-        discrete = not fired[t - 1] and (wants or t == n)
-        if discrete:
-            won += w
-        if k >= n - 2:  # outside the continuous model
-            return
-        # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
-        # (i - 0.5) / n: the path's first, then the unarrived positions upward.
-        times = [None] * n
-        for i, pos in enumerate(path):
-            times[pos - 1] = stamps[i]
-        i = t
-        for j in range(n):
-            if times[j] is None:
-                times[j] = stamps[i]
-                i += 1
-        arrival = ContinuousArrival(tuple(times))
-        if continuous_win_indicator(g, arrival) != discrete and not disagreement:
-            order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
-            disagreement = f"disagreement at (n={n}, k={k}), order {order}"
-        compared += w
+    won = _slack_rule_wins(n, transitions)
+    disagreement, compared = "", 0
+    if k < n - 2:  # inside the continuous model
+        disagreeing = []
+        for s, discrete in enumerate(won):
+            before = [v for v in range(2, n + 1) if s >> v - 2 & 1]
+            order = (*before, 1, *(v for v in range(2, n + 1) if not s >> v - 2 & 1))
+            times = [0.0] * n  # the i-th arrival of the order comes at (i - 0.5) / n
+            for i, pos in enumerate(order, start=1):
+                times[pos - 1] = (i - 0.5) / n
+            # the orders with S before the sink
+            ways = math.factorial(len(before)) * weight[len(before) + 1]
+            if discrete != continuous_win_indicator(g, ContinuousArrival(tuple(times))) * ways:
+                disagreeing.append(order)
+            compared += ways
+        if disagreeing:
+            disagreement = f"disagreement at (n={n}, k={k}), order {min(disagreeing)}"
 
-    def result():
-        tally = {(t, c): [orders[t][c], maximal[t][c]]
-                 for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
-        # A complete order is a prefix of length n, of weight 0! = 1.
-        return _Events(failure, sum(orders[n]), tally, won, disagreement, compared)
-
-    return visit, result
+    tally = {(t, c): [orders[t][c], maximal[t][c]]
+             for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
+    # A complete order's last transition is into the full set, of weight (n - 1)!.
+    return _Events(failure, sum(orders[n]), tally, sum(won), disagreement, compared)
 
 
 @_check
@@ -256,11 +266,7 @@ def check_formula_vs_oracle(n_max: int = 8) -> Walks:
     for n in range(2, n_max + 1):
         for k in range(1, n):
             f = success_probability_exact(n, k)
-            if n <= WALK_N_CAP:  # read off the full walk the capped checks share
-                won = (yield n, k, _event_visitor).won
-            else:
-                won = yield n, k, _slack_rule_visitor
-            o = Fraction(won, math.factorial(n))
+            o = Fraction((yield n, k, _set_events).won, math.factorial(n))
             if f != o:
                 raise _Failed(f"mismatch at (n={n}, k={k}): formula {f} vs oracle {o}")
             cases += 1
@@ -309,7 +315,7 @@ def check_golden_trace() -> str:
 def check_frozen_exact_values() -> Walks:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
-        o = Fraction((yield n, k, _event_visitor).won, math.factorial(n))
+        o = Fraction((yield n, k, _set_events).won, math.factorial(n))
         if not f == o == expect:
             raise _Failed(f"(n={n}, k={k}): formula {f}, oracle {o}, expected {expect}")
     return f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed"
@@ -350,7 +356,7 @@ def check_observer_invariants(n_max: int = 7) -> Walks:
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            events = yield n, k, _event_visitor
+            events = yield n, k, _set_events
             if events.failure:
                 raise _Failed(events.failure)
             runs += events.complete
@@ -394,7 +400,7 @@ def check_max_given_components(n_max: int = 7) -> Walks:
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            for (m, c), (tot, mx) in (yield n, k, _event_visitor).tally.items():
+            for (m, c), (tot, mx) in (yield n, k, _set_events).tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     raise _Failed(f"(n={n}, k={k}, m={m}, c={c}): {mx}/{tot} != {c}/{m}")
                 cases += 1
@@ -430,7 +436,7 @@ def check_continuous_discrete(n_max: int = 7) -> Walks:
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
-            events = yield n, k, _event_visitor
+            events = yield n, k, _set_events
             if events.disagreement:
                 raise _Failed(events.disagreement)
             runs += events.compared
@@ -448,6 +454,16 @@ def check_strategy_dominance(n_max: int = 7) -> str:
             total = math.factorial(n)
             wins = _threshold_counts(n, k)
             for r in range(n + 1):
+                # Exact counts where they are known, so that a miscount below
+                # the slack rule shows: r = 0 wins iff the sink comes first,
+                # r = n iff it comes last, and k = n - 1 is the classical
+                # secretary problem.
+                expect = (total // n if r in (0, n)
+                          else total * r * sum(Fraction(1, j) for j in range(r, n)) / n
+                          if k == n - 1 else wins[r])
+                if wins[r] != expect:
+                    raise _Failed(f"threshold r={r} wins {wins[r]} orders at (n={n}, k={k}), "
+                                  f"not {expect}")
                 if Fraction(wins[r], total) > best:
                     raise _Failed(f"threshold r={r} beats the slack rule at (n={n}, k={k})")
                 cases += 1

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import math
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -529,6 +530,47 @@ def test_prefix_walk_checks_see_a_fault_at_one_prefix(monkeypatch, field, change
     assert [c.name for c in report.checks if not c.passed] == [failed.name]
 
 
+def corrupt_totals_into_234(monkeypatch, parents):
+    """One pending inner vertex too many, with the slack to match, on the
+    events of the transitions into {2, 3, 4} of (5, 2) from ``parents``."""
+    original = Observer.observe
+
+    def corrupted(self, pos):
+        event = original(self, pos)
+        if (self.g.n, self.g.k) == (5, 2) and self._arrived == [2, 3, 4] and (
+                {2, 3, 4} - {pos} in parents):
+            return event._replace(pending_inner=event.pending_inner + 1, slack=event.slack - 1)
+        return event
+
+    monkeypatch.setattr(Observer, "observe", corrupted)
+
+
+@pytest.mark.parametrize("parent, prefix", [
+    ({2, 4}, "(2, 4, 3)"),
+    ({2, 3}, "(2, 3, 4)"),
+], ids=["out-of-order", "sorted"])
+def test_observer_invariants_see_totals_unlike_the_set(monkeypatch, parent, prefix):
+    # Observing a set in any order must give the same totals.  Corrupting one
+    # transition into {2, 3, 4}, whose arrival is not maximal, keeps the
+    # slack formula and the other three invariants, and leaves every other
+    # check's events and classes as they were: observer_invariants fails alone.
+    corrupt_totals_into_234(monkeypatch, [parent])
+    failed = check_observer_invariants(5)
+    assert (failed.passed, failed.detail) == (
+        False, f"totals differ from a recount of the set at (n=5, k=2), prefix {prefix}, t=3")
+    report = verify_all(5)
+    assert report.checks == solo_checks(5)
+    assert [c.name for c in report.checks if not c.passed] == ["observer_invariants"]
+
+
+def test_observer_invariants_recount_each_set(monkeypatch):
+    # An observer wrong the same way on every transition into a set agrees
+    # with itself; the recount by component_runs still sees it.
+    corrupt_totals_into_234(monkeypatch, [{3, 4}, {2, 4}, {2, 3}])
+    assert check_observer_invariants(5) == Check("observer_invariants", False, (
+        "totals differ from a recount of the set at (n=5, k=2), prefix (2, 3, 4), t=3"))
+
+
 def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
     # Flip the indicator on the (6, 2) orders whose sink arrives first: the
     # check, alone or in verify_all, must name the first of them.
@@ -548,9 +590,11 @@ def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
 
 def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypatch):
     # The certification is brute force: verify_all(7) observes every prefix
-    # of its walks on the shipped Observer and asks the shipped indicator
-    # about every prefix that ends on the sink.  A speed-up that skips a
-    # prefix, or inlines the indicator, changes these counts.
+    # of its class walks and every set transition, n 2^(n-1) per (n, k) and
+    # 4,092 in all, on the shipped Observer, and asks the shipped indicator
+    # about every set of arrivals before the sink, 392 in all.  A speed-up
+    # that skips a prefix or a transition, or inlines the indicator, changes
+    # these counts.
     calls = {"observe": 0, "indicator": 0, "not an ObservationEvent": 0}
     observe = Observer.observe
     indicator = verify_module.continuous_win_indicator
@@ -577,7 +621,7 @@ def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypat
     monkeypatch.setattr(oracle_module, "walk_prefixes",
                         lambda g, *visits: walk(g, *map(typed, visits)))
     assert verify_all(7).passed
-    assert calls == {"observe": 93_515, "indicator": 8_952, "not an ObservationEvent": 0}
+    assert calls == {"observe": 38_887, "indicator": 392, "not an ObservationEvent": 0}
 
 
 def test_verify_all_walks_each_n_k_once(monkeypatch):
@@ -595,12 +639,11 @@ def test_verify_all_walks_each_n_k_once(monkeypatch):
 
 
 def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
-    # The threshold rules' wins come from the oracle's pass over arrived sets,
-    # and one event visitor serves every check judged on a prefix's last
-    # events, so at n = 7 the shared walk feeds only these visitors; one added
-    # back to the walk shows up here.  The DP check reads the class table
-    # muted past the sink.  Past the walk cap formula_vs_oracle walks alone
-    # and keeps the slack-rule visitor, pruned at its stop or the sink.
+    # The threshold rules' wins, and every check judged on one transition's
+    # events, come from the oracle's passes over arrived sets, so at n = 7 the
+    # shared walk feeds only the DP check's class table, muted past the sink;
+    # a visitor added back to the walk shows up here.  At n = 8 only
+    # formula_vs_oracle runs, and it walks nothing.
     original = verify_module._aggregates
     built = {}
 
@@ -611,15 +654,44 @@ def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     monkeypatch.setattr(verify_module, "_aggregates", recorded)
     assert verify_all(7).passed
     for k in range(1, 7):
-        assert built[7, k] == {"_event_visitor", "_pre_sink_class_visitor"}, k
+        assert built[7, k] == {"_pre_sink_class_visitor"}, k
     assert verify_all(8).passed
-    for k in range(1, 8):
-        assert built[8, k] == {"_slack_rule_visitor"}, k
+    assert not any(n == 8 for n, _ in built), built
     walk = check_strategy_dominance.walk(7)
     with pytest.raises(StopIteration) as done:
         next(walk)
     assert done.value.value == Check(
         "strategy_dominance", True, "350 competing strategies dominated")
+
+
+def test_strategy_dominance_sees_a_threshold_miscount(monkeypatch):
+    # A set pass with max(i - k, 1) for its "below" masks miscounts the
+    # threshold rules' wins but keeps them under the slack rule's; the exact
+    # counts at r = 0 and r = n, and the secretary counts at k = n - 1, fail it.
+    source = textwrap.dedent(inspect.getsource(oracle_module._threshold_counts))
+    assert source.count("max(i - k, 0)") == 1
+    namespace = dict(vars(oracle_module))
+    exec(source.replace("max(i - k, 0)", "max(i - k, 1)"), namespace)
+    monkeypatch.setattr(verify_module, "_threshold_counts", namespace["_threshold_counts"])
+    assert check_strategy_dominance(7) == Check(
+        "strategy_dominance", False, "threshold r=0 wins 3 orders at (n=3, k=1), not 2")
+
+
+def test_strategy_dominance_checks_the_secretary_counts(monkeypatch):
+    # At k = n - 1 the threshold rules play the classical secretary problem:
+    # one win moved off r = 1 stays under the slack rule and keeps r = 0 and
+    # r = n exact, and only the secretary count sees it.
+    original = verify_module._threshold_counts
+
+    def miscounted(n, k):
+        wins = original(n, k)
+        if k == n - 1:
+            wins[1] -= 1
+        return wins
+
+    monkeypatch.setattr(verify_module, "_threshold_counts", miscounted)
+    assert check_strategy_dominance(7) == Check(
+        "strategy_dominance", False, "threshold r=1 wins 2 orders at (n=3, k=2), not 3")
 
 
 def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
@@ -631,6 +703,8 @@ def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
         return original(g, *visits)
 
     monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
+    monkeypatch.setattr(verify_module, "set_transitions",
+                        lambda g: walks.update(["set pass"]) or oracle_module.set_transitions(g))
     with pytest.raises(ResourceGuardError, match=r"guarded at n_max <= 9 \(got n_max=10\)") as err:
         check_formula_vs_oracle(10)
     assert walks == Counter()

@@ -22,11 +22,17 @@ from stopflow import (
     run_strategy,
     success_probability_exact,
 )
-from stopflow import oracle
+from stopflow import oracle, verify
 from stopflow.exact import conditional_success
 from stopflow.observer import ObservationEvent, Observer, component_runs
-from stopflow.oracle import _completions, _info_classes, _threshold_counts, walk_prefixes
-from stopflow.strategies import stop_time
+from stopflow.oracle import (
+    _completions,
+    _info_classes,
+    _threshold_counts,
+    set_transitions,
+    walk_prefixes,
+)
+from stopflow.strategies import _wants_stop, stop_time
 
 
 def test_brute_force_golden_values():
@@ -204,6 +210,29 @@ def test_threshold_set_pass_matches_the_walk_reference():
             visit, result = _threshold_visitor(g)
             walk_prefixes(g, visit)
             assert _threshold_counts(n, k) == result(), (n, k)
+
+
+def _slack_rule_visitor(g: PathPower) -> tuple[Callable, Callable[[], int]]:
+    """Visitor and result: the number of arrival orders the slack rule wins,
+    by the prefix walk pruned at the rule's stop or the sink's arrival."""
+    n = g.n
+    weight = _completions(n)
+    won = 0
+    tau_n = Strategy.tau_n()
+
+    def stop(path: list[int], events: list[ObservationEvent]) -> bool:
+        # strategies.stop_time's rule, incrementally: the first firing, else
+        # t = n.  The sink's arrival settles the order too: a stop there wins,
+        # and a rule that passes the sink can no longer win.
+        nonlocal won
+        e = events[-1]
+        fires = e.t == n or _wants_stop(tau_n, e, 0)
+        if path[-1] == 1:
+            won += weight[e.t] * fires
+            return True
+        return fires
+
+    return stop, lambda: won
 
 
 def test_slack_rule_walk_matches_reference_runner():
@@ -484,7 +513,7 @@ def test_slack_rule_walk_stops_at_the_sink():
     for n in range(2, 8):
         for k in range(1, n):
             g = PathPower(n, k)
-            stop, _ = oracle._slack_rule_visitor(g)
+            stop, _ = _slack_rule_visitor(g)
             seen = []
 
             def visit(path, events):
@@ -635,13 +664,85 @@ def rank_times(order):
     return ContinuousArrival(tuple(times))
 
 
+def _event_visitor(g: PathPower) -> tuple[Callable, Callable[[], "verify._Events"]]:
+    """Visitor and result: ``verify._set_events`` by the prefix walk, each
+    prefix judged by its last events and standing for its (n - t)!
+    completions: the observer invariants, the (t, c) tally in increasing
+    (t, c), and at the sink the slack rule's verdict and, if k < n - 2, the
+    continuous indicator's, both fixed there.  It keeps
+    ``strategies.stop_time``'s rule along the path, so it never mutes and
+    must see every prefix in walk order.  It asks ``verify`` for the
+    indicator, so a test that patches it there patches both."""
+    n, k = g.n, g.k
+    weight = _completions(n)
+    tau_n = Strategy.tau_n()
+    stamps = [(i - 0.5) / n for i in range(1, n + 1)]  # [i - 1]: the i-th arrival's time
+    # [t][c]: orders, and orders with a maximal t-th arrival, at t arrivals in c components
+    orders = [[0] * (n + 1) for _ in range(n + 1)]
+    maximal = [[0] * (n + 1) for _ in range(n + 1)]
+    met = [False] * (n + 1)  # [t]: the condition holds after the t-th arrival of the path
+    fired = [False] * (n + 1)  # [t]: the slack rule stopped at or before that arrival
+    sunk = [False] * (n + 1)  # [t]: the sink is among the path's first t arrivals
+    failure, disagreement, won, compared = "", "", 0, 0
+
+    def visit(path, events):
+        nonlocal failure, disagreement, won, compared
+        e = events[-1]
+        t, is_max, c, _, slack = e
+        met[t] = now = e.condition_met
+        # The predecessor suffices: once met, the condition must persist.
+        what = ("negative slack" if slack < 0
+                else "condition not persistent" if met[t - 1] and not now
+                else "maximal arrival after exhaustion" if met[t - 1] and is_max
+                else "")
+        if what and not failure:
+            failure = f"{what} at (n={n}, k={k}), prefix {tuple(path)}, t={t}"
+        w = weight[t]
+        orders[t][c] += w
+        if is_max:
+            maximal[t][c] += w
+        sunk[t] = sunk[t - 1] or path[-1] == 1
+        if sunk[t - 1]:  # both verdicts were fixed when the sink arrived
+            return
+        wants = _wants_stop(tau_n, e, 0)
+        fired[t] = fired[t - 1] or wants
+        if not sunk[t]:
+            return
+        discrete = not fired[t - 1] and (wants or t == n)
+        if discrete:
+            won += w
+        if k >= n - 2:  # outside the continuous model
+            return
+        # The i-th arrival of the order (*path, *sorted(unarrived)) comes at
+        # (i - 0.5) / n: the path's first, then the unarrived positions upward.
+        times = [None] * n
+        for i, pos in enumerate(path):
+            times[pos - 1] = stamps[i]
+        i = t
+        for j in range(n):
+            if times[j] is None:
+                times[j] = stamps[i]
+                i += 1
+        arrival = ContinuousArrival(tuple(times))
+        if verify.continuous_win_indicator(g, arrival) != discrete and not disagreement:
+            order = (*path, *sorted(set(range(1, n + 1)).difference(path)))
+            disagreement = f"disagreement at (n={n}, k={k}), order {order}"
+        compared += w
+
+    def result():
+        tally = {(t, c): [orders[t][c], maximal[t][c]]
+                 for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
+        # A complete order is a prefix of length n, of weight 0! = 1.
+        return verify._Events(failure, sum(orders[n]), tally, won, disagreement, compared)
+
+    return visit, result
+
+
 def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
     # Both sides are fixed by the prefix that ends on the sink, so verify's
     # event visitor judges that prefix once, on its first completion, and
     # credits all of its completions, to the comparison and to the slack
     # rule's wins.
-    from stopflow import verify
-
     indicator = verify.continuous_win_indicator
     for n in range(4, 7):
         for k in range(1, n - 2):
@@ -663,7 +764,7 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
                 for flip, failure in ((False, ""), (True, named)):
                     monkeypatch.setattr(verify, "continuous_win_indicator",
                                         lambda g_, arr: indicator(g_, arr) != flip)
-                    tally, result = verify._event_visitor(g)
+                    tally, result = _event_visitor(g)
                     # The visitor keeps the slack rule as the walk descends:
                     # it sees the prefixes before the sink, and mutes none.
                     assert not any(tally(path[:t], events[:t]) for t in range(1, len(path)))
@@ -681,11 +782,10 @@ def test_continuous_tally_decides_each_order_at_the_sink(monkeypatch):
 
 
 def test_continuous_tally_times_are_those_of_the_sink_prefix_order(monkeypatch):
-    # Each indicator call gets the times of the order (*path, *sorted(unarrived))
-    # at (i - 0.5) / n, for the prefixes that end on the sink, which the walk
-    # reaches in lexicographic order; one unarrived position out of order fails.
-    from stopflow import verify
-
+    # The indicator reads only the set S of arrivals before the sink, so the
+    # set pass asks it once per S, with the times of the order
+    # (*sorted(S), 1, *sorted(rest)) at (i - 0.5) / n; one position out of
+    # order, or a set asked twice or never, fails.
     indicator = verify.continuous_win_indicator
     seen = []
 
@@ -698,11 +798,12 @@ def test_continuous_tally_times_are_those_of_the_sink_prefix_order(monkeypatch):
     expect = []
     for n in range(4, 7):
         for k in range(1, n - 2):
-            heads = (head for t in range(n) for head in itertools.permutations(range(2, n + 1), t))
-            for path in sorted((*head, 1) for head in heads):
-                rest = sorted(set(range(1, n + 1)).difference(path))
-                expect.append((n, k, rank_times((*path, *rest)).times))
-    assert seen == expect
+            for size in range(n):
+                for before in itertools.combinations(range(2, n + 1), size):
+                    rest = sorted(set(range(2, n + 1)).difference(before))
+                    expect.append((n, k, rank_times((*before, 1, *rest)).times))
+    assert sorted(seen) == sorted(expect)
+    assert len(seen) == sum((n - 3) * 2 ** (n - 1) for n in range(4, 7))
 
 
 def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
@@ -710,8 +811,6 @@ def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
     # the walk never raises the visitor's per-depth flag.  With a firing
     # planted at each arrival of a sink prefix, its verdict is still
     # stop_time's: a win iff the rule first stops at the sink.
-    from stopflow import verify
-
     monkeypatch.setattr(verify, "continuous_win_indicator", lambda g, arr: True)
     tau_n = Strategy.tau_n()
     for n, k in [(5, 1), (6, 2)]:
@@ -725,7 +824,7 @@ def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
             for fire in (None, *range(t)):
                 planted = [e._replace(slack=0, is_max=True) if i == fire else e
                            for i, e in enumerate(events)]
-                tally, result = verify._event_visitor(g)
+                tally, result = _event_visitor(g)
                 for u in range(1, t + 1):
                     tally(path[:u], planted[:u])
                 won = stop_time(tau_n, planted, 0, n) == t
@@ -741,8 +840,7 @@ def test_continuous_tally_keeps_stop_times_rule(monkeypatch):
 def test_prefix_tally_matches_a_replay_of_every_order():
     # The slow reference: replay each of the n! orders and count, at every t,
     # the cell (t, component count) and whether the t-th arrival is maximal.
-    from stopflow import verify
-
+    # The walk reference and the set pass must both count it.
     for n in range(2, 7):
         for k in range(1, n):
             g = PathPower(n, k)
@@ -754,22 +852,99 @@ def test_prefix_tally_matches_a_replay_of_every_order():
                     cell = expect.setdefault((e.t, e.component_count), [0, 0])
                     cell[0] += 1
                     cell[1] += e.is_max
-            events = oracle._aggregates(g, verify._event_visitor)[0]
-            assert (events.failure, events.complete) == ("", math.factorial(n)), (n, k)
-            assert events.tally == expect, (n, k)
-            assert list(events.tally) == sorted(events.tally), (n, k)
+            for events in (oracle._aggregates(g, _event_visitor)[0], verify._set_events(g)):
+                assert (events.failure, events.complete) == ("", math.factorial(n)), (n, k)
+                assert events.tally == expect, (n, k)
+                assert list(events.tally) == sorted(events.tally), (n, k)
 
 
 def test_event_visitor_wins_match_the_pruned_walk_and_the_formula():
-    # Up to verify's walk cap the slack rule's wins come from the full walk's
-    # event visitor, past it from the oracle's pruned visitor: the two must
-    # count the same orders, which the closed form counts too.
-    from stopflow import verify
-
+    # The walk references, the full event visitor and the slack-rule visitor
+    # pruned at its stop or the sink, count the orders the slack rule wins,
+    # as the closed form and the set pass do.
     for n in range(2, verify.WALK_N_CAP + 1):
         for k in range(1, n):
             g = PathPower(n, k)
-            [events] = oracle._aggregates(g, verify._event_visitor)
-            [pruned] = oracle._aggregates(g, oracle._slack_rule_visitor)
+            [events] = oracle._aggregates(g, _event_visitor)
+            [pruned] = oracle._aggregates(g, _slack_rule_visitor)
             expect = math.factorial(n) * success_probability_exact(n, k)
-            assert events.won == pruned == expect, (n, k)
+            assert events.won == pruned == verify._set_events(g).won == expect, (n, k)
+
+
+def test_set_pass_events_match_the_walk_reference():
+    # Every field: the invariants, the tally, the wins, the continuous
+    # verdicts and the number of orders compared.
+    for n in range(2, 8):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            assert verify._set_events(g) == oracle._aggregates(g, _event_visitor)[0], (n, k)
+
+
+def test_set_pass_wins_match_the_formula_past_the_walk():
+    for n in range(8, 11):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            won = verify._set_events(g).won
+            assert won == math.factorial(n) * success_probability_exact(n, k), (n, k)
+            assert brute_force_win_probability(n, k, Strategy.tau_n(), force=True) == (
+                success_probability_exact(n, k)), (n, k)
+
+
+def test_set_pass_observes_each_transition_once(monkeypatch):
+    # n 2^(n-1) observes, one per transition S - {v} -> S, and each entry is
+    # the event of v's arrival after S - {v} on a fresh observer.
+    observed = 0
+    observe = Observer.observe
+
+    def counted(self, pos):
+        nonlocal observed
+        observed += 1
+        return observe(self, pos)
+
+    for n in range(2, 8):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            monkeypatch.setattr(Observer, "observe", counted)
+            observed = 0
+            table = set_transitions(g)
+            assert observed == n * 2 ** (n - 1), (n, k)
+            monkeypatch.undo()
+            assert len(table) == 2 ** n and table[0] == {}, (n, k)
+            for s, into in enumerate(table):
+                members = [v for v in range(1, n + 1) if s >> v - 1 & 1]
+                assert sorted(into) == members, (n, k, s)
+                for v, e in into.items():
+                    fresh = Observer(g)
+                    for u in members:
+                        if u != v:
+                            fresh.observe(u)
+                    assert e == fresh.observe(v), (n, k, s, v)
+
+
+def test_set_pass_keeps_stop_times_rule_when_the_rule_fires_early(monkeypatch):
+    # On real events the slack rule never fires before the sink, and always
+    # fires when the sink comes last, so the set pass's unfired counts are the
+    # |S|! orders of each set.  An observer that fires it on chosen early
+    # transitions, or never, tests the rest of stop_time's rule: the set pass
+    # must count what the walk reference and a replay count.
+    observe = Observer.observe
+    tau_n = Strategy.tau_n()
+    plants = [(fires, lambda e, pos, size, fires=fires: (
+        e._replace(slack=0, is_max=True) if pos in fires and size <= 3 else e))
+        for fires in ((2, 3), (3,), (5, 4), (2, 5))]
+    plants.append(("never", lambda e, pos, size: e._replace(slack=1)))
+    for n, k in [(5, 1), (6, 2), (7, 3)]:
+        g = PathPower(n, k)
+        for name, plant in plants:
+            monkeypatch.setattr(Observer, "observe", lambda self, pos, plant=plant: plant(
+                observe(self, pos), pos, len(self._arrived)))
+            monkeypatch.setattr(verify, "continuous_win_indicator", lambda g_, arr: True)
+            walked = oracle._aggregates(g, _event_visitor)[0]
+            passed = verify._set_events(g)
+            replayed = sum(stop_time(tau_n, map(Observer(g).observe, perm), 0, n) == perm.index(1) + 1
+                           for perm in itertools.permutations(range(1, n + 1)))
+            monkeypatch.undo()
+            assert passed.won == walked.won == replayed, (n, k, name)
+            assert passed.won != math.factorial(n) * success_probability_exact(n, k), (n, k, name)
+            assert (passed.disagreement == "") == (walked.disagreement == ""), (n, k, name)
+    assert replayed == math.factorial(n - 1)  # never fired: won iff the sink comes last
