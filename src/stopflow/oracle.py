@@ -83,6 +83,14 @@ def _aggregates(g: PathPower, *makes: Callable) -> list:
     return [result() for _, result in visitors]
 
 
+def _walk_visitor(make: Callable) -> Callable:
+    """Tag ``make`` as a visitor factory: ``make(g)`` is a (visit, result)
+    pair for ``_aggregates``, where an untagged aggregate function's
+    ``make(g)`` is the aggregate itself (``verify._run_walks`` serves both)."""
+    make.walks = True
+    return make
+
+
 def _completions(n: int) -> list[int]:
     """[t]: (n - t)!, the number of arrival orders that extend one t-prefix."""
     return [math.factorial(n - t) for t in range(n + 1)]
@@ -281,6 +289,7 @@ class InfoClassStat:
 _T, _MEMBERS, _SINK_LAST, _PARENT, _COMPONENTS, _PENDING, _IS_MAX, _PREFIX, _WIDTH = range(9)
 
 
+@_walk_visitor
 def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     """Visitor and result: every information class, by the prefix walk.
 
@@ -339,6 +348,7 @@ def _info_classes(g: PathPower) -> list:
     return _aggregates(g, _info_class_visitor)[0]
 
 
+@_walk_visitor
 def _pre_sink_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     """``_info_class_visitor``, muted below each prefix that ends on the sink.
 

@@ -58,7 +58,7 @@ from .oracle import (
     continuous_win_indicator,
     set_transitions,
 )
-from .strategies import Strategy, run_strategy
+from .strategies import Strategy, _wants_stop, run_strategy
 
 # Golden observation trace: n=9, k=2, this arrival order must produce the
 # pending-inner sequence below, and the slack rule must stop at t=6 on the
@@ -105,11 +105,6 @@ if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported co
     WalkCheck = Generator[tuple[int, int, Callable], object, Check]
 
 
-# The visitors of the checks that need arrival order, the class tables; every
-# other check reads the oracle's set pass.
-_WALKED = (_info_class_visitor, _pre_sink_class_visitor)
-
-
 class _Failed(Exception):
     """Raised by a check's body with its failing detail."""
 
@@ -119,9 +114,9 @@ def _run_walks(checks: list[WalkCheck]) -> list[Check]:
 
     A check is a generator: it yields (n, k, make) for each aggregate it
     needs, in increasing (n, k), is sent the aggregate, and returns its
-    Check.  A ``make`` in ``_WALKED`` builds a visitor, and those asked for
-    at one (n, k) share one walk; any other ``make(g)`` is the aggregate
-    itself.  Checks that ask for one ``make`` at one (n, k) share its
+    Check.  A ``make`` the oracle tags as a visitor factory builds a
+    visitor, and those asked for at one (n, k) share one walk; any other
+    ``make(g)`` is the aggregate itself.  Checks that ask for one ``make`` at one (n, k) share its
     result.  Results are dropped after their (n, k).
     """
     done: list[Check | None] = [None] * len(checks)
@@ -140,7 +135,7 @@ def _run_walks(checks: list[WalkCheck]) -> list[Check]:
         here = [i for i, want in wants.items() if want[:2] == (n, k)]
         makes = list(dict.fromkeys(wants[i][2] for i in here))
         g = PathPower(n, k)
-        walked = [make for make in makes if make in _WALKED]
+        walked = [make for make in makes if getattr(make, "walks", False)]
         results = dict(zip(walked, _aggregates(g, *walked))) if walked else {}
         results.update((make, make(g)) for make in makes if make not in results)
         for i in here:
@@ -198,7 +193,10 @@ def _set_events(g: PathPower) -> _Events:
     verdict is fixed at the sink's arrival, and if k < n - 2 the continuous
     indicator reads only the set S before it, so it is asked once per S, on
     the order (*sorted(S), 1, *sorted(rest)): every order of S must win
-    where it says win and lose where it says lose.
+    where it says win and lose where it says lose.  A failure names the
+    smallest order (*P, 1, *sorted(rest)) that the rule judges otherwise, P
+    an order of S: the sorted one, unless the rule fires before the sink on
+    some orders of S but not all.
     """
     n, k = g.n, g.k
     transitions = set_transitions(g)
@@ -247,7 +245,12 @@ def _set_events(g: PathPower) -> _Events:
                 times[pos - 1] = (i - 0.5) / n
             # the orders with S before the sink
             ways = math.factorial(len(before)) * weight[len(before) + 1]
-            if discrete != continuous_win_indicator(g, ContinuousArrival(tuple(times))) * ways:
+            says = continuous_win_indicator(g, ContinuousArrival(tuple(times)))
+            if discrete != says * ways:
+                if discrete not in (0, ways):  # the sink fires it; it loses the orders it fires early on
+                    early = next(p for p in itertools.permutations(before)
+                                 if _fires_before_sink(transitions, p) == says)
+                    order = (*early, *order[len(before):])
                 disagreeing.append(order)
             compared += ways
         if disagreeing:
@@ -257,6 +260,17 @@ def _set_events(g: PathPower) -> _Events:
              for t in range(1, n + 1) for c in range(1, t + 1) if orders[t][c]}
     # A complete order's last transition is into the full set, of weight (n - 1)!.
     return _Events(failure, sum(orders[n]), tally, sum(won), disagreement, compared)
+
+
+def _fires_before_sink(transitions: list[dict], path: tuple[int, ...]) -> bool:
+    """Whether the slack rule fires on one of the arrivals ``path``, in that
+    order, by the events of ``set_transitions``."""
+    tau_n, s = Strategy.tau_n(), 0
+    for v in path:
+        s |= 1 << v - 1
+        if _wants_stop(tau_n, transitions[s][v], 0):
+            return True
+    return False
 
 
 @_check

@@ -1,15 +1,15 @@
 """Mutation probe: does the certificate notice a wrong fast path?
 
     PYTHONPATH=src python tests/mutation.py stopflow.oracle:_slack_rule_wins \
-        stopflow.verify:_set_events [--judge "-k test_oracle"] [--jobs 2]
+        stopflow.verify:_set_events [--judge "-k test_oracle"]
 
 Each mutant makes one change inside one named function: it swaps ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, or ``+`` and ``-``, or adds 1 to
 an integer constant.  The mutated module is written into a scratch copy of
-the package, and a child process judges it: by default ``verify_all(7)``,
-which kills the mutant if the report does not pass; with ``--judge`` a
-pytest selection, which kills it if any selected test fails.  A mutant that
-raises, or runs past ``--timeout`` seconds, counts as killed.  The script
+the package, and a child process judges it, ``JOBS`` at a time: by default
+``verify_all(7)``, which kills the mutant if the report does not pass; with
+``--judge`` a pytest selection, which kills it if any selected test fails.
+A mutant that raises, or runs past ``TIMEOUT`` seconds, counts as killed.  The script
 prints each surviving mutant and the score; whether a survivor is
 equivalent to the original is for the reader to decide.  The file name
 keeps pytest from collecting it.
@@ -30,6 +30,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 VERIFY = "import sys; from stopflow.verify import verify_all; sys.exit(not verify_all(7).passed)"
+JOBS = 2
+TIMEOUT = 120.0  # seconds per mutant
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
@@ -74,7 +76,7 @@ def _mutant(tree: ast.Module, name: str, index: int, slot: int) -> str:
     return ast.unparse(tree)
 
 
-def _judge(root: Path, module: str, source: str, judge: list[str] | None, timeout: float) -> bool:
+def _judge(root: Path, module: str, source: str, judge: list[str] | None) -> bool:
     """Whether the judge kills the mutant ``source`` of ``module``."""
     with tempfile.TemporaryDirectory(dir=root) as work:
         tree = Path(work) / "src"
@@ -86,7 +88,7 @@ def _judge(root: Path, module: str, source: str, judge: list[str] | None, timeou
         env = {**os.environ, "PYTHONPATH": str(tree), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             done = subprocess.run(argv, cwd=SRC.parent if judge else work, env=env,
-                                  capture_output=True, timeout=timeout)
+                                  capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return True
         return done.returncode != 0
@@ -96,11 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="+", help="module:function, e.g. stopflow.oracle:_insert")
     parser.add_argument("--judge", help="pytest arguments, quoted; default verify_all(7)")
-    parser.add_argument("--jobs", type=int, default=2, help="child processes at once")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must be 1..8")
     judge = shlex.split(args.judge) if args.judge else None
 
     mutants = []  # (target, description, module, source)
@@ -112,9 +110,8 @@ def main(argv: list[str] | None = None) -> int:
             mutants.append((target, what, module, _mutant(tree, name, index, slot)))
 
     with tempfile.TemporaryDirectory(prefix="mutation-") as root:
-        with ThreadPoolExecutor(args.jobs) as pool:
-            killed = list(pool.map(
-                lambda m: _judge(Path(root), m[2], m[3], judge, args.timeout), mutants))
+        with ThreadPoolExecutor(JOBS) as pool:
+            killed = list(pool.map(lambda m: _judge(Path(root), m[2], m[3], judge), mutants))
     for (target, what, _, _), dead in zip(mutants, killed):
         if not dead:
             print(f"survived: {target} {what}")

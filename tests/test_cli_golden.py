@@ -60,7 +60,7 @@ CASES = {
     "verify_json_skip_dp": (
         ["verify", "--n-max", "4", "--bounds-n", "30", "--skip-dp", "--format", "json"],
         {}, None),
-    # The CLI default n_max: formula_vs_oracle walks n = 8 alone, past WALK_N_CAP.
+    # The CLI default n_max: formula_vs_oracle reads n = 8 off the set pass, with no walk.
     "verify_json_n8": (["verify", "--n-max", "8", "--format", "json"], {}, None),
     "scaling_text": (["scaling", "--k", "2..3", "--n", "2..12:2"], {}, None),
     "scaling_csv": (["scaling", "--k", "2..3", "--n", "2..12:2", "--format", "csv"], {}, None),

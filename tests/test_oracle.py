@@ -926,19 +926,27 @@ def test_set_pass_keeps_stop_times_rule_when_the_rule_fires_early(monkeypatch):
     # fires when the sink comes last, so the set pass's unfired counts are the
     # |S|! orders of each set.  An observer that fires it on chosen early
     # transitions, or never, tests the rest of stop_time's rule: the set pass
-    # must count what the walk reference and a replay count.
+    # must count what the walk reference and a replay count.  Where it fires
+    # early on some orders of a set only, the sorted order may agree with the
+    # continuous indicator, and the set pass must name the order the walk
+    # names, the smallest that disagrees.
     observe = Observer.observe
     tau_n = Strategy.tau_n()
     plants = [(fires, lambda e, pos, size, fires=fires: (
         e._replace(slack=0, is_max=True) if pos in fires and size <= 3 else e))
         for fires in ((2, 3), (3,), (5, 4), (2, 5))]
+    plants.append(("2 late", lambda e, pos, size: (  # never on a sorted order
+        e._replace(slack=0, is_max=True) if pos == 2 and size >= 2 else e)))
     plants.append(("never", lambda e, pos, size: e._replace(slack=1)))
+    named = {}
     for n, k in [(5, 1), (6, 2), (7, 3)]:
         g = PathPower(n, k)
-        for name, plant in plants:
+        for (name, plant), indicator in itertools.product(
+                plants, [verify.continuous_win_indicator, lambda g_, arr: True]):
+            # size counts the arrivals with pos
             monkeypatch.setattr(Observer, "observe", lambda self, pos, plant=plant: plant(
                 observe(self, pos), pos, len(self._arrived)))
-            monkeypatch.setattr(verify, "continuous_win_indicator", lambda g_, arr: True)
+            monkeypatch.setattr(verify, "continuous_win_indicator", indicator)
             walked = oracle._aggregates(g, _event_visitor)[0]
             passed = verify._set_events(g)
             replayed = sum(stop_time(tau_n, map(Observer(g).observe, perm), 0, n) == perm.index(1) + 1
@@ -946,5 +954,7 @@ def test_set_pass_keeps_stop_times_rule_when_the_rule_fires_early(monkeypatch):
             monkeypatch.undo()
             assert passed.won == walked.won == replayed, (n, k, name)
             assert passed.won != math.factorial(n) * success_probability_exact(n, k), (n, k, name)
-            assert (passed.disagreement == "") == (walked.disagreement == ""), (n, k, name)
+            assert passed.disagreement == walked.disagreement, (n, k, name)
+            named[n, k, name, indicator is verify.continuous_win_indicator] = passed.disagreement
     assert replayed == math.factorial(n - 1)  # never fired: won iff the sink comes last
+    assert named[5, 1, "2 late", True] == "disagreement at (n=5, k=1), order (3, 2, 4, 5, 1)"
