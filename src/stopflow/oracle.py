@@ -7,14 +7,15 @@ S - {v} -> S for every order through it: the slack rule's count reads it,
 as do ``verify``'s order-free checks.  The threshold rules' wins need only
 the set before the sink and which of its arrivals came last, and a second
 pass over sets counts them; exact mixing over the rejection count
-integrates the randomized rule.  Only backward induction over information
-classes (the optimal value over all stopping rules that see only the
-labeled induced graph) walks the arrival prefixes, on one walk that takes
-any number of visitors, and stops at the sink's arrival: the selector
-cannot recall a vertex, so once the sink has passed no stop can win.  A
-class is an observation history, keyed by its parent class and the arcs of
-the newest arrival; ``canonical_info_state`` is the audit's encoding of a
-class, and the audit checks that the two determine each other.
+integrates the randomized rule.  Only the class table walks the arrival
+prefixes: ``_class_table`` lists the information classes, on which
+backward induction finds the optimal value over all stopping rules that
+see only the labeled induced graph.  The induction's walk stops at the
+sink's arrival: the selector cannot recall a vertex, so once the sink has
+passed no stop can win.  A class is an observation history, keyed by its
+parent class and the arcs of the newest arrival; ``canonical_info_state``
+is the audit's encoding of a class, and the audit checks that the two
+determine each other.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 # ResourceGuardError is imported so that stopflow.oracle.ResourceGuardError still names it.
 from .graph import PathPower, ResourceGuardError, _check_below_degenerate, _check_guard, _check_nk
@@ -35,60 +36,6 @@ ENUMERATION_GUARD = 9
 # at least doubles time and memory.
 SET_GUARD = 16
 DP_GUARD = 7
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration over arrival prefixes
-# ---------------------------------------------------------------------------
-
-def walk_prefixes(g: PathPower, *visits: Callable[..., bool | None]) -> None:
-    """Call each ``visit(path, events)`` on every arrival prefix, depth first
-    and in lexicographic order, with the arrived positions and their
-    observer events (both lists are reused).  A visitor that returns true is
-    muted for the extensions of that prefix only, having credited its
-    (n - t)! completions at once; it is called again on the next sibling.
-    The walk descends while at least one visitor is live, so each visitor
-    sees exactly the prefixes it would see walked alone: all of them, each
-    after its parent, if it never mutes, as the full class table does.
-    """
-    _walk(Observer(g), list(g.positions()), [], [], visits)
-
-
-def _walk(obs: Observer, free: list[int], path: list[int], events: list[ObservationEvent],
-          visits: Sequence[Callable]) -> None:
-    # Module level, not a recursive closure: its reference cycle outlives the call.
-    # ``free`` holds the unarrived positions, sorted; each is lent to the
-    # child walk and put back in place, so the order stays lexicographic.
-    for i in range(len(free)):
-        pos = free.pop(i)
-        path.append(pos)
-        events.append(obs.observe(pos))
-        live = visits  # copied only when a visitor mutes an extension
-        for visit in visits:
-            if visit(path, events) and free:
-                live = [other for other in live if other is not visit]
-        if live and free:
-            _walk(obs, free, path, events, live)
-        obs.undo()
-        path.pop()
-        events.pop()
-        free.insert(i, pos)
-
-
-def _aggregates(g: PathPower, *makes: Callable) -> list:
-    """Walk the prefixes of ``g`` once with the visitor of each ``make(g)``;
-    return their results in order."""
-    visitors = [make(g) for make in makes]
-    walk_prefixes(g, *(visit for visit, _ in visitors))
-    return [result() for _, result in visitors]
-
-
-def _walk_visitor(make: Callable) -> Callable:
-    """Tag ``make`` as a visitor factory: ``make(g)`` is a (visit, result)
-    pair for ``_aggregates``, where an untagged aggregate function's
-    ``make(g)`` is the aggregate itself (``verify._run_walks`` serves both)."""
-    make.walks = True
-    return make
 
 
 def _completions(n: int) -> list[int]:
@@ -118,7 +65,7 @@ def set_transitions(g: PathPower) -> list[dict[int, ObservationEvent]]:
 
 def _insert(obs: Observer, n: int, s: int, top: int,
             table: list[dict[int, ObservationEvent]]) -> None:
-    # Module level, as ``_walk``.  The observer holds the set s, whose largest
+    # Module level, as ``_descend``.  The observer holds the set s, whose largest
     # position is top; it keeps an arrival above top to descend into that set.
     for v in range(1, n + 1):
         bit = 1 << v - 1
@@ -219,7 +166,7 @@ def brute_force_win_probability(
     n <= ``SET_GUARD``.
     """
     if s.kind == "tau_n":
-        _check_guard(n, ENUMERATION_GUARD, "permutation enumeration", force)
+        _check_guard(n, ENUMERATION_GUARD, "slack rule set pass", force)
         won = _slack_rule_wins(n, set_transitions(PathPower(n, k)))
         return Fraction(sum(won), math.factorial(n))
     _check_guard(n, SET_GUARD, "threshold set pass", force)
@@ -285,13 +232,12 @@ class InfoClassStat:
         return Fraction(self.sink_last, self.members)
 
 
-# A class's slots in the flat table of ``_info_class_visitor``, and its width.
+# A class's slots in the flat table of ``_class_table``, and its width.
 _T, _MEMBERS, _SINK_LAST, _PARENT, _COMPONENTS, _PENDING, _IS_MAX, _PREFIX, _WIDTH = range(9)
 
 
-@_walk_visitor
-def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
-    """Visitor and result: every information class, by the prefix walk.
+def _class_table(g: PathPower, pre_sink: bool = False) -> list:
+    """Every information class of ``g``, by one walk over the arrival prefixes.
 
     A class is an observation history: its parent class (the members with
     the last arrival dropped) plus the newest arrival's row, the arrival
@@ -305,6 +251,12 @@ def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     first member as ``bytes`` (positions stay below 256 at any n a walk can
     finish).  No slot holds a container, so the table gives the garbage
     collector nothing to track.
+
+    With ``pre_sink`` the walk does not descend below a prefix that ends on
+    the sink: the table holds the classes with a member where the sink has
+    not yet arrived or arrived last, and counts only those members.  The
+    selector cannot tell whether the sink has passed, so the members past it
+    stay in the full table, which the audit reads.
     """
     k = g.k
     classes: list = []
@@ -313,62 +265,48 @@ def _info_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
     # distance d = pos - path[i] within k (d is never 0), else k.  Keys of one
     # t have t - 1 digits and a parent >= 0 (or -1 at t = 1), so they differ.
     index: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
-    path_ids = [-1] * (g.n + 1)  # [t]: class of the t-prefix
-    base = 2 * k + 1
     # [pos][q]: the digit of an earlier arrival q for a newest arrival pos.
     rows = [[d + k if -k <= d <= k else k for d in range(pos, pos - g.n - 1, -1)]
             for pos in range(g.n + 1)]
+    _descend(Observer(g), list(g.positions()), [], -1, (classes, index, rows, 2 * k + 1, pre_sink))
+    return classes
 
-    def visit(path: list[int], events: list[ObservationEvent]) -> None:
-        t = len(path)
-        pos = path[-1]
-        parent = key = path_ids[t - 1]
+
+def _descend(obs: Observer, free: list[int], path: list[int], parent: int, table: tuple) -> None:
+    # Module level, not a recursive closure: its reference cycle outlives the call.
+    # ``free`` holds the unarrived positions, sorted; each is lent to the
+    # child walk and put back in place, so the order stays lexicographic.
+    classes, index, rows, base, pre_sink = table
+    t = len(path) + 1
+    level = index[t]
+    for i in range(len(free)):
+        pos = free.pop(i)
+        key = parent
         row = rows[pos]
-        for q in path[:-1]:
+        for q in path:
             key = key * base + row[q]
-        level = index[t]
+        path.append(pos)
+        _, is_max, comps, pending, _ = obs.observe(pos)
         sink = pos == 1
         c = level.get(key)
         if c is None:
             c = level[key] = len(classes) // _WIDTH
-            _, is_max, comps, pending, _ = events[-1]
             classes.extend((t, 1, int(sink), parent, comps, pending, is_max, bytes(path)))
         else:
             at = c * _WIDTH
             classes[at + _MEMBERS] += 1
             if sink:
                 classes[at + _SINK_LAST] += 1
-        path_ids[t] = c
-
-    return visit, lambda: classes
-
-
-def _info_classes(g: PathPower) -> list:
-    """Every information class of ``g``, as ``_info_class_visitor`` lists them."""
-    return _aggregates(g, _info_class_visitor)[0]
-
-
-@_walk_visitor
-def _pre_sink_class_visitor(g: PathPower) -> tuple[Callable, Callable[[], list]]:
-    """``_info_class_visitor``, muted below each prefix that ends on the sink.
-
-    Its table holds the classes with a member where the sink has not yet
-    arrived or arrived last, and counts only those members.  The selector
-    cannot tell whether the sink has passed, so the members past it stay in
-    the full table, which the audit reads.
-    """
-    visit, result = _info_class_visitor(g)
-
-    def pre_sink(path: list[int], events: list[ObservationEvent]) -> bool:
-        visit(path, events)
-        return path[-1] == 1
-
-    return pre_sink, result
+        if free and not (sink and pre_sink):
+            _descend(obs, free, path, c, table)
+        obs.undo()
+        path.pop()
+        free.insert(i, pos)
 
 
 def _backward_induction(n: int, classes: list) -> Fraction:
-    """``dp_optimal_value`` over the classes ``_info_class_visitor`` or
-    ``_pre_sink_class_visitor`` listed: both give the same value.
+    """``dp_optimal_value`` over the classes of ``_class_table``, full or
+    pre-sink: both give the same value.
 
     A member past the sink wins nothing however play goes on, so it adds
     nothing to its class's stop value, and a class whose members have all
@@ -388,24 +326,24 @@ def dp_optimal_value(n: int, k: int, *, force: bool = False) -> Fraction:
     """Value of the optimal stopping problem by exact backward induction.
 
     States are the information classes, the observation histories of
-    ``_info_class_visitor``; stop values and transition probabilities come
+    ``_class_table``; stop values and transition probabilities come
     from counting compatible ground-truth completions, so the result is the
     exact optimum over all stopping rules adapted to the labeled
     observation filtration.  The induction runs on integers, over the
     classes in reverse creation order: a class's best is the number of
     completions of its members that optimal play wins, the larger of
     stopping (sink_last * (n-t)!) and the sum of its children's bests.
-    Once the sink has passed no stop can win, so the walk stops at the
-    sink: at each t it visits only the t-prefixes without the sink and
-    those that end on it.
+    Once the sink has passed no stop can win, so the induction reads the
+    pre-sink table: at each t the walk visits only the t-prefixes without
+    the sink and those that end on it.
     """
     _check_guard(n, DP_GUARD, "information-state backward induction", force)
-    return _backward_induction(n, _aggregates(PathPower(n, k), _pre_sink_class_visitor)[0])
+    return _backward_induction(n, _class_table(PathPower(n, k), pre_sink=True))
 
 
 def _audited_states(g: PathPower, classes: list) -> list[InfoState]:
     """``canonical_info_state`` of the first member of each class
-    ``_info_class_visitor`` listed on ``g``, in creation order; two classes
+    in the full ``_class_table`` of ``g``, in creation order; two classes
     with one state raise ``RuntimeError``."""
     states = []
     seen: set[InfoState] = set()
@@ -428,7 +366,7 @@ def info_class_audit(n: int, k: int, *, force: bool = False) -> list[InfoClassSt
     """
     _check_guard(n, DP_GUARD, "information-state enumeration", force)
     g = PathPower(n, k)
-    classes = _info_classes(g)
+    classes = _class_table(g)
     # The state fixes the counts and maximality, so the first member's are every member's.
     rows = (classes[at:at + _WIDTH] for at in range(0, len(classes), _WIDTH))
     stats = [InfoClassStat(t, state, members, sink_last, comps, pending, is_max)

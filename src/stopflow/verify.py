@@ -4,22 +4,20 @@ Each check pits an independent computation against the closed forms; the CLI
 ``verify`` subcommand runs them all and reports a machine-readable verdict.
 Every check is one function under its public name, decorated by ``_check``:
 its body returns the passing detail or raises ``_Failed`` with the failing
-one, and an exhaustive check's body is a generator that asks for the
-oracle's aggregates.  Every check runs as its ``.walk`` generator through
-one driver, ``_run_walks``: a call alone, ``verify_all`` all at once,
-computing each aggregate once per (n, k) for all of them.  The observer
-invariants, the (t, c) tally, the continuous check and the slack rule's
-wins read one function of a set transition each, so ``_set_events`` serves
-them from the oracle's pass over arrived sets, which observes each
-transition once.  Only the class tables need arrival order, and they share
-one prefix walk: ``dp_vs_formula`` reads the table pruned at the sink,
+one.  ``verify_all`` calls the checks in order.  The observer invariants,
+the (t, c) tally, the continuous check and the slack rule's wins read one
+function of a set transition each, so ``_set_events`` serves them from the
+oracle's pass over arrived sets, which observes each transition once; while
+``verify_all`` runs, its checks share one ``_set_events`` per (n, k).  Only
+the class tables need arrival order, and each check that reads one walks
+its own: ``dp_vs_formula`` reads the table pruned at the sink,
 ``conditional_success_vs_states`` the full one, as the audit does.
 ``strategy_dominance`` walks nothing either: it reads the threshold rules'
 wins off the oracle's threshold set pass.  Desk-scale guards apply:
 ``verify_all`` checks only that ``n_max`` is at least 4 and passes it to
 every check, which caps it at its own limit or, as ``formula_vs_oracle``
-does, raises the guard before any walk; the bounds sandwich checks its own
-range.
+does, raises the guard before any set pass; the bounds sandwich checks its
+own range.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Generator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import (
     bound_report,
@@ -46,12 +44,10 @@ from .oracle import (
     ENUMERATION_GUARD,
     ContinuousArrival,
     _WIDTH,
-    _aggregates,
     _audited_states,
     _backward_induction,
+    _class_table,
     _completions,
-    _info_class_visitor,
-    _pre_sink_class_visitor,
     _rejection_mixture,
     _slack_rule_wins,
     _threshold_counts,
@@ -100,76 +96,24 @@ class VerifyReport:
     checks: tuple[Check, ...]
 
 
-if TYPE_CHECKING:  # not at run time: typing's cache would pin every imported copy of Check
-    Walks = Generator[tuple[int, int, Callable], object, str]
-    WalkCheck = Generator[tuple[int, int, Callable], object, Check]
-
-
 class _Failed(Exception):
     """Raised by a check's body with its failing detail."""
 
 
-def _run_walks(checks: list[WalkCheck]) -> list[Check]:
-    """Run checks on at most one prefix walk per (n, k); return their Checks in order.
-
-    A check is a generator: it yields (n, k, make) for each aggregate it
-    needs, in increasing (n, k), is sent the aggregate, and returns its
-    Check.  A ``make`` the oracle tags as a visitor factory builds a
-    visitor, and those asked for at one (n, k) share one walk; any other
-    ``make(g)`` is the aggregate itself.  Checks that ask for one ``make`` at one (n, k) share its
-    result.  Results are dropped after their (n, k).
-    """
-    done: list[Check | None] = [None] * len(checks)
-    wants: dict[int, tuple[int, int, Callable]] = {}  # check index -> its next walk
-
-    def send(i: int, value: object) -> None:
-        try:
-            wants[i] = checks[i].send(value)
-        except StopIteration as stop:
-            done[i] = stop.value
-
-    for i in range(len(checks)):
-        send(i, None)
-    while wants:
-        n, k = min(want[:2] for want in wants.values())
-        here = [i for i, want in wants.items() if want[:2] == (n, k)]
-        makes = list(dict.fromkeys(wants[i][2] for i in here))
-        g = PathPower(n, k)
-        walked = [make for make in makes if getattr(make, "walks", False)]
-        results = dict(zip(walked, _aggregates(g, *walked))) if walked else {}
-        results.update((make, make(g)) for make in makes if make not in results)
-        for i in here:
-            send(i, results[wants.pop(i)[2]])
-        del results
-    return done
-
-
-def _check(body: Callable[..., str | Walks]) -> Callable[..., Check]:
-    """The check named after ``body``, less its ``check_`` prefix.
-
-    ``.walk`` is a generator that runs the body (``yield from`` it, if the
-    body is one) and returns the Check: passed with the detail the body
-    returns, or failed with the one it raises as ``_Failed``.  A call runs
-    ``.walk`` alone through ``_run_walks``; a ``functools.wraps`` wrapper
-    keeps ``.walk`` (it copies ``__dict__``) but repoints ``__wrapped__``.
-    """
+def _check(body: Callable[..., str]) -> Callable[..., Check]:
+    """The check named after ``body``, less its ``check_`` prefix: passed
+    with the detail the body returns, or failed with the one it raises as
+    ``_Failed``."""
     name = body.__name__.removeprefix("check_")
-
-    def walk(*args, **kwargs) -> WalkCheck:
-        try:
-            detail = body(*args, **kwargs)
-            if inspect.isgenerator(detail):
-                detail = yield from detail
-        except _Failed as failed:
-            return Check(name, False, str(failed))
-        return Check(name, True, detail)
 
     @functools.wraps(body)
     def check(*args, **kwargs) -> Check:
-        return _run_walks([walk(*args, **kwargs)])[0]
+        try:
+            return Check(name, True, body(*args, **kwargs))
+        except _Failed as failed:
+            return Check(name, False, str(failed))
 
     check.__signature__ = inspect.signature(body).replace(return_annotation="Check")
-    check.walk = walk
     return check
 
 
@@ -262,6 +206,21 @@ def _set_events(g: PathPower) -> _Events:
     return _Events(failure, sum(orders[n]), tally, sum(won), disagreement, compared)
 
 
+# (n, k) -> ``_set_events`` there, shared by the checks while ``verify_all``
+# runs; None otherwise, and a check called alone computes its own.
+_shared_events: dict[tuple[int, int], _Events] | None = None
+
+
+def _events(n: int, k: int) -> _Events:
+    """``_set_events`` at (n, k), once per ``verify_all`` run."""
+    if _shared_events is None:
+        return _set_events(PathPower(n, k))
+    events = _shared_events.get((n, k))
+    if events is None:
+        events = _shared_events[n, k] = _set_events(PathPower(n, k))
+    return events
+
+
 def _fires_before_sink(transitions: list[dict], path: tuple[int, ...]) -> bool:
     """Whether the slack rule fires on one of the arrivals ``path``, in that
     order, by the events of ``set_transitions``."""
@@ -274,13 +233,13 @@ def _fires_before_sink(transitions: list[dict], path: tuple[int, ...]) -> bool:
 
 
 @_check
-def check_formula_vs_oracle(n_max: int = 8) -> Walks:
-    _check_guard(n_max, ENUMERATION_GUARD, "permutation enumeration", name="n_max")
+def check_formula_vs_oracle(n_max: int = 8) -> str:
+    _check_guard(n_max, ENUMERATION_GUARD, "slack rule set pass", name="n_max")
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
             f = success_probability_exact(n, k)
-            o = Fraction((yield n, k, _set_events).won, math.factorial(n))
+            o = Fraction(_events(n, k).won, math.factorial(n))
             if f != o:
                 raise _Failed(f"mismatch at (n={n}, k={k}): formula {f} vs oracle {o}")
             cases += 1
@@ -288,12 +247,12 @@ def check_formula_vs_oracle(n_max: int = 8) -> Walks:
 
 
 @_check
-def check_dp_vs_formula(n_max: int = 7) -> Walks:
+def check_dp_vs_formula(n_max: int = 7) -> str:
     n_max = min(n_max, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            d = _backward_induction(n, (yield n, k, _pre_sink_class_visitor))
+            d = _backward_induction(n, _class_table(PathPower(n, k), pre_sink=True))
             f = success_probability_exact(n, k)
             if d != f:
                 raise _Failed(f"mismatch at (n={n}, k={k}): DP {d} vs formula {f}")
@@ -326,10 +285,10 @@ def check_golden_trace() -> str:
 
 
 @_check
-def check_frozen_exact_values() -> Walks:
+def check_frozen_exact_values() -> str:
     for (n, k), expect in GOLDEN_EXACT_VALUES.items():
         f = success_probability_exact(n, k)
-        o = Fraction((yield n, k, _set_events).won, math.factorial(n))
+        o = Fraction(_events(n, k).won, math.factorial(n))
         if not f == o == expect:
             raise _Failed(f"(n={n}, k={k}): formula {f}, oracle {o}, expected {expect}")
     return f"{len(GOLDEN_EXACT_VALUES)} goldens oracle-confirmed"
@@ -365,12 +324,12 @@ def check_bounds_sandwich(max_n: int = 200) -> str:
 
 
 @_check
-def check_observer_invariants(n_max: int = 7) -> Walks:
+def check_observer_invariants(n_max: int = 7) -> str:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            events = yield n, k, _set_events
+            events = _events(n, k)
             if events.failure:
                 raise _Failed(events.failure)
             runs += events.complete
@@ -409,12 +368,12 @@ def check_subset_counting(n_max: int = 10) -> str:
 
 
 @_check
-def check_max_given_components(n_max: int = 7) -> Walks:
+def check_max_given_components(n_max: int = 7) -> str:
     n_max = min(n_max, WALK_N_CAP)
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            for (m, c), (tot, mx) in (yield n, k, _set_events).tally.items():
+            for (m, c), (tot, mx) in _events(n, k).tally.items():
                 if Fraction(mx, tot) != Fraction(c, m):
                     raise _Failed(f"(n={n}, k={k}, m={m}, c={c}): {mx}/{tot} != {c}/{m}")
                 cases += 1
@@ -422,14 +381,15 @@ def check_max_given_components(n_max: int = 7) -> Walks:
 
 
 @_check
-def check_conditional_success_vs_states(n_max: int = 6) -> Walks:
+def check_conditional_success_vs_states(n_max: int = 6) -> str:
     n_max = min(n_max, 6, DP_GUARD)
     cases = 0
     for n in range(3, n_max + 1):
         for k in range(1, n):
-            classes = yield n, k, _info_class_visitor
+            g = PathPower(n, k)
+            classes = _class_table(g)
             try:
-                _audited_states(PathPower(n, k), classes)
+                _audited_states(g, classes)
             except RuntimeError as exc:  # the class audit failed
                 raise _Failed(f"(n={n}, k={k}): {exc}")
             for at in range(0, len(classes), _WIDTH):
@@ -445,12 +405,12 @@ def check_conditional_success_vs_states(n_max: int = 6) -> Walks:
 
 
 @_check
-def check_continuous_discrete(n_max: int = 7) -> Walks:
+def check_continuous_discrete(n_max: int = 7) -> str:
     n_max = min(n_max, WALK_N_CAP)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
-            events = yield n, k, _set_events
+            events = _events(n, k)
             if events.disagreement:
                 raise _Failed(events.disagreement)
             runs += events.compared
@@ -490,23 +450,27 @@ def check_strategy_dominance(n_max: int = 7) -> str:
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
     # Below n_max = 4 continuous_discrete has no case and would pass vacuously.
-    # check_formula_vs_oracle, started first, guards n_max before any walk, and
-    # check_bounds_sandwich checks bounds_max_n itself.
+    # check_formula_vs_oracle, called first, guards n_max before any set pass,
+    # and check_bounds_sandwich checks bounds_max_n itself.
     if n_max < 4:
         raise ValueError(f"verification needs n_max >= 4, got {n_max}")
-    # The exhaustive checks share one walk per (n, k).
-    checks = _run_walks([
-        check_formula_vs_oracle.walk(n_max),
-        *(() if skip_dp else (check_dp_vs_formula.walk(n_max),)),
-        check_degenerate_half_cases.walk(),
-        check_golden_trace.walk(),
-        check_frozen_exact_values.walk(),
-        check_bounds_sandwich.walk(bounds_max_n),
-        check_observer_invariants.walk(n_max),
-        check_subset_counting.walk(),
-        check_max_given_components.walk(n_max),
-        check_conditional_success_vs_states.walk(n_max),
-        check_continuous_discrete.walk(n_max),
-        check_strategy_dominance.walk(n_max),
-    ])
-    return VerifyReport(passed=all(c.passed for c in checks), checks=tuple(checks))
+    global _shared_events
+    _shared_events = {}
+    try:
+        checks = (
+            check_formula_vs_oracle(n_max),
+            *(() if skip_dp else (check_dp_vs_formula(n_max),)),
+            check_degenerate_half_cases(),
+            check_golden_trace(),
+            check_frozen_exact_values(),
+            check_bounds_sandwich(bounds_max_n),
+            check_observer_invariants(n_max),
+            check_subset_counting(),
+            check_max_given_components(n_max),
+            check_conditional_success_vs_states(n_max),
+            check_continuous_discrete(n_max),
+            check_strategy_dominance(n_max),
+        )
+    finally:
+        _shared_events = None
+    return VerifyReport(passed=all(c.passed for c in checks), checks=checks)

@@ -404,9 +404,9 @@ def test_verify_checks_cap_n_max_themselves():
         assert check(9).detail == detail, check.__name__
 
 
-def test_walk_checks_keep_their_signatures_and_expose_their_generator():
-    # One protocol: a call returns its Check on walks of its own, and
-    # verify_all shares the walks through every check's .walk generator.
+def test_checks_keep_their_signatures():
+    # One protocol: a call returns its Check, and verify_all calls each check
+    # by its name in this module.
     signatures = {
         check_formula_vs_oracle: "(n_max: 'int' = 8)",
         check_dp_vs_formula: "(n_max: 'int' = 7)",
@@ -423,9 +423,6 @@ def test_walk_checks_keep_their_signatures_and_expose_their_generator():
     }
     for check, params in signatures.items():
         assert str(inspect.signature(check)) == f"{params} -> 'Check'", check.__name__
-        walk = check.walk()
-        assert inspect.isgenerator(walk)
-        walk.close()
     assert check_frozen_exact_values() == Check(
         "frozen_exact_values", True, "2 goldens oracle-confirmed")
 
@@ -462,8 +459,8 @@ def solo_checks(n_max, skip_dp=False):
 
 @pytest.mark.parametrize("n_max", [4, 5, 6, 7])
 def test_verify_all_reports_the_standalone_checks(n_max):
-    # verify_all walks each (n, k) once for all its exhaustive checks; each
-    # standalone check walks alone.  Verdicts and details must agree.
+    # verify_all shares one set pass per (n, k) among its checks; each
+    # standalone check makes its own.  Verdicts and details must agree.
     solo = solo_checks(n_max)
     assert verify_all(n_max).checks == solo
     assert verify_all(n_max, skip_dp=True).checks == tuple(
@@ -489,9 +486,9 @@ def test_dp_checks_cap_n_max_at_the_dp_guard(monkeypatch):
     ("is_max", lambda e: not e.is_max, check_observer_invariants),
 ], ids=["is_max-components", "slack-negative", "slack-persistence", "is_max-exhaustion"])
 def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, check):
-    # A walk that pruned too much would pass these checks vacuously.  In
-    # verify_all's shared walk, a visitor muted on one subtree must not hide
-    # the fault from the others: every check reports what it reports alone.
+    # A pass that skipped too much would pass these checks vacuously.  In
+    # verify_all's shared set passes every check reports what it reports
+    # alone.
     assert check(5).passed
     original = Observer.observe
 
@@ -512,7 +509,7 @@ def test_prefix_walk_checks_see_a_fault_at_one_time(monkeypatch, field, change, 
 ], ids=["is_max-components", "slack-negative"])
 def test_prefix_walk_checks_see_a_fault_at_one_prefix(monkeypatch, field, change, check, detail):
     # Corrupt the event of the prefix (2, 1) of (5, 2) only: the check that
-    # owns the fact fails alone, and the shared visitor judges every other
+    # owns the fact fails alone, and the shared set pass judges every other
     # prefix, and every other check, as before.
     original = Observer.observe
 
@@ -590,15 +587,15 @@ def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
 
 def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypatch):
     # The certification is brute force: verify_all(7) observes every prefix
-    # of its class walks and every set transition, n 2^(n-1) per (n, k) and
-    # 4,092 in all, on the shipped Observer, and asks the shipped indicator
-    # about every set of arrivals before the sink, 392 in all.  A speed-up
-    # that skips a prefix or a transition, or inlines the indicator, changes
-    # these counts.
-    calls = {"observe": 0, "indicator": 0, "not an ObservationEvent": 0}
+    # of its class walks (27,360 cut at the sink for n = 3..7, 11,302 in full
+    # for n = 3..6) and every set transition, n 2^(n-1) per (n, k) and 4,092
+    # in all, on the shipped Observer, and asks the shipped indicator about
+    # every set of arrivals before the sink, 392 in all.  A speed-up that
+    # skips a prefix or a transition, or inlines the indicator, changes these
+    # counts.
+    calls = {"observe": 0, "indicator": 0}
     observe = Observer.observe
     indicator = verify_module.continuous_win_indicator
-    walk = oracle_module.walk_prefixes
 
     def counted_observe(self, pos):
         calls["observe"] += 1
@@ -608,60 +605,85 @@ def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypat
         calls["indicator"] += 1
         return indicator(g, arr)
 
-    def typed(visit):
-        def seen(path, events):
-            # Each event was the last at the prefix that added it, and a
-            # visitor sees every prefix of a prefix it sees.
-            calls["not an ObservationEvent"] += type(events[-1]) is not ObservationEvent
-            return visit(path, events)
-        return seen
-
     monkeypatch.setattr(Observer, "observe", counted_observe)
     monkeypatch.setattr(verify_module, "continuous_win_indicator", counted_indicator)
-    monkeypatch.setattr(oracle_module, "walk_prefixes",
-                        lambda g, *visits: walk(g, *map(typed, visits)))
     assert verify_all(7).passed
-    assert calls == {"observe": 38_887, "indicator": 392, "not an ObservationEvent": 0}
+    assert calls == {"observe": 42_769, "indicator": 392}
+
+
+def count_passes(monkeypatch):
+    """Counters of verify's set passes by (n, k) and of its class walks by
+    (n, k, pre_sink), as the checks call them."""
+    sets, classes = Counter(), Counter()
+    set_transitions, class_table = verify_module.set_transitions, verify_module._class_table
+
+    def counted_sets(g):
+        sets[g.n, g.k] += 1
+        return set_transitions(g)
+
+    def counted_classes(g, pre_sink=False):
+        classes[g.n, g.k, pre_sink] += 1
+        return class_table(g, pre_sink)
+
+    monkeypatch.setattr(verify_module, "set_transitions", counted_sets)
+    monkeypatch.setattr(verify_module, "_class_table", counted_classes)
+    return sets, classes
 
 
 def test_verify_all_walks_each_n_k_once(monkeypatch):
-    # Every exhaustive check, the goldens included, reads one shared walk per (n, k).
-    original = oracle_module.walk_prefixes
-    walks = Counter()
-
-    def counted(g, *visits):
-        walks[g.n, g.k] += 1
-        return original(g, *visits)
-
-    monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
-    assert verify_all(7).passed
-    assert walks and set(walks.values()) == {1}, walks
+    # Every check judged on set transitions, the goldens included, reads one
+    # shared set pass per (n, k).
+    sets, _ = count_passes(monkeypatch)
+    for n_max in (7, 8):
+        sets.clear()
+        assert verify_all(n_max).passed
+        assert sets == Counter({(n, k): 1 for n in range(2, n_max + 1) for k in range(1, n)})
 
 
 def test_verify_all_walks_only_the_checks_that_need_order(monkeypatch):
     # The threshold rules' wins, and every check judged on one transition's
-    # events, come from the oracle's passes over arrived sets, so at n = 7 the
-    # shared walk feeds only the DP check's class table, muted past the sink;
-    # a visitor added back to the walk shows up here.  At n = 8 only
+    # events, come from the oracle's passes over arrived sets, so only the
+    # class tables walk arrival prefixes: the DP check's, cut at the sink, up
+    # to n = 7, and the state check's, in full, up to n = 6.  At n = 8 only
     # formula_vs_oracle runs, and it walks nothing.
-    original = verify_module._aggregates
-    built = {}
-
-    def recorded(g, *makes):
-        built[g.n, g.k] = {make.__name__ for make in makes}
-        return original(g, *makes)
-
-    monkeypatch.setattr(verify_module, "_aggregates", recorded)
-    assert verify_all(7).passed
-    for k in range(1, 7):
-        assert built[7, k] == {"_pre_sink_class_visitor"}, k
-    assert verify_all(8).passed
-    assert not any(n == 8 for n, _ in built), built
-    walk = check_strategy_dominance.walk(7)
-    with pytest.raises(StopIteration) as done:
-        next(walk)
-    assert done.value.value == Check(
+    sets, classes = count_passes(monkeypatch)
+    expect = Counter({(n, k, True): 1 for n in range(3, 8) for k in range(1, n)})
+    expect.update({(n, k, False): 1 for n in range(3, 7) for k in range(1, n)})
+    for n_max in (7, 8):
+        classes.clear()
+        assert verify_all(n_max).passed
+        assert classes == expect, n_max
+    sets.clear()
+    classes.clear()
+    assert check_strategy_dominance(7) == Check(
         "strategy_dominance", True, "350 competing strategies dominated")
+    assert not sets and not classes
+
+
+def test_verify_all_shares_no_stale_set_pass(monkeypatch):
+    # The set passes are shared only inside one verify_all: a fault planted
+    # after a passing run shows to a check called alone and to the next run.
+    assert verify_all(5).passed
+    original = verify_module.continuous_win_indicator
+    monkeypatch.setattr(verify_module, "continuous_win_indicator",
+                        lambda g, arr: not original(g, arr))
+    detail = "disagreement at (n=4, k=1), order (1, 2, 3, 4)"
+    assert check_continuous_discrete(5) == Check("continuous_discrete", False, detail)
+    report = verify_all(5)
+    assert [c for c in report.checks if not c.passed] == [
+        Check("continuous_discrete", False, detail)]
+
+
+def test_verify_all_leaves_nothing_shared_when_a_check_raises(monkeypatch):
+    # check_bounds_sandwich raises after the set-pass checks before it have
+    # shared their passes; none is kept, and a check called alone walks again.
+    sets, _ = count_passes(monkeypatch)
+    with pytest.raises(ValueError, match="needs bounds_max_n >= 6"):
+        verify_all(4, bounds_max_n=5)
+    assert sets and verify_module._shared_events is None
+    sets.clear()
+    assert check_frozen_exact_values().passed
+    assert sets == Counter({(5, 2): 1, (6, 2): 1})
 
 
 def test_strategy_dominance_sees_a_threshold_miscount(monkeypatch):
@@ -695,20 +717,14 @@ def test_strategy_dominance_checks_the_secretary_counts(monkeypatch):
 
 
 def test_formula_vs_oracle_guards_before_its_first_walk(monkeypatch):
-    walks = Counter()
-    original = oracle_module.walk_prefixes
-
-    def counted(g, *visits):
-        walks[g.n, g.k] += 1
-        return original(g, *visits)
-
-    monkeypatch.setattr(oracle_module, "walk_prefixes", counted)
-    monkeypatch.setattr(verify_module, "set_transitions",
-                        lambda g: walks.update(["set pass"]) or oracle_module.set_transitions(g))
-    with pytest.raises(ResourceGuardError, match=r"guarded at n_max <= 9 \(got n_max=10\)") as err:
-        check_formula_vs_oracle(10)
-    assert walks == Counter()
-    assert "force" not in str(err.value)  # the check takes no force to offer
+    # Alone or first in verify_all, before any set pass or class walk.
+    sets, classes = count_passes(monkeypatch)
+    for run in (check_formula_vs_oracle, verify_all):
+        with pytest.raises(ResourceGuardError,
+                           match=r"guarded at n_max <= 9 \(got n_max=10\)") as err:
+            run(10)
+        assert not sets and not classes, run
+        assert "force" not in str(err.value)  # the check takes no force to offer
 
 
 def test_bounds_sandwich_owns_its_range(monkeypatch):

@@ -25,14 +25,10 @@ from stopflow import (
 from stopflow import oracle, verify
 from stopflow.exact import conditional_success
 from stopflow.observer import ObservationEvent, Observer, component_runs
-from stopflow.oracle import (
-    _completions,
-    _info_classes,
-    _threshold_counts,
-    set_transitions,
-    walk_prefixes,
-)
+from stopflow.oracle import _class_table, _completions, _threshold_counts, set_transitions
 from stopflow.strategies import _wants_stop, stop_time
+
+from prefix_walk import _aggregates, _info_class_visitor, _pre_sink_class_visitor, walk_prefixes
 
 
 def test_brute_force_golden_values():
@@ -445,7 +441,7 @@ def test_dp_matches_the_canonical_state_reference():
     # keeps the members past the sink, gives the same value.
     for n in range(3, 8):
         for k in range(1, n):
-            full = oracle._backward_induction(n, _info_classes(PathPower(n, k)))
+            full = oracle._backward_induction(n, _class_table(PathPower(n, k)))
             assert dp_optimal_value(n, k) == full == reference_dp_value(n, k), (n, k)
 
 
@@ -479,8 +475,8 @@ def test_pre_sink_classes_are_the_classes_not_past_the_sink():
                 rec = expect.setdefault((t, canonical_info_state(g, prefix)), [0, 0, parent])
                 rec[0] += 1
                 rec[1] += prefix[-1] == 1
-            pre = table(g, oracle._aggregates(g, oracle._pre_sink_class_visitor)[0])
-            full = table(g, _info_classes(g))
+            pre = table(g, _class_table(g, pre_sink=True))
+            full = table(g, _class_table(g))
             assert pre == expect, (n, k)
             assert all(full[key][1:] == rec[1:] for key, rec in pre.items()), (n, k)
 
@@ -551,7 +547,7 @@ def test_classes_are_the_observation_histories():
 
             walk_prefixes(g, visit)
             histories = list(expected)
-            classes = _info_classes(g)
+            classes = _class_table(g)
             assert len(classes) == len(histories) * oracle._WIDTH, (n, k)
             rows = zip(*[classes[slot::oracle._WIDTH] for slot in range(oracle._WIDTH)])
             for (t, members, sink_last, parent, *_, first), want in zip(rows, expected.values()):
@@ -559,9 +555,23 @@ def test_classes_are_the_observation_histories():
                 assert [t, members, sink_last, parent_history, tuple(first)] == want, (n, k, first)
 
 
+def test_class_table_matches_the_visitor_references():
+    # The walk inlines the class visitors of the generic prefix walk, which
+    # share one walk here: the full table and the table cut at the sink must
+    # equal theirs slot for slot, types included.
+    for n in range(2, 8):
+        for k in range(1, n):
+            g = PathPower(n, k)
+            references = _aggregates(g, _info_class_visitor, _pre_sink_class_visitor)
+            for pre_sink, expect in zip((False, True), references):
+                table = _class_table(g, pre_sink=pre_sink)
+                assert table == expect, (n, k, pre_sink)
+                assert list(map(type, table)) == list(map(type, expect)), (n, k, pre_sink)
+
+
 def test_info_classes_hold_no_object_the_collector_tracks():
     # One flat table of ints, bools and bytes: no per-class list or event.
-    classes = _info_classes(PathPower(7, 3))
+    classes = _class_table(PathPower(7, 3))
     gc.collect()
     assert classes and not any(gc.is_tracked(entry) for entry in classes)
 
@@ -852,7 +862,7 @@ def test_prefix_tally_matches_a_replay_of_every_order():
                     cell = expect.setdefault((e.t, e.component_count), [0, 0])
                     cell[0] += 1
                     cell[1] += e.is_max
-            for events in (oracle._aggregates(g, _event_visitor)[0], verify._set_events(g)):
+            for events in (_aggregates(g, _event_visitor)[0], verify._set_events(g)):
                 assert (events.failure, events.complete) == ("", math.factorial(n)), (n, k)
                 assert events.tally == expect, (n, k)
                 assert list(events.tally) == sorted(events.tally), (n, k)
@@ -865,8 +875,8 @@ def test_event_visitor_wins_match_the_pruned_walk_and_the_formula():
     for n in range(2, verify.WALK_N_CAP + 1):
         for k in range(1, n):
             g = PathPower(n, k)
-            [events] = oracle._aggregates(g, _event_visitor)
-            [pruned] = oracle._aggregates(g, _slack_rule_visitor)
+            [events] = _aggregates(g, _event_visitor)
+            [pruned] = _aggregates(g, _slack_rule_visitor)
             expect = math.factorial(n) * success_probability_exact(n, k)
             assert events.won == pruned == verify._set_events(g).won == expect, (n, k)
 
@@ -877,7 +887,7 @@ def test_set_pass_events_match_the_walk_reference():
     for n in range(2, 8):
         for k in range(1, n):
             g = PathPower(n, k)
-            assert verify._set_events(g) == oracle._aggregates(g, _event_visitor)[0], (n, k)
+            assert verify._set_events(g) == _aggregates(g, _event_visitor)[0], (n, k)
 
 
 def test_set_pass_wins_match_the_formula_past_the_walk():
@@ -947,7 +957,7 @@ def test_set_pass_keeps_stop_times_rule_when_the_rule_fires_early(monkeypatch):
             monkeypatch.setattr(Observer, "observe", lambda self, pos, plant=plant: plant(
                 observe(self, pos), pos, len(self._arrived)))
             monkeypatch.setattr(verify, "continuous_win_indicator", indicator)
-            walked = oracle._aggregates(g, _event_visitor)[0]
+            walked = _aggregates(g, _event_visitor)[0]
             passed = verify._set_events(g)
             replayed = sum(stop_time(tau_n, map(Observer(g).observe, perm), 0, n) == perm.index(1) + 1
                            for perm in itertools.permutations(range(1, n + 1)))

@@ -17,7 +17,6 @@ import pytest
 
 import stopflow.cli  # the tracer wraps cli.main too
 import stopflow.exact
-import stopflow.oracle
 import stopflow.verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,19 +42,22 @@ def test_cold_cache_hook_exists():
 
 
 def test_verify_shares_its_walks_inside_the_tracer(monkeypatch):
-    # verify_all reads each exhaustive check's generator from ``.walk``; the
-    # tracer's functools.wraps wrapper must carry it, or verify_all fails (or
-    # walks once per check if it took ``__wrapped__``, which the wrapper repoints).
-    oracle, verify = stopflow.oracle, stopflow.verify
-    walks = Counter()
-    original = oracle.walk_prefixes
-    monkeypatch.setattr(oracle, "walk_prefixes",
-                        lambda g, *visits: walks.update([(g.n, g.k)]) or original(g, *visits))
+    # verify_all calls each check by its module name, so the tracer's
+    # wrapper times every check once, and the checks still share one set
+    # pass per (n, k) under it.
+    verify = stopflow.verify
+    passes = Counter()
+    original = verify.set_transitions
+    monkeypatch.setattr(verify, "set_transitions",
+                        lambda g: passes.update([(g.n, g.k)]) or original(g))
     tracer = load_tracer()
-    with tracer.Tracer():
+    with tracer.Tracer() as traced:
         assert "stopflow.verify.check_formula_vs_oracle" in tracer.installed_wrappers()
         assert verify.verify_all(4, bounds_max_n=30).passed
-        assert walks and set(walks.values()) == {1}, walks
+        assert passes and set(passes.values()) == {1}, passes
+        names = [name for _, _, name in tracer.SPANS if name.startswith("verify.")]
+        assert len(names) == 12
+        assert {name: traced.calls(name) for name in names} == dict.fromkeys(names, 1)
         check = verify.check_formula_vs_oracle(4)
     assert isinstance(check, verify.Check) and check.passed
 

@@ -19,12 +19,13 @@ from stopflow import (
     success_probability_exact,
     trial_seed,
 )
-from stopflow.oracle import walk_prefixes
 from stopflow.simulate import (
     _classical_threshold_win, _count_wins, _sink_index, _tail_start, _tau_n_win,
     _tau_p_star_win, run_trial,
 )
 from stopflow.strategies import _skip_count
+
+from prefix_walk import walk_prefixes
 
 # The package's ``simulate`` attribute is the function; this is the module.
 simulate_module = importlib.import_module("stopflow.simulate")
