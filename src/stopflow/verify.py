@@ -14,10 +14,10 @@ its own: ``dp_vs_formula`` reads the table pruned at the sink,
 ``conditional_success_vs_states`` the full one, as the audit does.
 ``strategy_dominance`` walks nothing either: it reads the threshold rules'
 wins off the oracle's threshold set pass.  Desk-scale guards apply:
-``verify_all`` checks only that ``n_max`` is at least 4 and passes it to
-every check, which caps it at its own limit or, as ``formula_vs_oracle``
-does, raises the guard before any set pass; the bounds sandwich checks its
-own range.
+``verify_all`` checks every range before any pass: that ``n_max`` is at
+least 4, then ``formula_vs_oracle``'s guard on ``n_max`` and the bounds
+sandwich's range, which those two checks also apply when called alone.
+Every other check caps ``n_max`` at its own limit.
 """
 from __future__ import annotations
 
@@ -232,9 +232,13 @@ def _fires_before_sink(transitions: list[dict], path: tuple[int, ...]) -> bool:
     return False
 
 
+def _guard_set_pass(n_max: int) -> None:
+    _check_guard(n_max, ENUMERATION_GUARD, "slack rule set pass", name="n_max")
+
+
 @_check
 def check_formula_vs_oracle(n_max: int = 8) -> str:
-    _check_guard(n_max, ENUMERATION_GUARD, "slack rule set pass", name="n_max")
+    _guard_set_pass(n_max)
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -300,12 +304,16 @@ def bounds_grid(k: int, max_n: int) -> list[int]:
     return dense + sparse
 
 
-@_check
-def check_bounds_sandwich(max_n: int = 200) -> str:
+def _guard_bounds(max_n: int) -> None:
     # Below n = 6 the k = 3 grid is empty, and the check would pass vacuously.
     if max_n < 6:
         raise ValueError(f"the bounds sandwich needs bounds_max_n >= 6, got {max_n}")
     _check_guard(max_n, BOUNDS_GUARD, "the bounds sandwich", name="bounds_max_n")
+
+
+@_check
+def check_bounds_sandwich(max_n: int = 200) -> str:
+    _guard_bounds(max_n)
     cases = 0
     for k in (1, 2, 3):
         for n, exact in success_probabilities_exact(bounds_grid(k, max_n), k).items():
@@ -449,11 +457,12 @@ def check_strategy_dominance(n_max: int = 7) -> str:
 
 
 def verify_all(n_max: int = 8, skip_dp: bool = False, bounds_max_n: int = 200) -> VerifyReport:
-    # Below n_max = 4 continuous_discrete has no case and would pass vacuously.
-    # check_formula_vs_oracle, called first, guards n_max before any set pass,
-    # and check_bounds_sandwich checks bounds_max_n itself.
+    # Every range fails before any pass, in the order the checks run.  Below
+    # n_max = 4 continuous_discrete has no case and would pass vacuously.
     if n_max < 4:
         raise ValueError(f"verification needs n_max >= 4, got {n_max}")
+    _guard_set_pass(n_max)
+    _guard_bounds(bounds_max_n)
     global _shared_events
     _shared_events = {}
     try:

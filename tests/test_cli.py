@@ -592,14 +592,16 @@ def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypat
     # in all, on the shipped Observer, and asks the shipped indicator about
     # every set of arrivals before the sink, 392 in all.  A speed-up that
     # skips a prefix or a transition, or inlines the indicator, changes these
-    # counts.
-    calls = {"observe": 0, "indicator": 0}
+    # counts, and every event observed is the shipped ObservationEvent.
+    calls = {"observe": 0, "indicator": 0, "not an ObservationEvent": 0}
     observe = Observer.observe
     indicator = verify_module.continuous_win_indicator
 
     def counted_observe(self, pos):
         calls["observe"] += 1
-        return observe(self, pos)
+        event = observe(self, pos)
+        calls["not an ObservationEvent"] += type(event) is not ObservationEvent
+        return event
 
     def counted_indicator(g, arr):
         calls["indicator"] += 1
@@ -608,7 +610,7 @@ def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypat
     monkeypatch.setattr(Observer, "observe", counted_observe)
     monkeypatch.setattr(verify_module, "continuous_win_indicator", counted_indicator)
     assert verify_all(7).passed
-    assert calls == {"observe": 42_769, "indicator": 392}
+    assert calls == {"observe": 42_769, "indicator": 392, "not an ObservationEvent": 0}
 
 
 def count_passes(monkeypatch):
@@ -675,15 +677,41 @@ def test_verify_all_shares_no_stale_set_pass(monkeypatch):
 
 
 def test_verify_all_leaves_nothing_shared_when_a_check_raises(monkeypatch):
-    # check_bounds_sandwich raises after the set-pass checks before it have
-    # shared their passes; none is kept, and a check called alone walks again.
+    # The last check raises after the checks before it have shared their set
+    # passes; none is kept, and a check called alone walks again.
     sets, _ = count_passes(monkeypatch)
-    with pytest.raises(ValueError, match="needs bounds_max_n >= 6"):
-        verify_all(4, bounds_max_n=5)
+
+    def broken(n_max=7):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verify_module, "check_strategy_dominance", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        verify_all(4, bounds_max_n=30)
     assert sets and verify_module._shared_events is None
     sets.clear()
     assert check_frozen_exact_values().passed
     assert sets == Counter({(5, 2): 1, (6, 2): 1})
+
+
+@pytest.mark.parametrize("n_max, bounds_max_n, error", [
+    (12, 5, ResourceGuardError), (4, 5, ValueError), (4, BOUNDS_GUARD + 1, ResourceGuardError),
+], ids=["n_max-first", "bounds-below", "bounds-above"])
+def test_verify_all_checks_every_range_before_any_pass(monkeypatch, n_max, bounds_max_n, error):
+    # Out of range, verify_all fails before any set pass, class walk or row
+    # pass, with the error the first check to guard it raises alone.
+    sets, classes = count_passes(monkeypatch)
+    rows = []
+    original = verify_module.success_probabilities_exact
+    monkeypatch.setattr(verify_module, "success_probabilities_exact",
+                        lambda ns, k: rows.append(k) or original(ns, k))
+    with pytest.raises(error) as raised:
+        verify_all(n_max, bounds_max_n=bounds_max_n)
+    assert type(raised.value) is error
+    first = check_formula_vs_oracle if n_max > 9 else check_bounds_sandwich
+    with pytest.raises(error) as alone:
+        first(n_max if n_max > 9 else bounds_max_n)
+    assert str(raised.value) == str(alone.value)
+    assert not sets and not classes and not rows
 
 
 def test_strategy_dominance_sees_a_threshold_miscount(monkeypatch):
@@ -842,7 +870,7 @@ def test_verify_rejects_ranges_that_check_nothing(capsys):
 
 
 def test_verify_resource_guard(capsys):
-    # verify_all keeps no guard of its own: check_formula_vs_oracle raises it.
+    # verify_all raises check_formula_vs_oracle's own guard.
     with pytest.raises(ResourceGuardError) as guard:
         check_formula_vs_oracle(12)
     code, out, err = run_cli(capsys, "verify", "--n-max", "12")
