@@ -392,7 +392,7 @@ _FLAGS = {
     "r": {"help": "rejection count for classical_threshold, or 'auto'"},
     "threads": {"default": "1", "help": "worker processes for simulation, at most one per CPU"},
     "epsilon": {"help": "epsilon for the analytic lower bound"},
-    "n-max": {"default": "8", "help": "enumerate arrival orders up to this n"},
+    "n-max": {"default": "8", "help": "largest n of the exhaustive oracle checks"},
     "skip-dp": {"action": "store_true", "help": "skip backward-induction checks"},
     "bounds-n": {"default": "200", "help": "largest n for the bounds sandwich"},
     "perm": {"help": "whitespace-separated 1-based vertex indices"},

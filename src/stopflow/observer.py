@@ -57,7 +57,7 @@ class ComponentView:
 
 class ObservationEvent(NamedTuple):
     """What the selector learns from one arrival.  The exhaustive oracles build
-    one per prefix; a NamedTuple costs a third of a frozen dataclass."""
+    one per set transition; a NamedTuple costs a third of a frozen dataclass."""
 
     t: int
     is_max: bool
@@ -104,7 +104,7 @@ class Observer:
         )
 
     def undo(self) -> None:
-        """Take back the latest arrival (IndexError if none): one observer walks many prefixes."""
+        """Take back the latest arrival (IndexError if none): one observer visits many sets."""
         idx, self.t, self.component_count, self.pending_inner = self._history.pop()
         del self._arrived[idx]
 

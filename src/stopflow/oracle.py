@@ -8,14 +8,14 @@ as do ``verify``'s order-free checks.  The threshold rules' wins need only
 the set before the sink and which of its arrivals came last, and a second
 pass over sets counts them; exact mixing over the rejection count
 integrates the randomized rule.  Only the class table walks the arrival
-prefixes: ``_class_table`` lists the information classes, on which
-backward induction finds the optimal value over all stopping rules that
-see only the labeled induced graph.  The induction's walk stops at the
-sink's arrival: the selector cannot recall a vertex, so once the sink has
-passed no stop can win.  A class is an observation history, keyed by its
-parent class and the arcs of the newest arrival; ``canonical_info_state``
-is the audit's encoding of a class, and the audit checks that the two
-determine each other.
+prefixes, and it reads each new class's event off its own set pass:
+``_class_table`` lists the information classes, on which backward induction
+finds the optimal value over all stopping rules that see only the labeled
+induced graph.  The induction's walk stops at the sink's arrival: the
+selector cannot recall a vertex, so once the sink has passed no stop can
+win.  A class is an observation history, keyed by its parent class and the
+arcs of the newest arrival; ``canonical_info_state`` is the audit's encoding
+of a class, and the audit checks that the two determine each other.
 """
 from __future__ import annotations
 
@@ -247,9 +247,10 @@ def _class_table(g: PathPower, pre_sink: bool = False) -> list:
     slots per class in creation order, so each parent precedes its
     children: the prefix length t, the number of member prefixes, how many
     of them end on the sink, the parent's number (-1 at t = 1), the newest
-    arrival's component count, pending-inner count and maximality, and the
-    first member as ``bytes`` (positions stay below 256 at any n a walk can
-    finish).  No slot holds a container, so the table gives the garbage
+    arrival's component count, pending-inner count and maximality, read off
+    one ``set_transitions`` as the observer reads only the arrived set, and
+    the first member as ``bytes`` (positions stay below 256 at any n a walk
+    can finish).  No slot holds a container, so the table gives the garbage
     collector nothing to track.
 
     With ``pre_sink`` the walk does not descend below a prefix that ends on
@@ -268,40 +269,40 @@ def _class_table(g: PathPower, pre_sink: bool = False) -> list:
     # [pos][q]: the digit of an earlier arrival q for a newest arrival pos.
     rows = [[d + k if -k <= d <= k else k for d in range(pos, pos - g.n - 1, -1)]
             for pos in range(g.n + 1)]
-    _descend(Observer(g), list(g.positions()), [], -1, (classes, index, rows, 2 * k + 1, pre_sink))
+    _descend(0, [], -1, (set_transitions(g), g.n, classes, index, rows, 2 * k + 1, pre_sink))
     return classes
 
 
-def _descend(obs: Observer, free: list[int], path: list[int], parent: int, table: tuple) -> None:
+def _descend(s: int, path: list[int], parent: int, table: tuple) -> None:
     # Module level, not a recursive closure: its reference cycle outlives the call.
-    # ``free`` holds the unarrived positions, sorted; each is lent to the
-    # child walk and put back in place, so the order stays lexicographic.
-    classes, index, rows, base, pre_sink = table
+    # ``path`` has arrived, as the mask s; its extensions by the unarrived
+    # positions in increasing order keep the walk lexicographic.
+    transitions, n, classes, index, rows, base, pre_sink = table
     t = len(path) + 1
     level = index[t]
-    for i in range(len(free)):
-        pos = free.pop(i)
+    for pos in range(1, n + 1):
+        bit = 1 << pos - 1
+        if s & bit:
+            continue
         key = parent
         row = rows[pos]
         for q in path:
             key = key * base + row[q]
         path.append(pos)
-        _, is_max, comps, pending, _ = obs.observe(pos)
         sink = pos == 1
         c = level.get(key)
         if c is None:
             c = level[key] = len(classes) // _WIDTH
+            _, is_max, comps, pending, _ = transitions[s | bit][pos]
             classes.extend((t, 1, int(sink), parent, comps, pending, is_max, bytes(path)))
         else:
             at = c * _WIDTH
             classes[at + _MEMBERS] += 1
             if sink:
                 classes[at + _SINK_LAST] += 1
-        if free and not (sink and pre_sink):
-            _descend(obs, free, path, c, table)
-        obs.undo()
+        if t < n and not (sink and pre_sink):
+            _descend(s | bit, path, c, table)
         path.pop()
-        free.insert(i, pos)
 
 
 def _backward_induction(n: int, classes: list) -> Fraction:

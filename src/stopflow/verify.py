@@ -9,7 +9,7 @@ the (t, c) tally, the continuous check and the slack rule's wins read one
 function of a set transition each, so ``_set_events`` serves them from the
 oracle's pass over arrived sets, which observes each transition once; while
 ``verify_all`` runs, its checks share one ``_set_events`` per (n, k).  Only
-the class tables need arrival order, and each check that reads one walks
+the class tables need arrival order, and each check that reads one builds
 its own: ``dp_vs_formula`` reads the table pruned at the sink,
 ``conditional_success_vs_states`` the full one, as the audit does.
 ``strategy_dominance`` walks nothing either: it reads the threshold rules'
@@ -17,7 +17,7 @@ wins off the oracle's threshold set pass.  Desk-scale guards apply:
 ``verify_all`` checks every range before any pass: that ``n_max`` is at
 least 4, then ``formula_vs_oracle``'s guard on ``n_max`` and the bounds
 sandwich's range, which those two checks also apply when called alone.
-Every other check caps ``n_max`` at its own limit.
+The class checks cap ``n_max``; the others run to it under their pass's guard.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .observer import Observer, component_runs
 from .oracle import (
     DP_GUARD,
     ENUMERATION_GUARD,
+    SET_GUARD,
     ContinuousArrival,
     _WIDTH,
     _audited_states,
@@ -70,12 +71,6 @@ GOLDEN_TRACE_STOP = 6
 # and 15 s at 2000 for the sandwich.  ``stopflow exact`` is capped at the same
 # n, which bounds n only; ``exact.COMPOSITION_GUARD`` bounds its tables in k.
 BOUNDS_GUARD = 1000
-
-# Caps four checks whatever n_max they get, only so that the output of
-# verify --n-max 8 stays fixed (test_verify_checks_cap_n_max_themselves).
-# Each reads the oracle's passes over arrived sets, which cost milliseconds
-# at n = 8 for every k, as formula_vs_oracle's does uncapped.
-WALK_N_CAP = 7
 
 GOLDEN_EXACT_VALUES = {
     (5, 2): Fraction(9, 20),
@@ -333,7 +328,7 @@ def check_bounds_sandwich(max_n: int = 200) -> str:
 
 @_check
 def check_observer_invariants(n_max: int = 7) -> str:
-    n_max = min(n_max, WALK_N_CAP)
+    _guard_set_pass(n_max)
     runs = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -377,7 +372,7 @@ def check_subset_counting(n_max: int = 10) -> str:
 
 @_check
 def check_max_given_components(n_max: int = 7) -> str:
-    n_max = min(n_max, WALK_N_CAP)
+    _guard_set_pass(n_max)
     cases = 0
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -414,7 +409,7 @@ def check_conditional_success_vs_states(n_max: int = 6) -> str:
 
 @_check
 def check_continuous_discrete(n_max: int = 7) -> str:
-    n_max = min(n_max, WALK_N_CAP)
+    _guard_set_pass(n_max)
     runs = 0
     for n in range(4, n_max + 1):
         for k in range(1, n - 2):
@@ -427,7 +422,7 @@ def check_continuous_discrete(n_max: int = 7) -> str:
 
 @_check
 def check_strategy_dominance(n_max: int = 7) -> str:
-    n_max = min(n_max, WALK_N_CAP)
+    _check_guard(n_max, SET_GUARD, "threshold set pass", name="n_max")
     p_grid = [Fraction(i, 10) for i in range(11)]
     cases = 0
     for n in range(3, n_max + 1):

@@ -3,9 +3,12 @@
 ``walk_prefixes`` visits every arrival prefix on one ``Observer`` and lets
 each visitor mute itself below a prefix; ``_aggregates`` runs visitor
 factories on one shared walk.  The package's one walk over prefixes,
-``oracle._class_table``, inlines the class visitors below, which the tests
-compare it against slot for slot; the tests' other visitors recount what the
-oracle's passes over arrived sets count.
+``oracle._class_table``, files the prefixes as the class visitors below do,
+and the tests compare its tables with theirs slot for slot.  It observes
+nothing itself, reading each new class's event off ``oracle.set_transitions``;
+these visitors take theirs from an ``Observer`` replayed along every prefix,
+so the comparison does not rest on the set pass.  The tests' other visitors
+recount what the oracle's passes over arrived sets count.
 """
 from __future__ import annotations
 

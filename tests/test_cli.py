@@ -388,20 +388,23 @@ def test_verify_reports_a_failed_class_audit(capsys, monkeypatch):
 
 
 def test_verify_checks_cap_n_max_themselves():
-    # verify_all passes n_max straight through; these caps keep the output of
-    # verify --n-max 8 as it was when verify_all applied them.
-    assert check_continuous_discrete(9).detail.endswith("up to n=7")
-    assert check_conditional_success_vs_states(9) == check_conditional_success_vs_states(6)
-    # The details of these checks at n_max=7, as verify --n-max 7 reports them.
-    at_7 = {
-        check_dp_vs_formula: "20 (n,k) pairs equal up to n=7",
-        check_observer_invariants: "34406 exhaustive runs up to n=7",
-        check_max_given_components: "155 (m, c) cells match (h+1)/m",
-        check_strategy_dominance: "350 competing strategies dominated",
-        check_continuous_discrete: "22584 orderings agree up to n=7",
+    # The four checks that read set passes run to the n_max they get, as
+    # verify --n-max 8 reports them; the class checks cap it themselves.
+    assert check_dp_vs_formula(9).detail == "20 (n,k) pairs equal up to n=7"
+    at_8 = {
+        check_observer_invariants: "316646 exhaustive runs up to n=8",
+        check_max_given_components: "240 (m, c) cells match (h+1)/m",
+        check_continuous_discrete: "224184 orderings agree up to n=8",
+        check_strategy_dominance: "490 competing strategies dominated",
     }
-    for check, detail in at_7.items():
-        assert check(9).detail == detail, check.__name__
+    for check, detail in at_8.items():
+        assert check(8).detail == detail, check.__name__
+    assert check_conditional_success_vs_states(9) == check_conditional_success_vs_states(6)
+    # Past its pass's guard each check raises, as formula_vs_oracle does.
+    for check, limit in [(check_observer_invariants, 9), (check_max_given_components, 9),
+                         (check_continuous_discrete, 9), (check_strategy_dominance, 16)]:
+        with pytest.raises(ResourceGuardError, match=f"guarded at n_max <= {limit} "):
+            check(limit + 1)
 
 
 def test_checks_keep_their_signatures():
@@ -560,6 +563,27 @@ def test_observer_invariants_see_totals_unlike_the_set(monkeypatch, parent, pref
     assert [c.name for c in report.checks if not c.passed] == ["observer_invariants"]
 
 
+def test_class_checks_certify_the_shipped_observer(monkeypatch):
+    # The class walk observes nothing itself: a class records the event of
+    # its first member's last transition from the set pass.  One pending
+    # inner vertex too many on the arrival of 4 after {1} at (5, 2), the
+    # event of the class of (1, 4), must fail the stop-value check, alone and
+    # in verify_all.
+    original = Observer.observe
+
+    def corrupted(self, pos):
+        event = original(self, pos)
+        if (self.g.n, self.g.k, pos) == (5, 2, 4) and self._arrived == [1, 4]:
+            return event._replace(pending_inner=event.pending_inner + 1)
+        return event
+
+    monkeypatch.setattr(Observer, "observe", corrupted)
+    failed = Check("conditional_success_vs_states", False,
+                   "(n=5, k=2, t=2): counted 1/3, formula 1/2")
+    assert check_conditional_success_vs_states(5) == failed
+    assert failed in verify_all(5).checks
+
+
 def test_observer_invariants_recount_each_set(monkeypatch):
     # An observer wrong the same way on every transition into a set agrees
     # with itself; the recount by component_runs still sees it.
@@ -586,13 +610,14 @@ def test_continuous_discrete_names_the_first_disagreeing_order(monkeypatch):
 
 
 def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypatch):
-    # The certification is brute force: verify_all(7) observes every prefix
-    # of its class walks (27,360 cut at the sink for n = 3..7, 11,302 in full
-    # for n = 3..6) and every set transition, n 2^(n-1) per (n, k) and 4,092
-    # in all, on the shipped Observer, and asks the shipped indicator about
-    # every set of arrivals before the sink, 392 in all.  A speed-up that
-    # skips a prefix or a transition, or inlines the indicator, changes these
-    # counts, and every event observed is the shipped ObservationEvent.
+    # The certification is brute force: verify_all(7) observes every set
+    # transition, n 2^(n-1) per (n, k), on the shipped Observer: 4,092 for
+    # the checks' shared set passes, and 4,088 and 1,400 in the class walks'
+    # own set passes (cut at the sink for n = 3..7, in full for n = 3..6),
+    # plus 15 in the golden trace.  It asks the shipped indicator about every
+    # set of arrivals before the sink, 392 in all.  A speed-up that skips a
+    # transition, or inlines the indicator, changes these counts, and every
+    # event observed is the shipped ObservationEvent.
     calls = {"observe": 0, "indicator": 0, "not an ObservationEvent": 0}
     observe = Observer.observe
     indicator = verify_module.continuous_win_indicator
@@ -610,7 +635,7 @@ def test_verify_all_observes_every_prefix_and_judges_every_sink_prefix(monkeypat
     monkeypatch.setattr(Observer, "observe", counted_observe)
     monkeypatch.setattr(verify_module, "continuous_win_indicator", counted_indicator)
     assert verify_all(7).passed
-    assert calls == {"observe": 42_769, "indicator": 392, "not an ObservationEvent": 0}
+    assert calls == {"observe": 9_595, "indicator": 392, "not an ObservationEvent": 0}
 
 
 def count_passes(monkeypatch):

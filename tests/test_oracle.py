@@ -482,26 +482,33 @@ def test_pre_sink_classes_are_the_classes_not_past_the_sink():
 
 
 def test_dp_walk_stops_at_the_sink(monkeypatch):
-    # At each t the induction observes the t-prefixes without the sink,
+    # At each t the induction visits the t-prefixes without the sink,
     # P(n-1, t), and those ending on it, P(n-1, t-1): 3,913 of the 13,699
-    # prefixes at n = 7.
-    observed = Counter()
+    # prefixes at n = 7, as the member sums of the pre-sink table count them.
+    # It observes nothing itself: only its set pass, n 2^(n-1) transitions.
+    observed = 0
     observe = Observer.observe
 
     def counted(self, pos):
-        e = observe(self, pos)
-        observed[e.t] += 1
-        return e
+        nonlocal observed
+        observed += 1
+        return observe(self, pos)
 
     monkeypatch.setattr(Observer, "observe", counted)
     for n in range(2, 8):
         for k in range(1, n):
-            observed.clear()
+            observed = 0
             dp_optimal_value(n, k)
-            assert observed == {t: math.perm(n - 1, t) + math.perm(n - 1, t - 1)
-                                for t in range(1, n + 1)}, (n, k)
+            assert observed == n * 2 ** (n - 1), (n, k)
+            classes = _class_table(PathPower(n, k), pre_sink=True)
+            visited = Counter()
+            for t, members in zip(classes[oracle._T::oracle._WIDTH],
+                                  classes[oracle._MEMBERS::oracle._WIDTH]):
+                visited[t] += members
+            assert visited == {t: math.perm(n - 1, t) + math.perm(n - 1, t - 1)
+                               for t in range(1, n + 1)}, (n, k)
             if n == 7:
-                assert sum(observed.values()) == 3_913
+                assert sum(visited.values()) == 3_913
 
 
 def test_slack_rule_walk_stops_at_the_sink():
@@ -872,7 +879,7 @@ def test_event_visitor_wins_match_the_pruned_walk_and_the_formula():
     # The walk references, the full event visitor and the slack-rule visitor
     # pruned at its stop or the sink, count the orders the slack rule wins,
     # as the closed form and the set pass do.
-    for n in range(2, verify.WALK_N_CAP + 1):
+    for n in range(2, 8):
         for k in range(1, n):
             g = PathPower(n, k)
             [events] = _aggregates(g, _event_visitor)
